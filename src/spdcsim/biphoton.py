@@ -44,6 +44,8 @@ class PumpSpectrum:
     bandwidth: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.omega_p) and math.isfinite(self.bandwidth)):
+            raise ValueError("omega_p and bandwidth must be finite")
         if not self.omega_p > 0:
             raise ValueError("omega_p must be > 0")
         if self.bandwidth < 0:

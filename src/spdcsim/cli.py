@@ -91,6 +91,13 @@ class RunConfig:
     units: str = "radps"
 
     def validate(self) -> None:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        infinite = [name for name, value in values.items()
+                    if isinstance(value, float) and not math.isfinite(value)]
+        if not all(map(math.isfinite, self.thetas)):
+            infinite.append("thetas")
+        if infinite:
+            raise CliError(f"{', '.join(infinite)} must be finite")
         if self.omega_p <= 0 or self.pump_bw <= 0 or self.gamma <= 0 or self.length_um <= 0:
             raise CliError("omega_p, pump_bw, gamma and length_um must all be > 0")
         if not (-math.pi < self.theta <= math.pi):
@@ -178,11 +185,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if cfg.units == "si":
         # angular frequencies supplied in 1/s: convert to rad/ps
-        si = {k: getattr(cfg, k) * 1e-12 for k in _ANGULAR_FREQ_KEYS
-              if getattr(cfg, k) is not None}
-        if cfg.kind == "hom" and cfg.sweep_lo is not None:
-            si["sweep_lo"] = cfg.sweep_lo * 1e-12
-            si["sweep_hi"] = cfg.sweep_hi * 1e-12
+        # (the dip sweep runs over the pump bandwidth)
+        keys = _ANGULAR_FREQ_KEYS + (("sweep_lo", "sweep_hi") if cfg.kind == "hom" else ())
+        si = {k: getattr(cfg, k) * 1e-12 for k in keys if getattr(cfg, k) is not None}
         cfg = replace(cfg, **si)
     cfg.validate()
     return cfg

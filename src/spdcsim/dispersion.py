@@ -187,6 +187,8 @@ class PhaseMatchParams:
     length: float   # um
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.omega_p, self.gamma, self.theta, self.length))):
+            raise ValueError("omega_p, gamma, theta and length must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.length > 0:

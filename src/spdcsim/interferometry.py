@@ -206,30 +206,54 @@ def v_mz(cfp: ClosedFormParams, pump: PumpSpectrum, params: PhaseMatchParams) ->
 # Both raw integrals run over the signal/idler detunings.  In rotated
 # coordinates u = d1 + d2 (sum) and v = d1 - d2 (difference) the pump weight
 # W(u) = exp(-u^2 / bw^2) bounds u, the phase-matching factors become
-# phi(a u + b v) and phi(a u - b v) with a, b the half sum/difference of the
-# group-delay coefficients, and every delay-dependent factor reduces to
-# cos(v tau), cos((u + w_p) tau) or cos((u + w_p) tau / 2) cos(v tau / 2).
-# The last family is odd in v and integrates to zero; the rest separate, so
-# the double integral collapses onto four tau-independent node profiles and
-# each delay costs two dot products.  The constant Jacobian cancels in the
-# normalization.
+# p1(u, v) = phi(a u + b v) and p2(u, v) = phi(a u - b v) with a, b the half
+# sum/difference of the group-delay coefficients, and every delay-dependent
+# factor reduces to cos(v tau), cos((u + w_p) tau) or
+# cos((u + w_p) tau / 2) cos(v tau / 2).  The last family is odd in v and
+# integrates to zero; the rest separate, so the double integral collapses
+# onto four tau-independent node profiles and each delay costs two dot
+# products.  The constant Jacobian cancels in the normalization.
+#
+# Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
+# node axes are built as exact mirror images of their positive halves (the
+# 10-point rule has no node at 0), so the build evaluates one kernel block
+# p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
+# analytically; the two v profiles come out even in v, so each delay sums
+# cos(v tau) over v > 0 with doubled weights.  The kernel is
+# phi_L(x, L) / L = sinc(x L / 2 pi): the L^2 cancels in the normalization.
+# None of this touches a closed form.
 
-def _gl_panels(lo: float, hi: float, panel: float, budget: int) -> tuple[np.ndarray, np.ndarray]:
+# panel density of the two builds the self-check compares
+_PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
+# bytes of one float64 kernel block in the build loop
+_BLOCK_BYTES = 16 << 20
+
+
+def _mirrored_panels(half_width: float, panel: float, budget: int,
+                     where: str) -> tuple[np.ndarray, np.ndarray]:
+    """10-point Gauss-Legendre panels on [-half_width, half_width], with
+    nodes and weights mirrored exactly from the positive half."""
     x, w = np.polynomial.legendre.leggauss(10)
-    n = max(1, int(math.ceil((hi - lo) / panel)))
+    n = max(1, int(math.ceil(2.0 * half_width / panel)))
     if n > budget:
-        raise NonConvergence(f"panel quadrature needs {n} panels, budget {budget}")
-    edges = np.linspace(lo, hi, n + 1)
+        raise NonConvergence(f"panel quadrature on the {where} needs {n} panels, budget {budget}")
+    edges = np.linspace(-half_width, half_width, n + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()[5 * n:]
+    weights = (half[:, None] * w[None, :]).ravel()[5 * n:]
+    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
 
 
 class _RateEngine:
-    """Tau-independent node profiles for one (crystal, pump) setting."""
+    """Tau-independent node profiles for one (crystal, pump) setting.
+
+    un, vn (with weights wu, pump-weighted, and vw) are the full mirrored
+    node axes; q_u and r_u live on un, g2_v and g3_v on the v > 0 half.
+    """
 
     def __init__(self, params: PhaseMatchParams, pump: PumpSpectrum,
-                 tau_max: float, density: float, budget: int):
+                 tau_max: float, grade: str, budget: int):
         if pump.bandwidth <= 0:
             raise ValueError("quadrature rates need pump bandwidth > 0")
         gs, gi = params.gamma_s, params.gamma_i
@@ -240,6 +264,7 @@ class _RateEngine:
         if abs(gs - gi) < 1e-12 * params.gamma:
             raise DegenerateDip("gamma_s = gamma_i: dip integrand degenerates")
         bw = pump.bandwidth
+        density = _PANEL_DENSITY[grade]
         u_half = 8.0 * bw
         # difference-axis reach: the squared sinc tails thin out as 1/v^2,
         # leaving a relative baseline deficit ~2/(pi tau_theta v_half), so
@@ -250,49 +275,63 @@ class _RateEngine:
         v_rate = abs(b) * L / 2.0 + tau_max
         panel_u = min(2.0 * math.pi / u_rate if u_rate > 0 else u_half, 0.7 * bw) / density
         panel_v = (2.0 * math.pi / v_rate) / density
-        un, uw = _gl_panels(-u_half, u_half, panel_u, budget)
-        vn, vw = _gl_panels(-v_half, v_half, panel_v, budget)
+        un, uw = _mirrored_panels(u_half, panel_u, budget, f"u axis ({grade} build)")
+        vn, vw = _mirrored_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
+        half = len(vn) // 2
+        vp, vwp = vn[half:], vw[half:]
         wu = np.exp(-((un / bw) ** 2)) * uw
-        q_u = np.zeros_like(un)   # sum over v of (phi1^2 + phi2^2)
-        r_u = np.zeros_like(un)   # sum over v of phi1 * phi2
-        g2_v = np.zeros_like(vn)  # pump-weighted sum over u of (phi1^2 + phi2^2)
-        g3_v = np.zeros_like(vn)  # pump-weighted sum over u of phi1 * phi2
-        chunk = max(1, int(4e6 // max(1, len(un))))
-        for lo in range(0, len(vn), chunk):
-            v = vn[lo:lo + chunk]
-            p1 = phi_L(a * un[:, None] + b * v[None, :], L)
-            p2 = phi_L(a * un[:, None] - b * v[None, :], L)
-            ssq = p1 * p1 + p2 * p2
-            cross = p1 * p2
-            q_u += ssq @ vw[lo:lo + chunk]
-            r_u += cross @ vw[lo:lo + chunk]
-            g2_v[lo:lo + chunk] = wu @ ssq
-            g3_v[lo:lo + chunk] = wu @ cross
+        au = (a * L / (2.0 * math.pi)) * un
+        bv = (b * L / (2.0 * math.pi)) * vp
+        s_u = np.zeros_like(un)   # sum over v > 0 of p1^2
+        c_u = np.zeros_like(un)   # sum over v > 0 of p1 * p2
+        s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
+        c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
+        chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
+        for lo in range(0, len(vp), chunk):
+            hi = lo + chunk
+            p1 = np.sinc(au[:, None] + bv[None, lo:hi])
+            sq = p1 * p1
+            cross = p1 * p1[::-1]
+            s_u += sq @ vwp[lo:hi]
+            c_u += cross @ vwp[lo:hi]
+            s_v[lo:hi] = wu @ sq
+            c_v[lo:hi] = wu @ cross
         self.un, self.wu, self.vn, self.vw = un, wu, vn, vw
-        self.q_u, self.r_u, self.g2_v, self.g3_v = q_u, r_u, g2_v, g3_v
-        self.mass = float(wu @ q_u)
+        # sums over all v of (p1^2 + p2^2) and p1 * p2, and pump-weighted
+        # sums over u of the same (wu is even, so the p2^2 sum equals s_v)
+        self.q_u = 2.0 * (s_u + s_u[::-1])
+        self.r_u = 2.0 * c_u
+        self.g2_v = 2.0 * s_v
+        self.g3_v = c_v
+        self.mass = float(wu @ self.q_u)
         self.omega_p = pump.omega_p
+        self._vp = vp
+        self._w2 = 2.0 * vwp * self.g2_v
+        self._w3 = 2.0 * vwp * self.g3_v
 
     # each delay is reduced with plain 1-d dot products so the numbers do
-    # not depend on how a grid is batched or chunked across workers
+    # not depend on how a grid is batched or chunked across workers; the
+    # cosine buffers are per call because workers share one engine
 
     def hom(self, taus: np.ndarray) -> np.ndarray:
-        w3 = self.vw * self.g3_v
         out = np.empty(len(taus))
+        cos_v = np.empty_like(self._vp)
         for j, tau in enumerate(taus):
-            cross = float(w3 @ np.cos(self.vn * tau))
+            np.cos(np.multiply(self._vp, tau, out=cos_v), out=cos_v)
+            cross = float(self._w3 @ cos_v)
             out[j] = 1.0 - 2.0 * cross / self.mass
         return out
 
     def mz(self, taus: np.ndarray) -> np.ndarray:
         wq, wr = self.wu * self.q_u, self.wu * self.r_u
-        w2, w3 = self.vw * self.g2_v, self.vw * self.g3_v
+        shifted = self.un + self.omega_p
         out = np.empty(len(taus))
+        cos_u, cos_v = np.empty_like(shifted), np.empty_like(self._vp)
         for j, tau in enumerate(taus):
-            cos_u = np.cos((self.un + self.omega_p) * tau)
-            cos_v = np.cos(self.vn * tau)
+            np.cos(np.multiply(shifted, tau, out=cos_u), out=cos_u)
+            np.cos(np.multiply(self._vp, tau, out=cos_v), out=cos_v)
             a1, b1 = float(wq @ cos_u), float(wr @ cos_u)
-            a2, b2 = float(w2 @ cos_v), float(w3 @ cos_v)
+            a2, b2 = float(self._w2 @ cos_v), float(self._w3 @ cos_v)
             raw = 0.25 * self.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)
             out[j] = raw / (0.25 * self.mass)
         return out
@@ -302,14 +341,14 @@ _ENGINE_CACHE: dict[tuple, _RateEngine] = {}
 
 
 def _engine(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
-            density: float, budget: int) -> _RateEngine:
+            grade: str, budget: int) -> _RateEngine:
     key = (params.gamma_s, params.gamma_i, params.length, pump.omega_p,
-           pump.bandwidth, round(tau_max, 12), density, budget)
+           pump.bandwidth, round(tau_max, 12), grade, budget)
     eng = _ENGINE_CACHE.get(key)
     if eng is None:
         if len(_ENGINE_CACHE) > 32:
             _ENGINE_CACHE.clear()
-        eng = _RateEngine(params, pump, tau_max, density, budget)
+        eng = _RateEngine(params, pump, tau_max, grade, budget)
         _ENGINE_CACHE[key] = eng
     return eng
 
@@ -330,8 +369,8 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
         cfp = closed_form_params(params, pump)
         tau_max = max(float(np.max(np.abs(taus))) if taus.size else 0.0,
                       2.0 * cfp.tau_theta + 8.0 / pump.bandwidth)
-    fine = _engine(params, pump, tau_max, 1.5, spec.max_subdivisions)
-    coarse = _engine(params, pump, tau_max, 1.0, spec.max_subdivisions)
+    fine = _engine(params, pump, tau_max, "fine", spec.max_subdivisions)
+    coarse = _engine(params, pump, tau_max, "coarse", spec.max_subdivisions)
     run = (lambda e: e.hom(taus)) if kind is TraceKind.HOM else (lambda e: e.mz(taus))
     values = run(fine)
     drift = float(np.max(np.abs(values - run(coarse)))) if taus.size else 0.0

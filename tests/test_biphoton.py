@@ -45,6 +45,13 @@ def test_pump_alpha_peak_and_width():
     assert up**2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("omega_p, bandwidth", [
+    (math.nan, 40.0), (math.inf, 40.0), (OMEGA_P, math.nan), (OMEGA_P, math.inf)])
+def test_pump_spectrum_rejects_non_finite(omega_p, bandwidth):
+    with pytest.raises(ValueError, match="finite"):
+        PumpSpectrum(omega_p=omega_p, bandwidth=bandwidth)
+
+
 def test_pump_alpha_rejects_monochromatic():
     with pytest.raises(ValueError):
         pump_alpha(PumpSpectrum(omega_p=OMEGA_P, bandwidth=0.0), OMEGA_P)

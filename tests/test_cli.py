@@ -283,6 +283,22 @@ def test_invalid_input_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value", [("--pump-bw", "nan"), ("--length-um", "inf")])
+def test_non_finite_input_exits_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    assert run(["hom", flag, value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_si_units_half_sweep_exits_one(tmp_path, capsys):
+    rc = run(["visibility", "--units", "si", "--sweep-lo", "1e12",
+              "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: visibility needs sweep_lo and sweep_hi\n"
+
+
 def test_io_failure_exits_three(tmp_path, capsys):
     rc = run(["hom", "--tau-steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 3

@@ -277,6 +277,15 @@ def test_validity_bound_vacuum_zero_curvature():
         validity_bound(vacuum_model(), 2000.0, 40.0)
 
 
+@pytest.mark.parametrize("field", ["omega_p", "gamma", "theta", "length"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_match_params_reject_non_finite(field, bad):
+    values = dict(omega_p=2000.0, gamma=8e-5, theta=0.0, length=1e3)
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PhaseMatchParams(**values)
+
+
 def test_phase_match_params_invariants():
     with pytest.raises(ValueError):
         PhaseMatchParams(omega_p=2000.0, gamma=0.0, theta=0.0, length=1e3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from spdcsim import (
     BiphotonAmplitude,
     DegenerateDip,
     Interval,
+    NonConvergence,
     NotFactorizable,
     PhaseMatchParams,
     PumpSpectrum,
+    QuadratureSpec,
     TraceKind,
     TraceMethod,
     closed_form_params,
@@ -25,11 +28,13 @@ from spdcsim import (
     hom_trace_integral,
     mz_rate_closed,
     mz_trace_integral,
+    phi_L,
     sweep_visibility,
     symmetric_rates,
     v_hom,
     v_mz,
 )
+from spdcsim.interferometry import _RateEngine
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -265,6 +270,62 @@ def test_trace_ranges():
 def test_degenerate_ray_quadrature_raises():
     with pytest.raises(DegenerateDip):
         hom_trace_integral(make_params(math.pi / 4), PUMP, np.array([0.0]))
+
+
+def _unfolded_profiles(eng, params):
+    """Reference reduction without the reflection fold: phi_L at a u + b v
+    and a u - b v over every v node, in v chunks, divided by L so the
+    profiles share the engine's normalization."""
+    a = 0.5 * (params.gamma_s + params.gamma_i)
+    b = 0.5 * (params.gamma_s - params.gamma_i)
+    L = params.length
+    q_u, r_u = np.zeros_like(eng.un), np.zeros_like(eng.un)
+    g2_v, g3_v = np.empty_like(eng.vn), np.empty_like(eng.vn)
+    for lo in range(0, len(eng.vn), 2000):
+        v, vw = eng.vn[lo:lo + 2000], eng.vw[lo:lo + 2000]
+        p1 = phi_L(a * eng.un[:, None] + b * v[None, :], L) / L
+        p2 = phi_L(a * eng.un[:, None] - b * v[None, :], L) / L
+        ssq, cross = p1 * p1 + p2 * p2, p1 * p2
+        q_u += ssq @ vw
+        r_u += cross @ vw
+        g2_v[lo:lo + 2000] = eng.wu @ ssq
+        g3_v[lo:lo + 2000] = eng.wu @ cross
+    return q_u, r_u, g2_v, g3_v
+
+
+def _unfolded_traces(eng, profiles, omega_p, taus):
+    q_u, r_u, g2_v, g3_v = profiles
+    mass = eng.wu @ q_u
+    hom, mz = [], []
+    for tau in taus:
+        cos_u = np.cos((eng.un + omega_p) * tau)
+        cos_v = np.cos(eng.vn * tau)
+        a1, b1 = (eng.wu * q_u) @ cos_u, (eng.wu * r_u) @ cos_u
+        a2, b2 = (eng.vw * g2_v) @ cos_v, (eng.vw * g3_v) @ cos_v
+        hom.append(1.0 - 2.0 * b2 / mass)
+        mz.append((0.25 * mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)) / (0.25 * mass))
+    return np.array(hom), np.array(mz)
+
+
+def test_reflection_fold_matches_unfolded_reduction():
+    params = make_params(math.pi / 5)  # short crystal, off both special rays
+    taus = np.linspace(-0.02, 0.02, 9)
+    eng = _RateEngine(params, PUMP, 0.02, "fine", 2**15)
+    assert np.array_equal(eng.un, -eng.un[::-1]) and np.array_equal(eng.wu, eng.wu[::-1])
+    assert np.array_equal(eng.vn, -eng.vn[::-1]) and np.array_equal(eng.vw, eng.vw[::-1])
+    ref = _unfolded_profiles(eng, params)
+    half = len(eng.vn) // 2
+    pairs = [(eng.q_u, ref[0]), (eng.r_u, ref[1]),
+             (eng.g2_v, ref[2][half:]), (eng.g3_v, ref[3][half:])]
+    pairs += zip((eng.hom(taus), eng.mz(taus)), _unfolded_traces(eng, ref, PUMP.omega_p, taus))
+    for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("budget, axis", [(4, "u axis (fine build)"), (60, "v axis (fine build)")])
+def test_panel_budget_error_names_axis(budget, axis):
+    with pytest.raises(NonConvergence, match=re.escape(axis)):
+        hom_trace_integral(EPM, PUMP, np.array([0.0]), spec=QuadratureSpec(max_subdivisions=budget))
 
 
 # ---------------------------------------------------------------------------
