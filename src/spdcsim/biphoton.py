@@ -60,9 +60,6 @@ class BiphotonAmplitude:
     params: PhaseMatchParams
     pump: PumpSpectrum
 
-    def value(self, omega_s, omega_i):
-        return amplitude(self, omega_s, omega_i)
-
 
 @dataclass(frozen=True)
 class Grid2D:

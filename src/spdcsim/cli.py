@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from .dispersion import (
 from .interferometry import (
     TraceKind,
     closed_form_params,
+    delay_span,
     hom_rate_closed,
     hom_trace_integral,
     mz_rate_closed,
@@ -76,7 +76,6 @@ class RunConfig:
     method: str = "closed"
     rel_tol: float | None = None
     abs_tol: float | None = None
-    threads: int = 1
     out: str = "out.csv"
     kind: str = "hom"
     sweep_lo: float | None = None
@@ -102,6 +101,8 @@ class RunConfig:
             raise CliError("omega_p, pump_bw, gamma and length_um must all be > 0")
         if not (-math.pi < self.theta <= math.pi):
             raise CliError("theta must lie in (-pi, pi]")
+        if self.tau_max is not None and self.tau_max <= 0:
+            raise CliError("tau_max must be > 0")
         if self.tau_steps is not None and self.tau_steps < 2:
             raise CliError("tau_steps must be >= 2")
         if self.grid_steps < 2:
@@ -110,8 +111,6 @@ class RunConfig:
             raise CliError("method must be closed, quadrature or both")
         if self.kind not in ("hom", "mz"):
             raise CliError("kind must be hom or mz")
-        if self.threads < 1:
-            raise CliError("threads must be >= 1")
         if self.units not in ("radps", "si"):
             raise CliError("units must be radps or si")
 
@@ -135,7 +134,7 @@ class RunConfig:
 _FLOAT_KEYS = {"omega_p", "pump_bw", "gamma", "theta", "length_um", "tau_max",
                "grid_span", "rel_tol", "abs_tol", "sweep_lo", "sweep_hi",
                "omega_lo", "omega_hi", "zeta_lo", "zeta_hi"}
-_INT_KEYS = {"tau_steps", "grid_steps", "threads", "sweep_steps"}
+_INT_KEYS = {"tau_steps", "grid_steps", "sweep_steps"}
 _STR_KEYS = {"method", "out", "kind", "crystal", "units"}
 _ANGULAR_FREQ_KEYS = ("omega_p", "pump_bw", "omega_lo", "omega_hi")
 
@@ -202,10 +201,7 @@ def _fmt(value) -> str:
 
 
 def _meta_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    # threads is an execution detail with no effect on the numbers, and
-    # keeping it out preserves byte-identical output across worker counts
-    entries: dict[str, object] = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)
-                                  if f.name != "threads"}
+    entries: dict[str, object] = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
     if extra:
         entries.update(extra)
     lines = []
@@ -233,8 +229,7 @@ def _write_csv(path: str, cfg: RunConfig, extra_meta: dict | None,
 # ---------------------------------------------------------------------------
 
 def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
-    cfp = closed_form_params(cfg.params, cfg.pump)
-    tau_max = cfg.tau_max if cfg.tau_max is not None else 2.0 * cfp.tau_theta + 8.0 / cfg.pump_bw
+    tau_max = cfg.tau_max if cfg.tau_max is not None else delay_span(cfg.params, cfg.pump)
     steps = cfg.tau_steps
     if steps is None:
         steps = 201
@@ -247,18 +242,9 @@ def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
 
 def _quadrature_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
     run = hom_trace_integral if kind is TraceKind.HOM else mz_trace_integral
-    tau_max = float(np.max(np.abs(taus)))
-    if cfg.threads <= 1 or len(taus) < 8:
-        return run(cfg.params, cfg.pump, taus, cfg.quad_spec, tau_max=tau_max)
-    # warm the engine cache so the workers only do dot products; chunk
-    # boundaries cannot affect the per-delay values
-    run(cfg.params, cfg.pump, taus[:1], cfg.quad_spec, tau_max=tau_max)
-    chunks = np.array_split(taus, cfg.threads)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        parts = list(pool.map(
-            lambda part: run(cfg.params, cfg.pump, part, cfg.quad_spec, tau_max=tau_max),
-            chunks))
-    return np.concatenate(parts)
+    # size the panels for the grid itself: the default reach would also
+    # cover the delay span and change the nodes when --tau-max is below it
+    return run(cfg.params, cfg.pump, taus, cfg.quad_spec, tau_max=float(np.max(np.abs(taus))))
 
 
 def _closed_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
@@ -398,10 +384,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     rows = []
     for name, kind, theta, length in VALIDATION_SETS:
         sub = replace(cfg, theta=theta, length_um=length)
-        taus = np.linspace(-1, 1, 201)
-        cfp = closed_form_params(sub.params, sub.pump)
-        span = 2.0 * cfp.tau_theta + 8.0 / sub.pump_bw
-        taus = taus * span
+        taus = np.linspace(-1, 1, 201) * delay_span(sub.params, sub.pump)
         closed = _closed_trace(sub, kind, taus)
         quad = _quadrature_trace(sub, kind, taus)
         dev = float(np.max(np.abs(closed - quad)))
@@ -443,7 +426,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", help="output path (CSV, or text for match)")
         p.add_argument("--units", choices=["radps", "si"],
                        help="angular-frequency input units (si means 1/s)")
-        p.add_argument("--threads", type=int)
         p.add_argument("--omega-p", dest="omega_p", type=float)
         p.add_argument("--pump-bw", dest="pump_bw", type=float)
         p.add_argument("--gamma", type=float)

@@ -252,16 +252,14 @@ def polar_params(gamma_s: float, gamma_i: float) -> tuple[float, float]:
     return gamma, math.atan2(gamma_i, gamma_s)
 
 
-def check_condition(model: DispersionModel, omega_p: float, order: int,
-                    tol: float = 1e-10) -> float:
+def check_condition(model: DispersionModel, omega_p: float, order: int) -> float:
     """Signed residual of the order-n matching condition
 
         d^n k_p/dw^n (w_p) - 2^(-n) [d^n k_s/dw^n + d^n k_i/dw^n](w_p / 2).
 
     Order 0 is the conventional condition (zero mismatch at degeneracy),
-    order 1 the group-velocity condition.  The condition "holds" when
-    |residual| <= tol; the residual itself is returned so callers can grade
-    near-misses.
+    order 1 the group-velocity condition.  The residual itself is returned
+    so callers can grade near-misses.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -275,11 +273,6 @@ def check_condition(model: DispersionModel, omega_p: float, order: int,
         ks = model.k_s.derivative(half, order)
         ki = model.k_i.derivative(half, order)
     return kp - (ks + ki) / 2.0**order
-
-
-def condition_holds(model: DispersionModel, omega_p: float, order: int,
-                    tol: float = 1e-10) -> bool:
-    return abs(check_condition(model, omega_p, order, tol)) <= tol
 
 
 def solve_epm(model: DispersionModel, omega_bracket: Interval,

@@ -10,6 +10,7 @@ traces approach 1 and fringe traces average to 1 far from zero delay.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,14 +33,13 @@ __all__ = [
     "hom_rate_closed",
     "mz_rate_closed",
     "fringe_envelope_terms",
-    "hom_rate_integral",
-    "mz_rate_integral",
     "hom_trace_integral",
     "mz_trace_integral",
     "symmetric_rates",
     "v_hom",
     "v_mz",
     "sweep_visibility",
+    "delay_span",
     "default_tau_grid",
     "coincidence_trace",
 ]
@@ -309,9 +309,8 @@ class _RateEngine:
         self._w2 = 2.0 * vwp * self.g2_v
         self._w3 = 2.0 * vwp * self.g3_v
 
-    # each delay is reduced with plain 1-d dot products so the numbers do
-    # not depend on how a grid is batched or chunked across workers; the
-    # cosine buffers are per call because workers share one engine
+    # each delay is reduced with plain 1-d dot products, so a delay's value
+    # does not depend on which other delays share the call
 
     def hom(self, taus: np.ndarray) -> np.ndarray:
         out = np.empty(len(taus))
@@ -337,26 +336,23 @@ class _RateEngine:
         return out
 
 
-_ENGINE_CACHE: dict[tuple, _RateEngine] = {}
+@functools.lru_cache(maxsize=8)
+def _engines(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
+             budget: int) -> tuple[_RateEngine, _RateEngine]:
+    """The fine and coarse engines of one setting, built once and reused by
+    every later trace of either kind on the same inputs."""
+    return tuple(_RateEngine(params, pump, tau_max, grade, budget) for grade in _PANEL_DENSITY)
 
 
-def _engine(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
-            grade: str, budget: int) -> _RateEngine:
-    key = (params.gamma_s, params.gamma_i, params.length, pump.omega_p,
-           pump.bandwidth, round(tau_max, 12), grade, budget)
-    eng = _ENGINE_CACHE.get(key)
-    if eng is None:
-        if len(_ENGINE_CACHE) > 32:
-            _ENGINE_CACHE.clear()
-        eng = _RateEngine(params, pump, tau_max, grade, budget)
-        _ENGINE_CACHE[key] = eng
-    return eng
+def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
+    """Half-width of a delay window covering the dip plus the pump
+    envelope: 2 tau_theta + 8 / bandwidth."""
+    return 2.0 * closed_form_params(params, pump).tau_theta + 8.0 / pump.bandwidth
 
 
 def default_tau_grid(params: PhaseMatchParams, pump: PumpSpectrum, n: int = 201) -> np.ndarray:
     """Symmetric delay grid covering the dip plus the pump envelope."""
-    cfp = closed_form_params(params, pump)
-    span = 2.0 * cfp.tau_theta + 8.0 / pump.bandwidth
+    span = delay_span(params, pump)
     return np.linspace(-span, span, n)
 
 
@@ -366,11 +362,9 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
     spec = TRACE_SPEC if spec is None else spec
     taus = np.asarray(taus, dtype=float)
     if tau_max is None:
-        cfp = closed_form_params(params, pump)
         tau_max = max(float(np.max(np.abs(taus))) if taus.size else 0.0,
-                      2.0 * cfp.tau_theta + 8.0 / pump.bandwidth)
-    fine = _engine(params, pump, tau_max, "fine", spec.max_subdivisions)
-    coarse = _engine(params, pump, tau_max, "coarse", spec.max_subdivisions)
+                      delay_span(params, pump))
+    fine, coarse = _engines(params, pump, float(tau_max), spec.max_subdivisions)
     run = (lambda e: e.hom(taus)) if kind is TraceKind.HOM else (lambda e: e.mz(taus))
     values = run(fine)
     drift = float(np.max(np.abs(values - run(coarse)))) if taus.size else 0.0
@@ -388,9 +382,9 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
     """Dip trace by quadrature of the raw rate integral, normalized to its
     large-delay baseline.  Self-checked by panel refinement.
 
-    tau_max pins the oscillation-resolution scale of the panel grid; pass
-    it explicitly when splitting one grid across workers so every chunk
-    sees the same nodes.
+    tau_max pins the oscillation-resolution scale of the panel grid; it
+    defaults to the larger of max |taus| and delay_span, so pass it to get
+    the nodes sized for the given delays alone.
     """
     return _trace_quadrature(TraceKind.HOM, params, pump, taus, spec, tau_max)
 
@@ -401,20 +395,6 @@ def mz_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
     """Fringe trace by quadrature of the raw rate integral, normalized so
     the fringe-averaged large-delay value is 1."""
     return _trace_quadrature(TraceKind.MZ, params, pump, taus, spec, tau_max)
-
-
-def hom_rate_integral(params: PhaseMatchParams, pump: PumpSpectrum, tau: float,
-                      spec: QuadratureSpec | None = None,
-                      tau_max: float | None = None) -> float:
-    """Single-delay dip rate by quadrature (see hom_trace_integral)."""
-    return float(_trace_quadrature(TraceKind.HOM, params, pump, np.array([tau]), spec, tau_max)[0])
-
-
-def mz_rate_integral(params: PhaseMatchParams, pump: PumpSpectrum, tau: float,
-                     spec: QuadratureSpec | None = None,
-                     tau_max: float | None = None) -> float:
-    """Single-delay fringe rate by quadrature (see mz_trace_integral)."""
-    return float(_trace_quadrature(TraceKind.MZ, params, pump, np.array([tau]), spec, tau_max)[0])
 
 
 def symmetric_rates(bp: BiphotonAmplitude, tau: float,

@@ -20,7 +20,6 @@ __all__ = [
     "NoSignChange",
     "erf",
     "integrate_1d",
-    "integrate_2d",
     "find_root",
     "derivative",
 ]
@@ -227,65 +226,6 @@ def integrate_1d(f: Callable[[float], float], iv: Interval, spec: QuadratureSpec
         lo = np.concatenate([keep_lo, s_lo, s_mid])
         hi = np.concatenate([keep_hi, s_mid, s_hi])
     raise NonConvergence("1-d quadrature failed to settle within the round limit")
-
-
-def integrate_2d(
-    f: Callable[[float, float], float],
-    iv1: Interval,
-    iv2: Interval,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Adaptive tensor Gauss-Kronrod integral of f(x, y) over a rectangle.
-
-    Same tolerance contract and vectorization notes as integrate_1d; the
-    first argument runs over iv1.
-    """
-    fv = _as_vectorized(f)
-    xlo = np.array([iv1.lo])
-    xhi = np.array([iv1.hi])
-    ylo = np.array([iv2.lo])
-    yhi = np.array([iv2.hi])
-    n_created = 1
-    for _ in range(200):
-        xmid = 0.5 * (xlo + xhi)
-        xhalf = 0.5 * (xhi - xlo)
-        ymid = 0.5 * (ylo + yhi)
-        yhalf = 0.5 * (yhi - ylo)
-        xn = xmid[:, None] + xhalf[:, None] * _XK[None, :]
-        yn = ymid[:, None] + yhalf[:, None] * _XK[None, :]
-        vals = fv(
-            np.repeat(xn[:, :, None], 15, axis=2).ravel(),
-            np.repeat(yn[:, None, :], 15, axis=1).ravel(),
-        ).reshape(len(xlo), 15, 15)
-        area = xhalf * yhalf
-        kk = area * np.einsum("i,j,nij->n", _WK, _WK, vals)
-        gk = area * np.einsum("i,j,nij->n", _WG, _WK, vals[:, _GAUSS_IDX, :])
-        kg = area * np.einsum("i,j,nij->n", _WK, _WG, vals[:, :, _GAUSS_IDX])
-        err_x = np.abs(kk - gk)
-        err_y = np.abs(kk - kg)
-        err = err_x + err_y
-        total = float(kk.sum())
-        err_total = float(err.sum())
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if err_total <= tol:
-            return total
-        split = err > tol / (2.0 * len(xlo))
-        if not split.any():
-            split = err >= err.max()
-        n_created += int(split.sum())
-        if n_created > spec.max_subdivisions:
-            raise NonConvergence(
-                f"2-d quadrature needed more than {spec.max_subdivisions} subdivisions"
-            )
-        keep = ~split
-        ax = err_x[split] >= err_y[split]  # halve the axis with the larger error
-        sxl, sxh, sxm = xlo[split], xhi[split], xmid[split]
-        syl, syh, sym = ylo[split], yhi[split], ymid[split]
-        xlo = np.concatenate([xlo[keep], sxl, np.where(ax, sxm, sxl)])
-        xhi = np.concatenate([xhi[keep], np.where(ax, sxm, sxh), sxh])
-        ylo = np.concatenate([ylo[keep], syl, np.where(ax, syl, sym)])
-        yhi = np.concatenate([yhi[keep], np.where(ax, syh, sym), syh])
-    raise NonConvergence("2-d quadrature failed to settle within the round limit")
 
 
 # ---------------------------------------------------------------------------

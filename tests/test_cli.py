@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdcsim.cli
 from spdcsim.cli import main
 
 
@@ -36,12 +40,18 @@ def test_identical_config_gives_identical_bytes(tmp_path):
     assert read(a).replace("a.csv", "b.csv") == read(b)
 
 
-def test_thread_count_does_not_change_bytes(tmp_path):
-    a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
+def test_threads_flag_and_config_key_are_rejected(tmp_path, capsys):
+    out = tmp_path / "x.csv"
     base = ["hom", "--method", "quadrature", "--tau-steps", "9", "--tau-max", "0.1"]
-    assert run(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert run(base + ["--threads", "4", "--out", str(b)]) == 0
-    assert read(a).replace("t1.csv", "t4.csv") == read(b)
+    assert run(base + ["--threads", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--threads" in err and err.count("\n") == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads = 2\n")
+    assert run(base + ["--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'threads'" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_flag_overrides_config_overrides_default(tmp_path):
@@ -292,6 +302,17 @@ def test_non_finite_input_exits_one(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["hom", "--tau-max", "-0.1", "--tau-steps", "5"],
+    ["mz", "--tau-max", "0", "--tau-steps", "3", "--method", "both"],
+], ids=["hom-negative", "mz-zero"])
+def test_non_positive_tau_max_exits_one(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: tau_max must be > 0\n"
+    assert not out.exists()
+
+
 def test_si_units_half_sweep_exits_one(tmp_path, capsys):
     rc = run(["visibility", "--units", "si", "--sweep-lo", "1e12",
               "--out", str(tmp_path / "x.csv")])
@@ -313,3 +334,20 @@ def test_metadata_embeds_effective_config(tmp_path):
                 "# tau_max_effective="):
         assert key in text
     assert "# threads=" not in text
+
+
+# ---------------------------------------------------------------------------
+# benchmark bindings
+# ---------------------------------------------------------------------------
+
+def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
+    # perfbench/tracer.py wraps these names at their spdcsim.cli binding
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    names = (tracer.QUADRATURE_FUNCTIONS + tracer.CLOSED_FUNCTIONS
+             + tracer.BIPHOTON_FUNCTIONS + tracer.DISPERSION_FUNCTIONS)
+    assert [name for name in names if not callable(getattr(spdcsim.cli, name, None))] == []
+    for name in tracer.QUADRATURE_FUNCTIONS:
+        bound = inspect.signature(getattr(spdcsim.cli, name)).bind(None, None, np.zeros(1))
+        bound.apply_defaults()
+        assert {"spec", "tau_max"} <= set(bound.arguments), name

@@ -24,7 +24,6 @@ from spdcsim import (
     fluorescence_bandwidth,
     fringe_envelope_terms,
     hom_rate_closed,
-    hom_rate_integral,
     hom_trace_integral,
     mz_rate_closed,
     mz_trace_integral,
@@ -34,7 +33,7 @@ from spdcsim import (
     v_hom,
     v_mz,
 )
-from spdcsim.interferometry import _RateEngine
+from spdcsim.interferometry import _engines, _RateEngine
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -225,11 +224,13 @@ def test_quadrature_matches_closed_fringe():
 
 
 def test_quadrature_single_point_wrappers():
-    assert hom_rate_integral(EPM, PUMP, 0.0, tau_max=0.12) == pytest.approx(0.0, abs=1e-9)
+    def at(tau):
+        return hom_trace_integral(EPM, PUMP, np.array([tau]), tau_max=0.12)[0]
+
+    assert at(0.0) == pytest.approx(0.0, abs=1e-9)
     cfp = closed_form_params(EPM, PUMP)
     tau = 0.03
-    assert hom_rate_integral(EPM, PUMP, tau, tau_max=0.12) == pytest.approx(
-        hom_rate_closed(cfp, tau), abs=1e-3)
+    assert at(tau) == pytest.approx(hom_rate_closed(cfp, tau), abs=1e-3)
 
 
 def test_quadrature_even_in_delay():
@@ -328,6 +329,21 @@ def test_panel_budget_error_names_axis(budget, axis):
         hom_trace_integral(EPM, PUMP, np.array([0.0]), spec=QuadratureSpec(max_subdivisions=budget))
 
 
+def test_hom_and_mz_traces_share_one_engine_build():
+    params = make_params(math.pi / 5)
+    taus = np.linspace(-0.02, 0.02, 5)
+    _engines.cache_clear()
+    hom = hom_trace_integral(params, PUMP, taus, tau_max=0.02)
+    hits = _engines.cache_info().hits
+    mz = mz_trace_integral(params, PUMP, taus, tau_max=0.02)
+    assert _engines.cache_info().hits == hits + 1
+    assert _engines.cache_info().misses == 1
+    # a cold build gives bitwise the values the warm engine gave
+    _engines.cache_clear()
+    assert np.array_equal(mz_trace_integral(params, PUMP, taus, tau_max=0.02), mz)
+    assert np.array_equal(hom_trace_integral(params, PUMP, taus, tau_max=0.02), hom)
+
+
 # ---------------------------------------------------------------------------
 # reduced symmetric rates
 # ---------------------------------------------------------------------------
@@ -344,7 +360,8 @@ def test_symmetric_rates_match_two_dimensional_routes():
     cfp = closed_form_params(EPM, PUMP)
     for tau in (0.01, 0.03, 0.05):
         p_minus, p_plus = symmetric_rates(bp, tau)
-        assert p_minus == pytest.approx(hom_rate_integral(EPM, PUMP, tau, tau_max=0.12), abs=1e-5)
+        quad = hom_trace_integral(EPM, PUMP, np.array([tau]), tau_max=0.12)[0]
+        assert p_minus == pytest.approx(quad, abs=1e-5)
         assert p_plus == pytest.approx(mz_rate_closed(cfp, PUMP, EPM, tau), abs=1e-6)
 
 

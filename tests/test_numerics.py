@@ -14,7 +14,6 @@ from spdcsim import (
     erf,
     find_root,
     integrate_1d,
-    integrate_2d,
 )
 
 
@@ -100,29 +99,6 @@ def test_integral_budget_exhaustion():
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=16)
     with pytest.raises(NonConvergence):
         integrate_1d(lambda x: np.cos(5e4 * x), Interval(0.0, 1.0), spec)
-
-
-# ---------------------------------------------------------------------------
-# 2-d quadrature
-# ---------------------------------------------------------------------------
-
-def test_integral_2d_unit_square():
-    got = integrate_2d(lambda x, y: np.ones_like(x), Interval(0.0, 1.0), Interval(0.0, 1.0))
-    assert abs(got - 1.0) < 1e-12
-
-
-def test_integral_2d_gaussian():
-    iv = Interval(-8.0, 8.0)
-    got = integrate_2d(lambda x, y: np.exp(-x * x - y * y), iv, iv)
-    assert abs(got - math.pi) < 1e-9
-
-
-def test_integral_2d_separable_matches_1d_square():
-    g = lambda x: np.exp(-x * x) * (1.0 + 0.3 * np.cos(x))
-    iv = Interval(-6.0, 6.0)
-    got = integrate_2d(lambda x, y: g(x) * g(y), iv, iv)
-    want = integrate_1d(g, iv) ** 2
-    assert abs(got - want) < 1e-9 * abs(want)
 
 
 # ---------------------------------------------------------------------------
