@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .dispersion import (
     validity_bound,
 )
 from .interferometry import (
+    TRACE_SPEC,
     TraceKind,
     closed_form_params,
     delay_span,
@@ -76,7 +78,7 @@ class RunConfig:
     method: str = "closed"
     rel_tol: float | None = None
     abs_tol: float | None = None
-    out: str = "out.csv"
+    out: str | None = None      # None: CSV commands write out.csv, match only prints
     kind: str = "hom"
     sweep_lo: float | None = None
     sweep_hi: float | None = None
@@ -97,6 +99,8 @@ class RunConfig:
             infinite.append("thetas")
         if infinite:
             raise CliError(f"{', '.join(infinite)} must be finite")
+        if not self.thetas:
+            raise CliError("thetas must not be empty")
         if self.omega_p <= 0 or self.pump_bw <= 0 or self.gamma <= 0 or self.length_um <= 0:
             raise CliError("omega_p, pump_bw, gamma and length_um must all be > 0")
         if not (-math.pi < self.theta <= math.pi):
@@ -124,18 +128,26 @@ class RunConfig:
         return PumpSpectrum(omega_p=self.omega_p, bandwidth=self.pump_bw)
 
     @property
-    def quad_spec(self) -> QuadratureSpec | None:
-        if self.rel_tol is None and self.abs_tol is None:
-            return None
-        return QuadratureSpec(rel_tol=self.rel_tol if self.rel_tol is not None else 1e-6,
-                              abs_tol=self.abs_tol if self.abs_tol is not None else 1e-7)
+    def quad_spec(self) -> QuadratureSpec:
+        """The trace tolerances, with the ones this run sets replacing TRACE_SPEC's."""
+        return replace(TRACE_SPEC, **{k: getattr(self, k) for k in ("rel_tol", "abs_tol")
+                                      if getattr(self, k) is not None})
 
 
-_FLOAT_KEYS = {"omega_p", "pump_bw", "gamma", "theta", "length_um", "tau_max",
-               "grid_span", "rel_tol", "abs_tol", "sweep_lo", "sweep_hi",
-               "omega_lo", "omega_hi", "zeta_lo", "zeta_hi"}
-_INT_KEYS = {"tau_steps", "grid_steps", "sweep_steps"}
-_STR_KEYS = {"method", "out", "kind", "crystal", "units"}
+def _thetas(text: str) -> tuple[float, ...]:
+    """Comma-separated angles in rad; blank tokens are skipped."""
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _text_parser(hint):
+    # float, int or str, with the None of an optional field unwrapped
+    if hint == tuple[float, ...]:
+        return _thetas
+    return next(t for t in (hint, *get_args(hint)) if t in (float, int, str))
+
+
+# RunConfig field -> parser of its text, shared by the flag and the config key
+_PARSERS = {name: _text_parser(hint) for name, hint in get_type_hints(RunConfig).items()}
 _ANGULAR_FREQ_KEYS = ("omega_p", "pump_bw", "omega_lo", "omega_hi")
 
 
@@ -159,29 +171,18 @@ def _parse_kv_file(path: str) -> dict[str, str]:
 def _coerce_config(raw: dict[str, str], path: str) -> dict:
     out: dict = {}
     for key, value in raw.items():
-        if key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _STR_KEYS:
-            out[key] = value
-        elif key == "thetas":
-            out[key] = tuple(float(tok) for tok in value.split(",") if tok.strip())
-        else:
+        if key not in _PARSERS:
             raise CliError(f"{path}: unknown config key {key!r}")
+        out[key] = _PARSERS[key](value)
     return out
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         cfg = replace(cfg, **_coerce_config(_parse_kv_file(args.config), args.config))
-    overrides = {}
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = tuple(val) if f.name == "thetas" else val
-    cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{name: getattr(args, name) for name in _PARSERS
+                          if getattr(args, name, None) is not None})
     if cfg.units == "si":
         # angular frequencies supplied in 1/s: convert to rad/ps
         # (the dip sweep runs over the pump bandwidth)
@@ -215,13 +216,14 @@ def _meta_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(path: str, cfg: RunConfig, extra_meta: dict | None,
-               header: list[str], rows) -> None:
+def _write_csv(cfg: RunConfig, extra_meta: dict | None, header: list[str], rows) -> None:
+    if cfg.out is None:
+        cfg = replace(cfg, out="out.csv")
     lines = _meta_lines(cfg, extra_meta)
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(cfg.out).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,7 @@ def _trace_command(cfg: RunConfig, kind: TraceKind) -> int:
         columns.append(("P_quadrature", _quadrature_trace(cfg, kind, taus)))
     header = [name for name, _ in columns]
     rows = zip(*(col for _, col in columns))
-    _write_csv(cfg.out, cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
+    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
                header, rows)
     return 0
 
@@ -281,7 +283,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     g = grid(BiphotonAmplitude(params=params, pump=pump), iv, iv, cfg.grid_steps)
     rows = ((g.axis_s[j], g.axis_i[k], g.values[j, k])
             for j in range(len(g.axis_s)) for k in range(len(g.axis_i)))
-    _write_csv(cfg.out, cfg, {"grid_span_effective": span},
+    _write_csv(cfg, {"grid_span_effective": span},
                ["omega_s", "omega_i", "abs_A"], rows)
     return 0
 
@@ -303,7 +305,7 @@ def cmd_visibility(cfg: RunConfig) -> int:
                               length=cfg.length_um, pump_bw=cfg.pump_bw)
     rows = ((curves[0].xs[j], curve.theta, curve.vs[j])
             for j in range(len(curves[0].xs)) for curve in curves)
-    _write_csv(cfg.out, cfg, {"swept": curves[0].swept},
+    _write_csv(cfg, {"swept": curves[0].swept},
                ["sweep_value", "theta", "visibility"], rows)
     return 0
 
@@ -375,7 +377,7 @@ def cmd_match(cfg: RunConfig) -> int:
         lines.append("l_max = inf (zero curvature)")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if cfg.out != RunConfig.out:
+    if cfg.out is not None:
         Path(cfg.out).write_text(report)
     return 0
 
@@ -391,20 +393,34 @@ def cmd_validate(cfg: RunConfig) -> int:
         print(f"{name}: kind={kind.value} theta={_fmt(theta)} length_um={_fmt(length)} "
               f"max_dev={dev:.3e}")
         rows.append((theta, length, dev))
-    _write_csv(cfg.out, cfg, {"sets": ",".join(s[0] for s in VALIDATION_SETS)},
+    _write_csv(cfg, {"sets": ",".join(s[0] for s in VALIDATION_SETS)},
                ["theta", "length_um", "max_abs_deviation"], rows)
     worst = max(r[2] for r in rows)
     print(f"overall max deviation: {worst:.3e}")
     return 0
 
 
+_TRACE_FLAGS = ("tau_max", "tau_steps", "method")
+
+# subcommand -> (handler, help, flags beyond the common ones)
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "hom": cmd_hom,
-    "mz": cmd_mz,
-    "visibility": cmd_visibility,
-    "match": cmd_match,
-    "validate": cmd_validate,
+    "spectrum": (cmd_spectrum, "joint spectral amplitude magnitude grid",
+                 ("grid_span", "grid_steps")),
+    "hom": (cmd_hom, "dip coincidence trace", _TRACE_FLAGS),
+    "mz": (cmd_mz, "fringe coincidence trace", _TRACE_FLAGS),
+    "visibility": (cmd_visibility, "visibility sweep curves",
+                   ("kind", "sweep_lo", "sweep_hi", "sweep_steps", "thetas")),
+    "match": (cmd_match, "solve the matching conditions for a crystal file",
+              ("crystal", "omega_lo", "omega_hi", "zeta_lo", "zeta_hi")),
+    "validate": (cmd_validate, "closed form vs quadrature deviation suite", ()),
+}
+_COMMON_FLAGS = ("out", "units", "omega_p", "pump_bw", "gamma", "theta", "length_um",
+                 "rel_tol", "abs_tol")
+_FLAG_HELP = {
+    "out": "output path (CSV, or text for match)",
+    "units": "angular-frequency input units: radps, or si for 1/s",
+    "method": "closed, quadrature or both",
+    "kind": "hom (sweeps pump_bw) or mz (sweeps length_um)",
 }
 
 
@@ -418,52 +434,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """One subparser per COMMANDS entry; the flag --x-y sets RunConfig.x_y."""
     parser = _Parser(prog="spdcsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
+    sub = parser.add_subparsers(metavar="command", required=True)
+    for command, (_, blurb, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=blurb)
+        p.set_defaults(command=command)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="output path (CSV, or text for match)")
-        p.add_argument("--units", choices=["radps", "si"],
-                       help="angular-frequency input units (si means 1/s)")
-        p.add_argument("--omega-p", dest="omega_p", type=float)
-        p.add_argument("--pump-bw", dest="pump_bw", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--length-um", dest="length_um", type=float)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--abs-tol", dest="abs_tol", type=float)
-
-    p = sub.add_parser("spectrum", help="joint spectral amplitude magnitude grid")
-    add_common(p)
-    p.add_argument("--grid-span", dest="grid_span", type=float)
-    p.add_argument("--grid-steps", dest="grid_steps", type=int)
-
-    for name, blurb in (("hom", "dip coincidence trace"), ("mz", "fringe coincidence trace")):
-        p = sub.add_parser(name, help=blurb)
-        add_common(p)
-        p.add_argument("--tau-max", dest="tau_max", type=float)
-        p.add_argument("--tau-steps", dest="tau_steps", type=int)
-        p.add_argument("--method", choices=["closed", "quadrature", "both"])
-
-    p = sub.add_parser("visibility", help="visibility sweep curves")
-    add_common(p)
-    p.add_argument("--kind", choices=["hom", "mz"])
-    p.add_argument("--sweep-lo", dest="sweep_lo", type=float)
-    p.add_argument("--sweep-hi", dest="sweep_hi", type=float)
-    p.add_argument("--sweep-steps", dest="sweep_steps", type=int)
-    p.add_argument("--thetas", type=lambda s: tuple(float(t) for t in s.split(",")))
-
-    p = sub.add_parser("match", help="solve the matching conditions for a crystal file")
-    add_common(p)
-    p.add_argument("--crystal")
-    p.add_argument("--omega-lo", dest="omega_lo", type=float)
-    p.add_argument("--omega-hi", dest="omega_hi", type=float)
-    p.add_argument("--zeta-lo", dest="zeta_lo", type=float)
-    p.add_argument("--zeta-hi", dest="zeta_hi", type=float)
-
-    p = sub.add_parser("validate", help="closed form vs quadrature deviation suite")
-    add_common(p)
+        for name in _COMMON_FLAGS + flags:
+            p.add_argument("--" + name.replace("_", "-"), type=_PARSERS[name],
+                           help=_FLAG_HELP.get(name))
     return parser
 
 
@@ -471,7 +451,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -157,14 +157,6 @@ class DispersionModel:
         shifted = branch.shifted(self.knob.order, zeta)
         return replace(self, **{f"k_{self.knob.branch}": shifted})
 
-    def k(self, name: str, w: float) -> float:
-        self.check_inside(w)
-        return self.branch(name)(w)
-
-    def dk(self, name: str, w: float, order: int) -> float:
-        self.check_inside(w)
-        return self.branch(name).derivative(w, order)
-
 
 def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:
     """All three branches k = w/c: zero mismatch at every order."""

@@ -25,9 +25,7 @@ __all__ = [
     "DegenerateDip",
     "NotFactorizable",
     "TraceKind",
-    "TraceMethod",
     "ClosedFormParams",
-    "CoincidenceTrace",
     "VisibilityCurve",
     "closed_form_params",
     "hom_rate_closed",
@@ -41,7 +39,6 @@ __all__ = [
     "sweep_visibility",
     "delay_span",
     "default_tau_grid",
-    "coincidence_trace",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -65,11 +62,6 @@ class TraceKind(Enum):
     MZ = "mz"
 
 
-class TraceMethod(Enum):
-    CLOSED = "closed"
-    QUADRATURE = "quadrature"
-
-
 @dataclass(frozen=True)
 class ClosedFormParams:
     """Dimensionless pump/crystal ratio xi and dip half-width tau_theta (ps).
@@ -81,16 +73,6 @@ class ClosedFormParams:
 
     xi: float
     tau_theta: float
-
-
-@dataclass(frozen=True)
-class CoincidenceTrace:
-    kind: TraceKind
-    method: TraceMethod
-    taus: np.ndarray
-    values: np.ndarray
-    params: PhaseMatchParams
-    pump: PumpSpectrum
 
 
 @dataclass(frozen=True)
@@ -457,19 +439,3 @@ def sweep_visibility(kind: TraceKind, thetas, sweep: Interval, steps: int, *,
             xs=xs.copy(), vs=vs, theta=float(theta)))
     return curves
 
-
-def coincidence_trace(kind: TraceKind, method: TraceMethod, params: PhaseMatchParams,
-                      pump: PumpSpectrum, taus: np.ndarray,
-                      spec: QuadratureSpec | None = None) -> CoincidenceTrace:
-    """Bundle one trace; closed form where asked, quadrature where asked."""
-    taus = np.asarray(taus, dtype=float)
-    if method is TraceMethod.CLOSED:
-        cfp = closed_form_params(params, pump)
-        if kind is TraceKind.HOM:
-            values = np.array([hom_rate_closed(cfp, t) for t in taus])
-        else:
-            values = np.array([mz_rate_closed(cfp, pump, params, t) for t in taus])
-    else:
-        values = _trace_quadrature(kind, params, pump, taus, spec)
-    return CoincidenceTrace(kind=kind, method=method, taus=taus, values=values,
-                            params=params, pump=pump)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,25 @@ def test_match_vacuum_like_crystal(tmp_path, capsys):
     assert "l_max = inf (zero curvature)" in out
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.chdir(tmp_path)
+    Path("crystal.txt").write_text(planted_crystal_text())
+    args = ["match", "--crystal", "crystal.txt", "--omega-lo", "1600", "--omega-hi", "2400",
+            "--zeta-lo", "-0.01", "--zeta-hi", "0.01"]
+    assert run(args) == 0
+    report = capsys.readouterr().out
+    assert not Path("out.csv").exists()  # no out anywhere: the report goes to stdout only
+    if source == "config":
+        Path("run.cfg").write_text("out = out.csv\n")
+        args += ["--config", "run.cfg"]
+    else:
+        args += ["--out", "out.csv"]
+    assert run(args) == 0
+    assert capsys.readouterr().out == report
+    assert Path("out.csv").read_text() == report
+
+
 def test_quadrature_nonconvergence_exits_two(tmp_path, capsys):
     rc = run(["hom", "--method", "quadrature", "--tau-steps", "5", "--tau-max", "0.05",
               "--rel-tol", "1e-15", "--abs-tol", "1e-16", "--out", str(tmp_path / "x.csv")])
@@ -313,6 +333,21 @@ def test_non_positive_tau_max_exits_one(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_thetas_exits_one(tmp_path, capsys, source):
+    out = tmp_path / "v.csv"
+    args = ["visibility", "--sweep-lo", "5", "--sweep-hi", "200", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("thetas =\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--thetas", ""]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: thetas must not be empty\n"
+    assert not out.exists()
+
+
 def test_si_units_half_sweep_exits_one(tmp_path, capsys):
     rc = run(["visibility", "--units", "si", "--sweep-lo", "1e12",
               "--out", str(tmp_path / "x.csv")])
@@ -351,3 +386,48 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
         bound = inspect.signature(getattr(spdcsim.cli, name)).bind(None, None, np.zeros(1))
         bound.apply_defaults()
         assert {"spec", "tau_max"} <= set(bound.arguments), name
+
+
+# ---------------------------------------------------------------------------
+# one input schema: flags, config keys and the README
+# ---------------------------------------------------------------------------
+
+# a valid, non-default text for every RunConfig field that is also a flag
+FIELD_SAMPLES = {
+    "omega_p": "2100.5", "pump_bw": "35", "gamma": "9e-5", "theta": "-0.5",
+    "length_um": "2e3", "rel_tol": "1e-5", "abs_tol": "1e-8", "out": "x.csv",
+    "units": "si", "grid_span": "50", "grid_steps": "11", "tau_max": "0.1",
+    "tau_steps": "9", "method": "both", "kind": "mz", "sweep_lo": "5",
+    "sweep_hi": "200", "sweep_steps": "7", "thetas": "0.5, -0.25,", "crystal": "c.txt",
+    "omega_lo": "1600", "omega_hi": "2400", "zeta_lo": "-0.01", "zeta_hi": "0.01",
+}
+FLAG_FIELDS = sorted({name for _, _, flags in spdcsim.cli.COMMANDS.values()
+                      for name in spdcsim.cli._COMMON_FLAGS + flags})
+
+
+@pytest.mark.parametrize("name", FLAG_FIELDS)
+def test_flag_and_config_key_agree(tmp_path, name):
+    command = next(command for command, (_, _, flags) in spdcsim.cli.COMMANDS.items()
+                   if name in spdcsim.cli._COMMON_FLAGS + flags)
+    value = FIELD_SAMPLES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+
+    def meta(*argv):
+        args = spdcsim.cli._build_parser().parse_args([command, *argv])
+        lines = spdcsim.cli._meta_lines(spdcsim.cli._resolve_config(args))
+        return [line for line in lines if line.startswith(f"# {name}=")]
+
+    from_flag = meta("--" + name.replace("_", "-"), value)
+    assert from_flag == meta("--config", str(cfg)) != meta()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("spdcsim ")]
+    assert {argv[1] for argv in examples} == set(spdcsim.cli.COMMANDS)
+    parser = spdcsim.cli._build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # raises CliError on a flag the parser lacks

@@ -16,9 +16,7 @@ from spdcsim import (
     PumpSpectrum,
     QuadratureSpec,
     TraceKind,
-    TraceMethod,
     closed_form_params,
-    coincidence_trace,
     default_tau_grid,
     erf,
     fluorescence_bandwidth,
@@ -378,15 +376,3 @@ def test_symmetric_rates_reject_unfactorizable():
     with pytest.raises(NotFactorizable):
         symmetric_rates(bp, 0.0)
 
-
-# ---------------------------------------------------------------------------
-# trace bundling
-# ---------------------------------------------------------------------------
-
-def test_coincidence_trace_bundles():
-    taus = np.linspace(-0.05, 0.05, 11)
-    tr = coincidence_trace(TraceKind.HOM, TraceMethod.CLOSED, EPM, PUMP, taus)
-    assert tr.kind is TraceKind.HOM and tr.method is TraceMethod.CLOSED
-    assert tr.values[5] == 0.0  # dip bottom at zero delay
-    tr_q = coincidence_trace(TraceKind.MZ, TraceMethod.QUADRATURE, EPM, PUMP, taus)
-    assert tr_q.values[5] == pytest.approx(2.0, rel=1e-9)
