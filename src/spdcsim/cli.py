@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -168,12 +169,19 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return raw
 
 
+def _parse_value(parse, text: str, path: str, key: str):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"{path}: {key}: {exc}") from exc
+
+
 def _coerce_config(raw: dict[str, str], path: str) -> dict:
     out: dict = {}
     for key, value in raw.items():
         if key not in _PARSERS:
             raise CliError(f"{path}: unknown config key {key!r}")
-        out[key] = _PARSERS[key](value)
+        out[key] = _parse_value(_PARSERS[key], value, path, key)
     return out
 
 
@@ -250,10 +258,9 @@ def _quadrature_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.n
 
 
 def _closed_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
+    rate = hom_rate_closed if kind is TraceKind.HOM else mz_rate_closed
     cfp = closed_form_params(cfg.params, cfg.pump)
-    if kind is TraceKind.HOM:
-        return np.array([hom_rate_closed(cfp, t) for t in taus])
-    return np.array([mz_rate_closed(cfp, cfg.pump, cfg.params, t) for t in taus])
+    return np.array([rate(cfp, t) for t in taus])
 
 
 def _trace_command(cfg: RunConfig, kind: TraceKind) -> int:
@@ -318,11 +325,12 @@ def _parse_crystal_file(path: str) -> DispersionModel:
     for key, value in raw.items():
         parts = key.split(".")
         if parts[0] == "branch" and len(parts) == 3 and parts[1] in coeffs and parts[2].startswith("c"):
-            coeffs[parts[1]][int(parts[2][1:])] = float(value)
+            order = _parse_value(int, parts[2][1:], path, key)
+            coeffs[parts[1]][order] = _parse_value(float, value, path, key)
         elif parts[0] == "validity" and len(parts) == 2 and parts[1] in ("lo", "hi"):
-            validity[parts[1]] = float(value)
+            validity[parts[1]] = _parse_value(float, value, path, key)
         elif parts[0] == "knob" and len(parts) == 2 and parts[1] in ("branch", "order"):
-            knob[parts[1]] = value
+            knob[parts[1]] = _parse_value(str if parts[1] == "branch" else int, value, path, key)
         else:
             raise CliError(f"{path}: unknown crystal key {key!r}")
     if "lo" not in validity or "hi" not in validity:
@@ -336,7 +344,7 @@ def _parse_crystal_file(path: str) -> DispersionModel:
     if knob:
         if "branch" not in knob or "order" not in knob:
             raise CliError(f"{path}: knob needs both knob.branch and knob.order")
-        spec = KnobSpec(branch=knob["branch"], order=int(knob["order"]))
+        spec = KnobSpec(branch=knob["branch"], order=knob["order"])
     return DispersionModel(k_p=branches["p"], k_s=branches["s"], k_i=branches["i"],
                            validity=Interval(validity["lo"], validity["hi"]), knob=spec)
 
@@ -439,6 +447,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(metavar="command", required=True)
     for command, (_, blurb, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=blurb)
+        # "-" then a digit starts a value such as -0.5,0.1 or -1e-3, not an option
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(command=command)
         p.add_argument("--config", help="key=value config file")
         for name in _COMMON_FLAGS + flags:

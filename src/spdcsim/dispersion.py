@@ -97,9 +97,8 @@ class CallableBranch:
     """Black-box wave-number branch; derivatives come from central
     differences with an order-dependent step."""
 
-    def __init__(self, fn: Callable[[float], float], h_scale: float = 1e-4):
+    def __init__(self, fn: Callable[[float], float]):
         self.fn = fn
-        self.h_scale = h_scale
 
     def __call__(self, w: float) -> float:
         return self.fn(w)
@@ -107,7 +106,7 @@ class CallableBranch:
     def derivative(self, w: float, order: int) -> float:
         # larger steps for higher orders keep round-off noise below the
         # 1e-6 relative consistency target for smooth branches
-        h = self.h_scale * max(1.0, abs(w)) * (30.0 ** (order - 1))
+        h = 1e-4 * max(1.0, abs(w)) * (30.0 ** (order - 1))
         return derivative(self.fn, w, order, h)
 
 
@@ -268,7 +267,7 @@ def check_condition(model: DispersionModel, omega_p: float, order: int) -> float
 
 
 def solve_epm(model: DispersionModel, omega_bracket: Interval,
-              zeta_bracket: Interval, tol: float = 1e-10) -> tuple[float, float]:
+              zeta_bracket: Interval) -> tuple[float, float]:
     """Solve the order-0 and order-1 conditions jointly for (omega_p, zeta).
 
     Nested, bisection-safe 1-d solves.  The omega-derivative of the order-0
@@ -283,7 +282,7 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
     """
 
     # the residuals can be steep functions of the solve variables, so both
-    # 1-d solves run to machine precision; tol only grades the outcome
+    # 1-d solves run to machine precision
     eps = 2.220446049250313e-16
     t_omega = 4.0 * eps * max(abs(omega_bracket.lo), abs(omega_bracket.hi), 1.0)
     t_zeta = 4.0 * eps * max(abs(zeta_bracket.lo), abs(zeta_bracket.hi))

@@ -64,15 +64,19 @@ class TraceKind(Enum):
 
 @dataclass(frozen=True)
 class ClosedFormParams:
-    """Dimensionless pump/crystal ratio xi and dip half-width tau_theta (ps).
+    """Every constant the closed forms read for one (crystal, pump) setting.
 
     xi = 4 / (pump_bw * gamma * L * |cos theta + sin theta|); it is exactly
     +inf on the gamma_s = -gamma_i ray, where the closed forms switch to
     their analytic limits.  tau_theta = gamma * L * |cos theta - sin theta| / 2.
+    q2 = ((gamma_s + gamma_i) / (gamma_s - gamma_i))^2, 0 when tau_theta = 0.
     """
 
     xi: float
     tau_theta: float
+    q2: float
+    bandwidth: float  # pump, rad/ps
+    omega_p: float    # pump, rad/ps
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,10 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     minus = abs(c - s)
     xi = math.inf if plus < 1e-12 else 4.0 / (pump.bandwidth * gl * plus)
     # snap the degenerate ray to an exact zero width, mirroring the xi branch
-    return ClosedFormParams(xi=xi, tau_theta=0.0 if minus < 1e-12 else 0.5 * gl * minus)
+    tau_theta = 0.0 if minus < 1e-12 else 0.5 * gl * minus
+    q2 = 0.0 if tau_theta == 0.0 else (
+        (params.gamma_s + params.gamma_i) / (params.gamma_s - params.gamma_i)) ** 2
+    return ClosedFormParams(xi, tau_theta, q2, pump.bandwidth, pump.omega_p)
 
 
 def hom_rate_closed(cfp: ClosedFormParams, tau: float) -> float:
@@ -115,23 +122,23 @@ def hom_rate_closed(cfp: ClosedFormParams, tau: float) -> float:
     return 1.0 - 0.5 * _SQRT_PI * cfp.xi * erf((1.0 - r) / cfp.xi)
 
 
-def fringe_envelope_terms(cfp: ClosedFormParams, pump: PumpSpectrum,
-                          params: PhaseMatchParams, tau: float) -> tuple[float, float]:
+def fringe_envelope_terms(cfp: ClosedFormParams, tau: float) -> tuple[float, float]:
     """Fringe envelope F1 and slow residue F2 of the fringe-trace closed form.
 
     F1(tau) = exp(-(bw tau/2)^2)/2
               + (sqrt(pi) xi / 8) [erf(1/xi - bw tau/2) + erf(1/xi + bw tau/2)]
     F2(tau) = (1 - |tau|/tau_theta) exp(-(bw tau/2)^2 q^2) / 2
               - (sqrt(pi) xi / 4) erf((1 - |tau|/tau_theta) / xi)
-    for |tau| < tau_theta (F2 = 0 outside), with q the ratio of the sum and
-    difference projections of the group-delay coefficients.  At xi = inf,
-    F1 is exactly the Gaussian envelope and F2 vanishes identically.
+    for |tau| < tau_theta (F2 = 0 outside), with q^2 = cfp.q2 the squared
+    ratio of the sum and difference projections of the group-delay
+    coefficients.  At xi = inf, F1 is exactly the Gaussian envelope and F2
+    vanishes identically.
 
     Pinned by two exact anchors, F1(0) + F2(0) = 1 and the xi -> inf
     Gaussian reduction, and cross-validated against brute-force quadrature
     of the raw double integral (see mz_trace_integral).
     """
-    x = 0.5 * pump.bandwidth * tau
+    x = 0.5 * cfp.bandwidth * tau
     if math.isinf(cfp.xi):
         return math.exp(-x * x), 0.0
     xi = cfp.xi
@@ -142,21 +149,17 @@ def fringe_envelope_terms(cfp: ClosedFormParams, pump: PumpSpectrum,
     r = abs(tau) / cfp.tau_theta
     if r >= 1.0:
         return f1, 0.0
-    plus = params.gamma_s + params.gamma_i
-    minus = params.gamma_s - params.gamma_i
-    q2 = (plus / minus) ** 2
-    f2 = 0.5 * (1.0 - r) * math.exp(-x * x * q2) - (_SQRT_PI * xi / 4.0) * erf((1.0 - r) / xi)
+    f2 = 0.5 * (1.0 - r) * math.exp(-x * x * cfp.q2) - (_SQRT_PI * xi / 4.0) * erf((1.0 - r) / xi)
     return f1, f2
 
 
-def mz_rate_closed(cfp: ClosedFormParams, pump: PumpSpectrum,
-                   params: PhaseMatchParams, tau: float) -> float:
+def mz_rate_closed(cfp: ClosedFormParams, tau: float) -> float:
     """Normalized fringe-arrangement rate 1 + cos(w_p tau) F1(tau) + F2(tau).
 
     At xi = inf this is exactly 1 + exp(-bw^2 tau^2 / 4) cos(w_p tau).
     """
-    f1, f2 = fringe_envelope_terms(cfp, pump, params, tau)
-    return 1.0 + math.cos(pump.omega_p * tau) * f1 + f2
+    f1, f2 = fringe_envelope_terms(cfp, tau)
+    return 1.0 + math.cos(cfp.omega_p * tau) * f1 + f2
 
 
 def v_hom(cfp: ClosedFormParams) -> float:
@@ -173,10 +176,10 @@ def v_hom(cfp: ClosedFormParams) -> float:
     return g / (2.0 - g)
 
 
-def v_mz(cfp: ClosedFormParams, pump: PumpSpectrum, params: PhaseMatchParams) -> float:
+def v_mz(cfp: ClosedFormParams) -> float:
     """Fringe visibility from the rates at zero delay and half a fringe
     period: (1 + [F1 - F2]) / (3 - [F1 - F2]) evaluated at pi / w_p."""
-    f1, f2 = fringe_envelope_terms(cfp, pump, params, math.pi / pump.omega_p)
+    f1, f2 = fringe_envelope_terms(cfp, math.pi / cfp.omega_p)
     d = f1 - f2
     return (1.0 + d) / (3.0 - d)
 
@@ -339,9 +342,8 @@ def default_tau_grid(params: PhaseMatchParams, pump: PumpSpectrum, n: int = 201)
 
 
 def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpectrum,
-                      taus: np.ndarray, spec: QuadratureSpec | None,
-                      tau_max: float | None = None) -> np.ndarray:
-    spec = TRACE_SPEC if spec is None else spec
+                      taus: np.ndarray, spec: QuadratureSpec,
+                      tau_max: float | None) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
     if tau_max is None:
         tau_max = max(float(np.max(np.abs(taus))) if taus.size else 0.0,
@@ -359,7 +361,7 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
 
 
 def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
-                       taus: np.ndarray, spec: QuadratureSpec | None = None,
+                       taus: np.ndarray, spec: QuadratureSpec = TRACE_SPEC,
                        tau_max: float | None = None) -> np.ndarray:
     """Dip trace by quadrature of the raw rate integral, normalized to its
     large-delay baseline.  Self-checked by panel refinement.
@@ -372,15 +374,14 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
 
 
 def mz_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
-                      taus: np.ndarray, spec: QuadratureSpec | None = None,
+                      taus: np.ndarray, spec: QuadratureSpec = TRACE_SPEC,
                       tau_max: float | None = None) -> np.ndarray:
     """Fringe trace by quadrature of the raw rate integral, normalized so
     the fringe-averaged large-delay value is 1."""
     return _trace_quadrature(TraceKind.MZ, params, pump, taus, spec, tau_max)
 
 
-def symmetric_rates(bp: BiphotonAmplitude, tau: float,
-                    spec: QuadratureSpec | None = None) -> tuple[float, float]:
+def symmetric_rates(bp: BiphotonAmplitude, tau: float) -> tuple[float, float]:
     """Reduced one-dimensional rates for a sum x difference amplitude.
 
     The dip arrangement reads the difference-frequency weight, the fringe
@@ -395,19 +396,18 @@ def symmetric_rates(bp: BiphotonAmplitude, tau: float,
     params, pump = bp.params, bp.pump
     if factorization_check(bp, 256) > 1e-9 * params.length:
         raise NotFactorizable("amplitude defect too large for the reduced rates")
-    spec = TRACE_SPEC if spec is None else spec
     scale = params.gamma / math.sqrt(2.0)
     cfp = closed_form_params(params, pump)
     v_half = 3000.0 / cfp.tau_theta
     iv_v = Interval(-v_half, v_half)
     d_sq = lambda v: phi_L(scale * v, params.length) ** 2
-    base_m = integrate_1d(d_sq, iv_v, spec)
-    num_m = integrate_1d(lambda v: d_sq(v) * (1.0 - np.cos(v * tau)), iv_v, spec)
+    base_m = integrate_1d(d_sq, iv_v, TRACE_SPEC)
+    num_m = integrate_1d(lambda v: d_sq(v) * (1.0 - np.cos(v * tau)), iv_v, TRACE_SPEC)
     bw = pump.bandwidth
     iv_u = Interval(pump.omega_p - 8.0 * bw, pump.omega_p + 8.0 * bw)
     s_sq = lambda w: np.exp(-(((w - pump.omega_p) / bw) ** 2))
-    base_p = integrate_1d(s_sq, iv_u, spec)
-    num_p = integrate_1d(lambda w: s_sq(w) * (1.0 + np.cos(w * tau)), iv_u, spec)
+    base_p = integrate_1d(s_sq, iv_u, TRACE_SPEC)
+    num_p = integrate_1d(lambda w: s_sq(w) * (1.0 + np.cos(w * tau)), iv_u, TRACE_SPEC)
     return num_m / base_m, num_p / base_p
 
 
@@ -433,7 +433,7 @@ def sweep_visibility(kind: TraceKind, thetas, sweep: Interval, steps: int, *,
             else:
                 params = PhaseMatchParams(omega_p=omega_p, gamma=gamma, theta=theta, length=float(x))
                 pump = PumpSpectrum(omega_p=omega_p, bandwidth=pump_bw)
-                vs[j] = v_mz(closed_form_params(params, pump), pump, params)
+                vs[j] = v_mz(closed_form_params(params, pump))
         curves.append(VisibilityCurve(
             swept="pump_bandwidth" if kind is TraceKind.HOM else "crystal_length",
             xs=xs.copy(), vs=vs, theta=float(theta)))

@@ -52,10 +52,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -167,35 +163,18 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 
-def _as_vectorized(f: Callable) -> Callable:
-    """Return a callable that accepts ndarray input, wrapping scalar-only f."""
-
-    def probe(*args):
-        try:
-            out = f(*args)
-            out = np.asarray(out, dtype=float)
-            if out.shape != np.broadcast(*[np.asarray(a) for a in args]).shape:
-                raise TypeError
-            return out
-        except (TypeError, ValueError):
-            return np.vectorize(f, otypes=[float])(*args)
-
-    return probe
-
-
-def integrate_1d(f: Callable[[float], float], iv: Interval, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def integrate_1d(f: Callable, iv: Interval, spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Adaptive Gauss-Kronrod integral of f over a finite interval.
 
     The estimate is within max(abs_tol, rel_tol*|result|) of the true
-    integral for smooth or piecewise-smooth f.  The integrand may be
-    vectorized over numpy arrays (preferred, much faster); scalar-only
-    callables are wrapped transparently.
+    integral for smooth or piecewise-smooth f.  f must accept a 1-d numpy
+    array of nodes; its result is broadcast to the nodes' shape, so a
+    constant integrand may return a scalar.
 
     Raises:
         NonConvergence: subdivision budget exhausted before the tolerance
             was met.
     """
-    fv = _as_vectorized(f)
     lo = np.array([iv.lo])
     hi = np.array([iv.hi])
     n_created = 1
@@ -203,7 +182,7 @@ def integrate_1d(f: Callable[[float], float], iv: Interval, spec: QuadratureSpec
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = mid[:, None] + half[:, None] * _XK[None, :]
-        vals = fv(nodes.ravel()).reshape(nodes.shape)
+        vals = np.broadcast_to(f(nodes.ravel()), nodes.size).reshape(nodes.shape)
         k15 = half * (vals @ _WK)
         g7 = half * (vals[:, _GAUSS_IDX] @ _WG)
         err = np.abs(k15 - g7)

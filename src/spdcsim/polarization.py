@@ -2,18 +2,16 @@
 splitter fan-out of the cross-polarized pair, coincidence post-selection
 and Bell-state identification.
 
-The shared spectral weight rides along untouched; detector windows are
-assumed long enough that only path and polarization labels matter here.
+Detector windows are assumed long enough that the pair's shared spectral
+weight factors out, so states carry path and polarization labels only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .biphoton import BiphotonAmplitude
 
 __all__ = [
     "Port",
@@ -65,7 +63,6 @@ class TwoPhotonPathState:
     """
 
     amps: np.ndarray  # complex, shape (2, 2, 2, 2)
-    spectral: BiphotonAmplitude | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.amps.shape != (2, 2, 2, 2):
@@ -84,7 +81,7 @@ class TwoPhotonPathState:
                 complex(a[b, v, b, h]), complex(a[c, v, c, h]))
 
 
-def beamsplitter_output(bp: BiphotonAmplitude | None = None) -> TwoPhotonPathState:
+def beamsplitter_output() -> TwoPhotonPathState:
     """State after the 50-50 splitter: each photon reflected or transmitted
     with equal amplitude, so all four port assignments carry weight 1/2."""
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -92,7 +89,7 @@ def beamsplitter_output(bp: BiphotonAmplitude | None = None) -> TwoPhotonPathSta
     v, h = Polarization.V.value, Polarization.H.value
     for ps, pi in ((c, b), (b, c), (b, b), (c, c)):
         amps[ps, v, pi, h] = 0.5
-    return TwoPhotonPathState(amps=amps, spectral=bp)
+    return TwoPhotonPathState(amps=amps)
 
 
 def _apply_pol_matrix(state: TwoPhotonPathState, arm: Port, m: np.ndarray) -> TwoPhotonPathState:
@@ -101,7 +98,7 @@ def _apply_pol_matrix(state: TwoPhotonPathState, arm: Port, m: np.ndarray) -> Tw
     sel = arm.value
     amps[sel, :, :, :] = np.einsum("pq,qjk->pjk", m, amps[sel, :, :, :])
     amps[:, :, sel, :] = np.einsum("pq,ijq->ijp", m, amps[:, :, sel, :])
-    return TwoPhotonPathState(amps=amps, spectral=state.spectral)
+    return TwoPhotonPathState(amps=amps)
 
 
 def apply_rotator(state: TwoPhotonPathState, arm: Port) -> TwoPhotonPathState:

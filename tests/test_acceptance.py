@@ -106,7 +106,7 @@ def test_c03_fringe_visibility_bound_and_limits():
             assert np.all(np.diff(curve.vs) < 0.0)
             # the 1/3 floor is an asymptotic statement: grade the long-crystal limit
             limit_params = params_at(curve.theta, length=1e9)
-            v_limit = v_mz(closed_form_params(limit_params, PUMP), PUMP, limit_params)
+            v_limit = v_mz(closed_form_params(limit_params, PUMP))
             assert abs(v_limit - 1.0 / 3.0) <= 0.01
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -126,7 +126,7 @@ def test_c04_closed_form_vs_quadrature_oracle():
             closed = np.array([hom_rate_closed(cfp, t) for t in taus])
         else:
             quad = mz_trace_integral(params, PUMP, taus)
-            closed = np.array([mz_rate_closed(cfp, PUMP, params, t) for t in taus])
+            closed = np.array([mz_rate_closed(cfp, t) for t in taus])
         dev = float(np.max(np.abs(quad - closed)))
         assert dev <= 1e-3, f"{kind} theta={theta} length={length}: dev={dev}"
         if kind is TraceKind.HOM and theta == math.pi / 5:
@@ -153,14 +153,14 @@ def test_c06_matched_ray_fringe_formula():
     params = params_at(-math.pi / 4)
     cfp = closed_form_params(params, PUMP)
     taus = np.linspace(-0.25, 0.25, 20001)
-    closed = np.array([mz_rate_closed(cfp, PUMP, params, t) for t in taus])
+    closed = np.array([mz_rate_closed(cfp, t) for t in taus])
     gaussian_fringe = 1.0 + np.exp(-(PUMP.bandwidth * taus / 2.0) ** 2) * np.cos(OMEGA_P * taus)
     assert np.max(np.abs(closed - gaussian_fringe)) <= 1e-10
 
     # fringe period from local maxima of a dense trace
     fringe = 2.0 * math.pi / OMEGA_P
     dense_t = np.arange(0.02, 0.08, fringe / 400.0)
-    dense = np.array([mz_rate_closed(cfp, PUMP, params, t) for t in dense_t])
+    dense = np.array([mz_rate_closed(cfp, t) for t in dense_t])
     peaks = [k for k in range(1, len(dense) - 1)
              if dense[k] >= dense[k - 1] and dense[k] >= dense[k + 1] and dense[k] > 1.0]
     refined = []
@@ -174,7 +174,7 @@ def test_c06_matched_ray_fringe_formula():
     # envelope width from the fringe crests: |P - 1| = exp(-bw^2 tau^2 / 4) there
     ks = np.arange(10, 61)
     tk = ks * math.pi / OMEGA_P
-    env = np.array([abs(mz_rate_closed(cfp, PUMP, params, t) - 1.0) for t in tk])
+    env = np.array([abs(mz_rate_closed(cfp, t) - 1.0) for t in tk])
     slope = np.polyfit(tk**2, np.log(env), 1)[0]
     bw_fit = math.sqrt(-4.0 * slope)
     assert abs(bw_fit - PUMP.bandwidth) <= 1e-3 * PUMP.bandwidth

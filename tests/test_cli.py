@@ -348,6 +348,46 @@ def test_empty_thetas_exits_one(tmp_path, capsys, source):
     assert not out.exists()
 
 
+def test_config_value_that_does_not_parse_names_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = abc\n")
+    assert run(["hom", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: gamma: could not convert string to float: 'abc'\n")
+
+
+@pytest.mark.parametrize("replaced, key, value, message", [
+    ("branch.p.c0", "branch.p.c0", "abc", "could not convert string to float: 'abc'"),
+    ("branch.p.c2", "branch.p.cx", "1", "invalid literal for int() with base 10: 'x'"),
+    ("knob.order", "knob.order", "z", "invalid literal for int() with base 10: 'z'"),
+], ids=["coefficient", "order", "knob-order"])
+def test_crystal_value_that_does_not_parse_names_file_and_key(tmp_path, capsys, replaced, key,
+                                                              value, message):
+    crystal = tmp_path / "crystal.txt"
+    crystal.write_text("".join(f"{key} = {value}\n" if line.startswith(replaced + " ") else line
+                               for line in planted_crystal_text().splitlines(keepends=True)))
+    rc = run(["match", "--crystal", str(crystal), "--omega-lo", "1600", "--omega-hi", "2400",
+              "--zeta-lo", "-0.01", "--zeta-hi", "0.01"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {crystal}: {key}: {message}\n"
+
+
+def test_negative_angle_list_parses_as_a_value(tmp_path):
+    # argparse reads "-0.5,0.1" as an option unless the parser says otherwise;
+    # a plain negative number such as --tau-max -0.1 still reaches
+    # RunConfig.validate (test_non_positive_tau_max_exits_one)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("thetas = -0.5,0.1\n")
+    base = ["visibility", "--sweep-lo", "5", "--sweep-hi", "200", "--sweep-steps", "3"]
+    lines = []
+    for name, extra in (("flag.csv", ["--thetas", "-0.5,0.1"]),
+                        ("config.csv", ["--config", str(cfg)])):
+        assert run(base + extra + ["--out", str(tmp_path / name)]) == 0
+        lines.append([l for l in read(tmp_path / name).splitlines() if l.startswith("# thetas=")])
+    assert lines[0] == lines[1] == ["# thetas='-0.5,0.1'"]
+    assert data_section(read(tmp_path / "flag.csv")) == data_section(read(tmp_path / "config.csv"))
+
+
 def test_si_units_half_sweep_exits_one(tmp_path, capsys):
     rc = run(["visibility", "--units", "si", "--sweep-lo", "1e12",
               "--out", str(tmp_path / "x.csv")])

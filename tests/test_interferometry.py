@@ -105,10 +105,10 @@ def test_hom_dip_base_width():
 
 def test_mz_closed_peak_and_first_minimum():
     cfp = closed_form_params(EPM, PUMP)
-    assert mz_rate_closed(cfp, PUMP, EPM, 0.0) == 2.0
+    assert mz_rate_closed(cfp, 0.0) == 2.0
     tau = math.pi / OMEGA_P
     want = 1.0 - math.exp(-(PUMP.bandwidth * tau / 2.0) ** 2)
-    got = mz_rate_closed(cfp, PUMP, EPM, tau)
+    got = mz_rate_closed(cfp, tau)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(9.8648e-4, abs=1e-8)
 
@@ -117,7 +117,7 @@ def test_mz_closed_reduces_to_gaussian_fringe_on_matched_ray():
     cfp = closed_form_params(EPM, PUMP)
     taus = np.linspace(-0.2, 0.2, 4001)
     worst = max(
-        abs(mz_rate_closed(cfp, PUMP, EPM, t)
+        abs(mz_rate_closed(cfp, t)
             - (1.0 + math.exp(-(PUMP.bandwidth * t / 2.0) ** 2) * math.cos(OMEGA_P * t)))
         for t in taus)
     assert worst <= 1e-10
@@ -126,13 +126,13 @@ def test_mz_closed_reduces_to_gaussian_fringe_on_matched_ray():
 def test_fringe_envelope_terms_anchors():
     for params in (CONV, make_params(math.pi / 5, length=2e4), make_params(-math.pi / 6, length=2e4)):
         cfp = closed_form_params(params, PUMP)
-        f1, f2 = fringe_envelope_terms(cfp, PUMP, params, 0.0)
+        f1, f2 = fringe_envelope_terms(cfp, 0.0)
         assert f1 + f2 == pytest.approx(1.0, abs=1e-12)  # pins the zero-delay peak at 2
-        f1_far, f2_far = fringe_envelope_terms(cfp, PUMP, params, 10.0)
+        f1_far, f2_far = fringe_envelope_terms(cfp, 10.0)
         assert abs(f1_far) < 1e-12 and f2_far == 0.0
     cfp = closed_form_params(EPM, PUMP)
     for t in np.linspace(-0.3, 0.3, 101):
-        assert fringe_envelope_terms(cfp, PUMP, EPM, t)[1] == 0.0
+        assert fringe_envelope_terms(cfp, t)[1] == 0.0
 
 
 def test_mz_closed_fringe_period():
@@ -141,9 +141,65 @@ def test_mz_closed_fringe_period():
     assert period == pytest.approx(3.1416e-3, abs=1e-7)
     t0 = 17.0 * period
     for k in range(3):
-        lo = mz_rate_closed(cfp, PUMP, EPM, t0 + (k + 0.5) * period)
-        hi = mz_rate_closed(cfp, PUMP, EPM, t0 + k * period)
+        lo = mz_rate_closed(cfp, t0 + (k + 0.5) * period)
+        hi = mz_rate_closed(cfp, t0 + k * period)
         assert hi > 1.0 > lo
+
+
+# The fringe closed forms as they read when they took the pump and the
+# crystal beside the ClosedFormParams, kept here to pin the one-argument
+# versions bit for bit.
+def _fringe_terms_four_args(cfp, pump, params, tau):
+    x = 0.5 * pump.bandwidth * tau
+    if math.isinf(cfp.xi):
+        return math.exp(-x * x), 0.0
+    xi = cfp.xi
+    f1 = 0.5 * math.exp(-x * x) + (math.sqrt(math.pi) * xi / 8.0) * (
+        erf(1.0 / xi - x) + erf(1.0 / xi + x))
+    if cfp.tau_theta <= 0:
+        f2 = 0.5 - (math.sqrt(math.pi) * xi / 4.0) * erf(1.0 / xi) if tau == 0.0 else 0.0
+        return f1, f2
+    r = abs(tau) / cfp.tau_theta
+    if r >= 1.0:
+        return f1, 0.0
+    plus = params.gamma_s + params.gamma_i
+    minus = params.gamma_s - params.gamma_i
+    q2 = (plus / minus) ** 2
+    f2 = 0.5 * (1.0 - r) * math.exp(-x * x * q2) - (math.sqrt(math.pi) * xi / 4.0) * erf(
+        (1.0 - r) / xi)
+    return f1, f2
+
+
+def _mz_rate_four_args(cfp, pump, params, tau):
+    f1, f2 = _fringe_terms_four_args(cfp, pump, params, tau)
+    return 1.0 + math.cos(pump.omega_p * tau) * f1 + f2
+
+
+def _v_mz_four_args(cfp, pump, params):
+    f1, f2 = _fringe_terms_four_args(cfp, pump, params, math.pi / pump.omega_p)
+    d = f1 - f2
+    return (1.0 + d) / (3.0 - d)
+
+
+@pytest.mark.parametrize("params, pump", [
+    (EPM, PUMP),                                          # xi = inf ray
+    (make_params(math.pi / 4), PUMP),                     # tau_theta = 0 ray
+    (CONV, PUMP),
+    (make_params(-math.pi / 6, length=2e4), PUMP),        # the benchmark's closed setting
+    (make_params(math.pi / 5, length=2e4), PumpSpectrum(omega_p=2100.0, bandwidth=17.0)),
+], ids=["xi-inf", "tau-theta-zero", "conv", "neg-pi-6", "pos-pi-5"])
+def test_fringe_closed_forms_match_four_argument_arithmetic_bitwise(params, pump):
+    cfp = closed_form_params(params, pump)
+    edge = cfp.tau_theta
+    taus = [0.0, 1e-7, -1e-7, 0.5 * edge, -0.3 * edge, edge * (1.0 - 1e-12), edge, -edge,
+            1.5 * edge, math.pi / pump.omega_p, *np.linspace(-0.2, 0.2, 401)]
+    branches = {"inside": 0, "outside": 0}
+    for tau in map(float, taus):
+        branches["inside" if abs(tau) < edge else "outside"] += 1
+        assert fringe_envelope_terms(cfp, tau) == _fringe_terms_four_args(cfp, pump, params, tau)
+        assert mz_rate_closed(cfp, tau) == _mz_rate_four_args(cfp, pump, params, tau)
+    assert v_mz(cfp) == _v_mz_four_args(cfp, pump, params)
+    assert branches["outside"] > 0 and (edge == 0.0 or branches["inside"] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +217,7 @@ def test_v_hom_values():
 
 
 def test_v_mz_values():
-    got = v_mz(closed_form_params(EPM, PUMP), PUMP, EPM)
+    got = v_mz(closed_form_params(EPM, PUMP))
     p_min = 1.0 - math.exp(-(PUMP.bandwidth * math.pi / OMEGA_P / 2.0) ** 2)
     assert got == pytest.approx((2.0 - p_min) / (2.0 + p_min), rel=1e-12)
     assert got == pytest.approx(0.99901, abs=1e-4)
@@ -174,7 +230,7 @@ def test_v_mz_lower_bound_on_sweep():
     for theta in (-math.pi / 4, -math.pi / 5, -math.pi / 6, 0.0, math.pi / 5):
         for length in lengths:
             params = make_params(theta, length=float(length))
-            v = v_mz(closed_form_params(params, PUMP), PUMP, params)
+            v = v_mz(closed_form_params(params, PUMP))
             assert 1.0 / 3.0 - 1e-9 <= v <= 1.0
 
 
@@ -217,7 +273,7 @@ def test_quadrature_matches_closed_fringe():
     taus = np.linspace(-0.12, 0.12, 25)
     got = mz_trace_integral(EPM, PUMP, taus, tau_max=0.12)
     cfp = closed_form_params(EPM, PUMP)
-    want = np.array([mz_rate_closed(cfp, PUMP, EPM, t) for t in taus])
+    want = np.array([mz_rate_closed(cfp, t) for t in taus])
     assert np.max(np.abs(got - want)) <= 1e-10  # exact cancellation on this ray
 
 
@@ -253,7 +309,7 @@ def test_mz_closed_crystal_independent_on_matched_ray():
     for length in (1e3, 1e4, 5e4):
         params = make_params(-math.pi / 4, length=length)
         cfp = closed_form_params(params, PUMP)
-        values.append(np.array([mz_rate_closed(cfp, PUMP, params, t) for t in taus]))
+        values.append(np.array([mz_rate_closed(cfp, t) for t in taus]))
     assert np.max(np.abs(values[0] - values[1])) <= 1e-6
     assert np.max(np.abs(values[1] - values[2])) <= 1e-6
 
@@ -360,7 +416,7 @@ def test_symmetric_rates_match_two_dimensional_routes():
         p_minus, p_plus = symmetric_rates(bp, tau)
         quad = hom_trace_integral(EPM, PUMP, np.array([tau]), tau_max=0.12)[0]
         assert p_minus == pytest.approx(quad, abs=1e-5)
-        assert p_plus == pytest.approx(mz_rate_closed(cfp, PUMP, EPM, tau), abs=1e-6)
+        assert p_plus == pytest.approx(mz_rate_closed(cfp, tau), abs=1e-6)
 
 
 def test_symmetric_rates_envelope_width():

@@ -95,6 +95,22 @@ def test_integral_linearity_property():
         assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: np.exp(-x * x) * np.cos(3.0 * x), -5.0, 4.0),
+    (lambda x: 1.0 / (1.0 + x * x), -50.0, 50.0),
+    (lambda x: np.sqrt(x) * np.log1p(x), 0.0, 2.0),
+], ids=["gaussian-cosine", "lorentzian", "sqrt-endpoint"])
+def test_integral_matches_scipy_quad(f, lo, hi):
+    from scipy.integrate import quad  # independent oracle, tests only
+
+    want, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+    assert integrate_1d(f, Interval(lo, hi)) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_integral_constant_integrand_returning_a_scalar():
+    assert integrate_1d(lambda x: 2.0, Interval(-1.0, 2.5)) == pytest.approx(7.0, rel=1e-14)
+
+
 def test_integral_budget_exhaustion():
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=16)
     with pytest.raises(NonConvergence):

@@ -7,11 +7,8 @@ import pytest
 
 from spdcsim import (
     BellState,
-    BiphotonAmplitude,
     NotABellState,
-    PhaseMatchParams,
     Port,
-    PumpSpectrum,
     TwoPhotonPathState,
     apply_phase_flip,
     apply_rotator,
@@ -24,14 +21,6 @@ def test_beamsplitter_weights():
     state = beamsplitter_output()
     assert state.weights == (0.5, 0.5, 0.5, 0.5)
     assert np.sum(np.abs(state.amps) ** 2) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_beamsplitter_carries_spectral_reference():
-    params = PhaseMatchParams(omega_p=2000.0, gamma=8e-5, theta=-math.pi / 4, length=1e3)
-    bp = BiphotonAmplitude(params=params, pump=PumpSpectrum(omega_p=2000.0, bandwidth=40.0))
-    state = beamsplitter_output(bp)
-    assert state.spectral is bp
-    assert apply_rotator(state, Port.B).spectral is bp
 
 
 def test_untransformed_postselection():
