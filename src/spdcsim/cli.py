@@ -108,6 +108,8 @@ class RunConfig:
             raise CliError("theta must lie in (-pi, pi]")
         if self.tau_max is not None and self.tau_max <= 0:
             raise CliError("tau_max must be > 0")
+        if self.grid_span is not None and self.grid_span <= 0:
+            raise CliError("grid_span must be > 0")
         if self.tau_steps is not None and self.tau_steps < 2:
             raise CliError("tau_steps must be >= 2")
         if self.grid_steps < 2:
@@ -326,6 +328,8 @@ def _parse_crystal_file(path: str) -> DispersionModel:
         parts = key.split(".")
         if parts[0] == "branch" and len(parts) == 3 and parts[1] in coeffs and parts[2].startswith("c"):
             order = _parse_value(int, parts[2][1:], path, key)
+            if order < 0:
+                raise CliError(f"{path}: {key}: coefficient order must be >= 0, got {order}")
             coeffs[parts[1]][order] = _parse_value(float, value, path, key)
         elif parts[0] == "validity" and len(parts) == 2 and parts[1] in ("lo", "hi"):
             validity[parts[1]] = _parse_value(float, value, path, key)

@@ -196,8 +196,9 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # factor reduces to cos(v tau), cos((u + w_p) tau) or
 # cos((u + w_p) tau / 2) cos(v tau / 2).  The last family is odd in v and
 # integrates to zero; the rest separate, so the double integral collapses
-# onto four tau-independent node profiles and each delay costs two dot
-# products.  The constant Jacobian cancels in the normalization.
+# onto four tau-independent node profiles and each delay is a weighted sum
+# of cosines over them (_cos_sums).  The constant Jacobian cancels in the
+# normalization.
 #
 # Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
 # node axes are built as exact mirror images of their positive halves (the
@@ -210,7 +211,8 @@ def v_mz(cfp: ClosedFormParams) -> float:
 
 # panel density of the two builds the self-check compares
 _PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
-# bytes of one float64 kernel block in the build loop
+# bytes of one float64 kernel block in the build loop, and of all the
+# temporaries of one node chunk in _cos_sums
 _BLOCK_BYTES = 16 << 20
 
 
@@ -294,31 +296,63 @@ class _RateEngine:
         self._w2 = 2.0 * vwp * self.g2_v
         self._w3 = 2.0 * vwp * self.g3_v
 
-    # each delay is reduced with plain 1-d dot products, so a delay's value
-    # does not depend on which other delays share the call
+    # every cosine sum goes through _cos_sums, which evaluates a uniform
+    # delay grid by blocked angle addition: a delay's value then depends on
+    # the grid it came with, at the level of the rounding in its phases
+    # (~1e-13), but never on the order of the calls or on the cache
 
     def hom(self, taus: np.ndarray) -> np.ndarray:
-        out = np.empty(len(taus))
-        cos_v = np.empty_like(self._vp)
-        for j, tau in enumerate(taus):
-            np.cos(np.multiply(self._vp, tau, out=cos_v), out=cos_v)
-            cross = float(self._w3 @ cos_v)
-            out[j] = 1.0 - 2.0 * cross / self.mass
-        return out
+        (cross,) = _cos_sums(self._vp, self._w3[None, :], taus)
+        return 1.0 - 2.0 * cross / self.mass
 
     def mz(self, taus: np.ndarray) -> np.ndarray:
-        wq, wr = self.wu * self.q_u, self.wu * self.r_u
-        shifted = self.un + self.omega_p
-        out = np.empty(len(taus))
-        cos_u, cos_v = np.empty_like(shifted), np.empty_like(self._vp)
-        for j, tau in enumerate(taus):
-            np.cos(np.multiply(shifted, tau, out=cos_u), out=cos_u)
-            np.cos(np.multiply(self._vp, tau, out=cos_v), out=cos_v)
-            a1, b1 = float(wq @ cos_u), float(wr @ cos_u)
-            a2, b2 = float(self._w2 @ cos_v), float(self._w3 @ cos_v)
-            raw = 0.25 * self.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)
-            out[j] = raw / (0.25 * self.mass)
-        return out
+        a1, b1 = _cos_sums(self.un + self.omega_p,
+                           np.stack((self.wu * self.q_u, self.wu * self.r_u)), taus)
+        a2, b2 = _cos_sums(self._vp, np.stack((self._w2, self._w3)), taus)
+        raw = 0.25 * self.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)
+        return raw / (0.25 * self.mass)
+
+
+def _delay_blocks(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors and offsets with taus[b K + j] = anchors[b] + offsets[j].
+
+    On a uniform grid (every tau within 2 ulp of max |tau| of tau_0 + k d,
+    as np.linspace gives) K = ceil(sqrt(n)) minimizes the 2 (K + n / K)
+    cosines and sines per node; any other grid, or n <= 2, gets K = 1,
+    anchors = taus and offsets = [0]: plain direct evaluation.
+    """
+    n = len(taus)
+    if n > 2:
+        d = (taus[-1] - taus[0]) / (n - 1)
+        steps = np.arange(n)
+        if np.max(np.abs(taus - (taus[0] + d * steps))) <= 2.0 * np.spacing(np.max(np.abs(taus))):
+            k = math.isqrt(n - 1) + 1
+            return taus[::k], d * steps[:k]
+    return taus, np.zeros(1)
+
+
+def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """sum_i weights[r, i] cos(freq[i] tau) for every weight row r and delay
+    tau, as a (rows, len(taus)) array.
+
+    cos(f (t_b + s_j)) = cos(f t_b) cos(f s_j) - sin(f t_b) sin(f s_j) over
+    the anchors t_b and offsets s_j of _delay_blocks, so each node chunk
+    costs cosines and sines at the anchors and offsets and two matrix
+    products; the chunk's temporaries together stay within _BLOCK_BYTES.
+    """
+    anchors, offsets = _delay_blocks(taus)
+    rows, n_a, n_o = len(weights), len(anchors), len(offsets)
+    acc = np.zeros((rows * n_a, n_o))
+    chunk = max(1, _BLOCK_BYTES // (8 * (2 * (rows + 1) * n_a + 3 * n_o)))
+    for lo in range(0, len(freq), chunk):
+        f, w = freq[lo:lo + chunk], weights[:, None, lo:lo + chunk]
+        phase = np.multiply.outer(anchors, f)
+        cos_a = np.cos(phase)
+        sin_a = np.sin(phase, out=phase)
+        phase_o = np.multiply.outer(f, offsets)
+        acc += (w * cos_a).reshape(rows * n_a, len(f)) @ np.cos(phase_o)
+        acc -= (w * sin_a).reshape(rows * n_a, len(f)) @ np.sin(phase_o, out=phase_o)
+    return acc.reshape(rows, n_a * n_o)[:, :len(taus)]
 
 
 @functools.lru_cache(maxsize=8)

@@ -334,6 +334,22 @@ def test_non_positive_tau_max_exits_one(tmp_path, capsys, args):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("span", ["-1", "0"])
+def test_non_positive_grid_span_exits_one(tmp_path, capsys, source, span):
+    out = tmp_path / "s.csv"
+    args = ["spectrum", "--grid-steps", "5", "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid_span = {span}\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--grid-span", span]
+    assert run(args) == 1
+    assert capsys.readouterr().err == "error: grid_span must be > 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_thetas_exits_one(tmp_path, capsys, source):
     out = tmp_path / "v.csv"
     args = ["visibility", "--sweep-lo", "5", "--sweep-hi", "200", "--out", str(out)]
@@ -360,7 +376,8 @@ def test_config_value_that_does_not_parse_names_file_and_key(tmp_path, capsys):
     ("branch.p.c0", "branch.p.c0", "abc", "could not convert string to float: 'abc'"),
     ("branch.p.c2", "branch.p.cx", "1", "invalid literal for int() with base 10: 'x'"),
     ("knob.order", "knob.order", "z", "invalid literal for int() with base 10: 'z'"),
-], ids=["coefficient", "order", "knob-order"])
+    ("branch.s.c2", "branch.s.c-1", "5", "coefficient order must be >= 0, got -1"),
+], ids=["coefficient", "order", "knob-order", "negative-order"])
 def test_crystal_value_that_does_not_parse_names_file_and_key(tmp_path, capsys, replaced, key,
                                                               value, message):
     crystal = tmp_path / "crystal.txt"

@@ -31,7 +31,7 @@ from spdcsim import (
     v_hom,
     v_mz,
 )
-from spdcsim.interferometry import _engines, _RateEngine
+from spdcsim.interferometry import _delay_blocks, _engines, _RateEngine
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -375,6 +375,55 @@ def test_reflection_fold_matches_unfolded_reduction():
     pairs += zip((eng.hom(taus), eng.mz(taus)), _unfolded_traces(eng, ref, PUMP.omega_p, taus))
     for got, want in pairs:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _direct_traces(eng, taus):
+    """Reference evaluation: one np.cos per node per delay, reduced with
+    plain dot products on the engine's own profiles."""
+    hom, mz = [], []
+    for tau in taus:
+        cos_u = np.cos((eng.un + eng.omega_p) * tau)
+        cos_v = np.cos(eng._vp * tau)
+        a1, b1 = (eng.wu * eng.q_u) @ cos_u, (eng.wu * eng.r_u) @ cos_u
+        a2, b2 = eng._w2 @ cos_v, eng._w3 @ cos_v
+        hom.append(1.0 - 2.0 * b2 / eng.mass)
+        mz.append((0.25 * eng.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)) / (0.25 * eng.mass))
+    return np.array(hom), np.array(mz)
+
+
+@pytest.fixture(scope="module", params=[-math.pi / 4, math.pi / 5], ids=["epm", "pi_5"])
+def coarse_engine(request):
+    return _RateEngine(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
+
+
+def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_engine):
+    taus = np.linspace(-0.05, 0.05, 2001)
+    assert len(_delay_blocks(taus)[1]) == 45  # the blocked path, not K = 1
+    for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
+                         _direct_traces(coarse_engine, taus)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
+    taus = np.linspace(-0.05, 0.05, 2001)
+    for got in (coarse_engine.hom(taus), coarse_engine.mz(taus)):
+        assert np.max(np.abs(got - got[::-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("taus", [
+    np.linspace(-0.05, 0.05, 41) + np.where(np.arange(41) == 17, 1e-9, 0.0),
+    np.array([-0.04, -0.011, 0.0, 0.003, 0.027, 0.05]),
+    np.empty(0),
+    np.array([0.013]),
+    np.array([-0.01, 0.03]),
+], ids=["one_delay_off_a_linspace", "irregular", "n0", "n1", "n2"])
+def test_direct_evaluation_off_uniform_grids(coarse_engine, taus):
+    assert len(_delay_blocks(taus)[1]) == 1
+    for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
+                         _direct_traces(coarse_engine, taus)):
+        assert got.shape == want.shape
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("budget, axis", [(4, "u axis (fine build)"), (60, "v axis (fine build)")])
