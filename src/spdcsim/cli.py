@@ -120,6 +120,12 @@ class RunConfig:
             raise CliError("kind must be hom or mz")
         if self.units not in ("radps", "si"):
             raise CliError("units must be radps or si")
+        if self.sweep_steps < 2:
+            raise CliError("sweep_steps must be >= 2")
+        if self.sweep_lo is not None and self.sweep_lo <= 0:
+            raise CliError("sweep_lo must be > 0")
+        if None not in (self.sweep_lo, self.sweep_hi) and self.sweep_lo >= self.sweep_hi:
+            raise CliError("sweep_lo must be < sweep_hi")
 
     @property
     def params(self) -> PhaseMatchParams:
@@ -154,12 +160,13 @@ _PARSERS = {name: _text_parser(hint) for name, hint in get_type_hints(RunConfig)
 _ANGULAR_FREQ_KEYS = ("omega_p", "pump_bw", "omega_lo", "omega_hi")
 
 
-def _parse_kv_file(path: str) -> dict[str, str]:
+def _parse_kv_file(path: str, what: str) -> dict[str, str]:
+    """key=value lines of a `what` ("config" or "crystal") file."""
     raw: dict[str, str] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -190,7 +197,7 @@ def _coerce_config(raw: dict[str, str], path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        cfg = replace(cfg, **_coerce_config(_parse_kv_file(args.config), args.config))
+        cfg = replace(cfg, **_coerce_config(_parse_kv_file(args.config, "config"), args.config))
     cfg = replace(cfg, **{name: getattr(args, name) for name in _PARSERS
                           if getattr(args, name, None) is not None})
     if cfg.units == "si":
@@ -226,14 +233,14 @@ def _meta_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(cfg: RunConfig, extra_meta: dict | None, header: list[str], rows) -> None:
+def _write_csv(cfg: RunConfig, extra_meta: dict | None, columns: dict[str, np.ndarray]) -> None:
+    """Meta lines, the header of column names, then one row per index of
+    the equal-length columns, each value at %.9g (the bytes of _fmt)."""
     if cfg.out is None:
         cfg = replace(cfg, out="out.csv")
-    lines = _meta_lines(cfg, extra_meta)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    Path(cfg.out).write_text("\n".join(lines) + "\n")
+    with open(cfg.out, "w") as fh:
+        fh.write("\n".join(_meta_lines(cfg, extra_meta) + [",".join(columns)]) + "\n")
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.9g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +274,12 @@ def _closed_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarr
 
 def _trace_command(cfg: RunConfig, kind: TraceKind) -> int:
     taus = _tau_grid(cfg, kind)
-    columns: list[tuple[str, np.ndarray]] = [("tau_ps", taus)]
+    columns = {"tau_ps": taus}
     if cfg.method in ("closed", "both"):
-        columns.append(("P_closed", _closed_trace(cfg, kind, taus)))
+        columns["P_closed"] = _closed_trace(cfg, kind, taus)
     if cfg.method in ("quadrature", "both"):
-        columns.append(("P_quadrature", _quadrature_trace(cfg, kind, taus)))
-    header = [name for name, _ in columns]
-    rows = zip(*(col for _, col in columns))
-    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
-               header, rows)
+        columns["P_quadrature"] = _quadrature_trace(cfg, kind, taus)
+    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)}, columns)
     return 0
 
 
@@ -290,10 +294,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     center = 0.5 * cfg.omega_p
     iv = Interval(center - span, center + span)
     g = grid(BiphotonAmplitude(params=params, pump=pump), iv, iv, cfg.grid_steps)
-    rows = ((g.axis_s[j], g.axis_i[k], g.values[j, k])
-            for j in range(len(g.axis_s)) for k in range(len(g.axis_i)))
+    n_s, n_i = g.values.shape
     _write_csv(cfg, {"grid_span_effective": span},
-               ["omega_s", "omega_i", "abs_A"], rows)
+               {"omega_s": np.repeat(g.axis_s, n_i), "omega_i": np.tile(g.axis_i, n_s),
+                "abs_A": g.values.ravel()})
     return 0
 
 
@@ -309,18 +313,17 @@ def cmd_visibility(cfg: RunConfig) -> int:
     kind = TraceKind(cfg.kind)
     if cfg.sweep_lo is None or cfg.sweep_hi is None:
         raise CliError("visibility needs sweep_lo and sweep_hi")
-    curves = sweep_visibility(kind, cfg.thetas, Interval(cfg.sweep_lo, cfg.sweep_hi),
-                              cfg.sweep_steps, omega_p=cfg.omega_p, gamma=cfg.gamma,
-                              length=cfg.length_um, pump_bw=cfg.pump_bw)
-    rows = ((curves[0].xs[j], curve.theta, curve.vs[j])
-            for j in range(len(curves[0].xs)) for curve in curves)
-    _write_csv(cfg, {"swept": curves[0].swept},
-               ["sweep_value", "theta", "visibility"], rows)
+    xs = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_steps)
+    vs = sweep_visibility(kind, cfg.params, cfg.pump, cfg.thetas, xs)
+    # rows run sweep-major, theta-minor
+    _write_csv(cfg, {"swept": "pump_bandwidth" if kind is TraceKind.HOM else "crystal_length"},
+               {"sweep_value": np.repeat(xs, len(cfg.thetas)),
+                "theta": np.tile(cfg.thetas, len(xs)), "visibility": vs.T.ravel()})
     return 0
 
 
 def _parse_crystal_file(path: str) -> DispersionModel:
-    raw = _parse_kv_file(path)
+    raw = _parse_kv_file(path, "crystal")
     coeffs: dict[str, dict[int, float]] = {"p": {}, "s": {}, "i": {}}
     validity: dict[str, float] = {}
     knob: dict[str, str] = {}
@@ -395,7 +398,7 @@ def cmd_match(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    rows = []
+    devs = []
     for name, kind, theta, length in VALIDATION_SETS:
         sub = replace(cfg, theta=theta, length_um=length)
         taus = np.linspace(-1, 1, 201) * delay_span(sub.params, sub.pump)
@@ -404,11 +407,11 @@ def cmd_validate(cfg: RunConfig) -> int:
         dev = float(np.max(np.abs(closed - quad)))
         print(f"{name}: kind={kind.value} theta={_fmt(theta)} length_um={_fmt(length)} "
               f"max_dev={dev:.3e}")
-        rows.append((theta, length, dev))
-    _write_csv(cfg, {"sets": ",".join(s[0] for s in VALIDATION_SETS)},
-               ["theta", "length_um", "max_abs_deviation"], rows)
-    worst = max(r[2] for r in rows)
-    print(f"overall max deviation: {worst:.3e}")
+        devs.append(dev)
+    names, _, thetas, lengths = zip(*VALIDATION_SETS)
+    _write_csv(cfg, {"sets": ",".join(names)},
+               {"theta": thetas, "length_um": lengths, "max_abs_deviation": devs})
+    print(f"overall max deviation: {max(devs):.3e}")
     return 0
 
 

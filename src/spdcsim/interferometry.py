@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "NotFactorizable",
     "TraceKind",
     "ClosedFormParams",
-    "VisibilityCurve",
     "closed_form_params",
     "hom_rate_closed",
     "mz_rate_closed",
@@ -77,14 +76,6 @@ class ClosedFormParams:
     q2: float
     bandwidth: float  # pump, rad/ps
     omega_p: float    # pump, rad/ps
-
-
-@dataclass(frozen=True)
-class VisibilityCurve:
-    swept: str  # "pump_bandwidth" or "crystal_length"
-    xs: np.ndarray
-    vs: np.ndarray
-    theta: float
 
 
 def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFormParams:
@@ -445,31 +436,20 @@ def symmetric_rates(bp: BiphotonAmplitude, tau: float) -> tuple[float, float]:
     return num_m / base_m, num_p / base_p
 
 
-def sweep_visibility(kind: TraceKind, thetas, sweep: Interval, steps: int, *,
-                     omega_p: float, gamma: float, length: float,
-                     pump_bw: float) -> list[VisibilityCurve]:
-    """Closed-form visibility curves over a swept parameter, one per theta.
+def sweep_visibility(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpectrum,
+                     thetas, xs) -> np.ndarray:
+    """Closed-form visibilities over a swept parameter, shape
+    (len(thetas), len(xs)).
 
-    HOM sweeps the pump bandwidth at fixed crystal length; MZ sweeps the
-    crystal length at fixed pump bandwidth.
+    Each point is the setting (params, pump) at one theta, with the pump
+    bandwidth set to x for HOM or the crystal length set to x for MZ.
     """
-    if steps < 2:
-        raise ValueError("sweep needs at least 2 steps")
-    xs = np.linspace(sweep.lo, sweep.hi, steps)
-    curves = []
-    for theta in thetas:
-        vs = np.empty_like(xs)
+    vs = np.empty((len(thetas), len(xs)))
+    for i, theta in enumerate(thetas):
+        at_theta = replace(params, theta=theta)
         for j, x in enumerate(xs):
             if kind is TraceKind.HOM:
-                params = PhaseMatchParams(omega_p=omega_p, gamma=gamma, theta=theta, length=length)
-                pump = PumpSpectrum(omega_p=omega_p, bandwidth=float(x))
-                vs[j] = v_hom(closed_form_params(params, pump))
+                vs[i, j] = v_hom(closed_form_params(at_theta, replace(pump, bandwidth=float(x))))
             else:
-                params = PhaseMatchParams(omega_p=omega_p, gamma=gamma, theta=theta, length=float(x))
-                pump = PumpSpectrum(omega_p=omega_p, bandwidth=pump_bw)
-                vs[j] = v_mz(closed_form_params(params, pump))
-        curves.append(VisibilityCurve(
-            swept="pump_bandwidth" if kind is TraceKind.HOM else "crystal_length",
-            xs=xs.copy(), vs=vs, theta=float(theta)))
-    return curves
-
+                vs[i, j] = v_mz(closed_form_params(replace(at_theta, length=float(x)), pump))
+    return vs

@@ -81,11 +81,10 @@ def test_c02_conventional_dip_visibility_decay():
     cfp = closed_form_params(params_at(0.0), PUMP)
     assert cfp.xi == pytest.approx(1.25, rel=1e-12)
     assert v_hom(cfp) == pytest.approx(0.69798, abs=1e-4)
-    curves = sweep_visibility(TraceKind.HOM, CONVENTIONAL_THETAS, Interval(1.0, 120.0), 60,
-                              omega_p=OMEGA_P, gamma=GAMMA, length=1e3, pump_bw=40.0)
-    for curve in curves:
-        assert np.all(np.diff(curve.vs) < 0.0)
-    stacked = np.vstack([c.vs for c in curves])  # rows follow CONVENTIONAL_THETAS
+    stacked = sweep_visibility(TraceKind.HOM, params_at(0.0), PUMP, CONVENTIONAL_THETAS,
+                               np.linspace(1.0, 120.0, 60))  # rows follow CONVENTIONAL_THETAS
+    for vs in stacked:
+        assert np.all(np.diff(vs) < 0.0)
     assert np.all(np.diff(stacked, axis=0) < 0.0)  # top-to-bottom ordering everywhere
     elapsed = time.time() - start
     assert elapsed < 10.0
@@ -95,17 +94,17 @@ def test_c02_conventional_dip_visibility_decay():
 def test_c03_fringe_visibility_bound_and_limits():
     start = time.time()
     thetas = (-math.pi / 4,) + CONVENTIONAL_THETAS
-    curves = sweep_visibility(TraceKind.MZ, thetas, Interval(1e3, 5e4), 50,
-                              omega_p=OMEGA_P, gamma=GAMMA, length=1e3, pump_bw=40.0)
-    for curve in curves:
-        assert np.all(curve.vs >= 1.0 / 3.0 - 1e-9)
-        assert np.all(curve.vs <= 1.0)
-        if curve.theta == -math.pi / 4:
-            assert np.all(np.abs(curve.vs - 0.99901) <= 1e-4)
+    curves = sweep_visibility(TraceKind.MZ, params_at(0.0), PUMP, thetas,
+                              np.linspace(1e3, 5e4, 50))
+    for theta, vs in zip(thetas, curves):
+        assert np.all(vs >= 1.0 / 3.0 - 1e-9)
+        assert np.all(vs <= 1.0)
+        if theta == -math.pi / 4:
+            assert np.all(np.abs(vs - 0.99901) <= 1e-4)
         else:
-            assert np.all(np.diff(curve.vs) < 0.0)
+            assert np.all(np.diff(vs) < 0.0)
             # the 1/3 floor is an asymptotic statement: grade the long-crystal limit
-            limit_params = params_at(curve.theta, length=1e9)
+            limit_params = params_at(theta, length=1e9)
             v_limit = v_mz(closed_form_params(limit_params, PUMP))
             assert abs(v_limit - 1.0 / 3.0) <= 0.01
     elapsed = time.time() - start

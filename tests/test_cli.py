@@ -177,6 +177,47 @@ def test_visibility_rows(tmp_path):
     assert np.all(first[:, 2] > 0.99)
 
 
+@pytest.mark.parametrize("kind, swept", [("hom", "pump_bandwidth"), ("mz", "crystal_length")])
+def test_visibility_rows_are_sweep_major_closed_form_values(tmp_path, kind, swept):
+    # the unswept parameter is off its default, so a sweep that read the
+    # wrong one, or rows in theta-major order, changes the bytes
+    from spdcsim import PhaseMatchParams, PumpSpectrum, closed_form_params, v_hom, v_mz
+
+    thetas = (-0.5, 0.1, 0.7)
+    lo, hi, steps = (5.0, 200.0, 4) if kind == "hom" else (1e3, 5e4, 5)
+    out = tmp_path / "v.csv"
+    assert run(["visibility", "--kind", kind, "--sweep-lo", str(lo), "--sweep-hi", str(hi),
+                "--sweep-steps", str(steps), "--thetas", "-0.5,0.1,0.7", "--length-um", "3e3",
+                "--pump-bw", "25", "--out", str(out)]) == 0
+    rows = ["sweep_value,theta,visibility"]
+    for x in np.linspace(lo, hi, steps):
+        for theta in thetas:
+            if kind == "hom":
+                cfp = closed_form_params(PhaseMatchParams(2000.0, 8e-5, theta, 3e3),
+                                         PumpSpectrum(2000.0, float(x)))
+                v = v_hom(cfp)
+            else:
+                cfp = closed_form_params(PhaseMatchParams(2000.0, 8e-5, theta, float(x)),
+                                         PumpSpectrum(2000.0, 25.0))
+                v = v_mz(cfp)
+            rows.append(",".join(format(float(t), ".9g") for t in (x, theta, v)))
+    text = read(out)
+    assert data_section(text) == "\n".join(rows)
+    assert f"# swept={swept!r}" in text.splitlines()
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    values = np.array([-0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 123456789012.0, 1e-5])
+    columns = {"a": values, "b": values[::-1], "c": np.arange(len(values), dtype=float)}
+    out = tmp_path / "w.csv"
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), {"extra": 1}, columns)
+    expected = ["a,b,c"] + [",".join(format(float(x), ".9g") for x in row)
+                            for row in zip(*columns.values())]
+    text = read(out)
+    assert text.endswith("\n") and "# extra=1" in text.splitlines()
+    assert data_section(text) == "\n".join(expected)
+
+
 def test_visibility_mz_bound(tmp_path):
     out = tmp_path / "vm.csv"
     assert run(["visibility", "--kind", "mz", "--sweep-lo", "1e3", "--sweep-hi", "5e4",
@@ -403,6 +444,41 @@ def test_negative_angle_list_parses_as_a_value(tmp_path):
         lines.append([l for l in read(tmp_path / name).splitlines() if l.startswith("# thetas=")])
     assert lines[0] == lines[1] == ["# thetas='-0.5,0.1'"]
     assert data_section(read(tmp_path / "flag.csv")) == data_section(read(tmp_path / "config.csv"))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind, settings, message", [
+    ("hom", {"sweep_lo": "5", "sweep_hi": "200", "sweep_steps": "1"}, "sweep_steps must be >= 2"),
+    ("hom", {"sweep_lo": "-5", "sweep_hi": "200"}, "sweep_lo must be > 0"),
+    ("hom", {"sweep_lo": "0", "sweep_hi": "200"}, "sweep_lo must be > 0"),
+    ("mz", {"sweep_lo": "0", "sweep_hi": "200"}, "sweep_lo must be > 0"),
+    ("hom", {"sweep_lo": "5e4", "sweep_hi": "1e3"}, "sweep_lo must be < sweep_hi"),
+], ids=["one-step", "negative-lo", "zero-lo-hom", "zero-lo-mz", "reversed"])
+def test_bad_sweep_exits_one(tmp_path, capsys, source, kind, settings, message):
+    out = tmp_path / "v.csv"
+    args = ["visibility", "--kind", kind, "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        args += ["--config", str(cfg)]
+    else:
+        for k, v in settings.items():
+            args += ["--" + k.replace("_", "-"), v]
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", ["config", "crystal"])
+def test_missing_input_file_is_named_by_kind(tmp_path, capsys, what):
+    missing = tmp_path / "missing.txt"
+    if what == "config":
+        args = ["hom", "--config", str(missing), "--out", str(tmp_path / "x.csv")]
+    else:
+        args = ["match", "--crystal", str(missing), "--omega-lo", "1", "--omega-hi", "2",
+                "--zeta-lo", "0", "--zeta-hi", "1"]
+    assert run(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {what} file {missing}: ")
 
 
 def test_si_units_half_sweep_exits_one(tmp_path, capsys):

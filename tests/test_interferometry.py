@@ -9,7 +9,6 @@ import pytest
 from spdcsim import (
     BiphotonAmplitude,
     DegenerateDip,
-    Interval,
     NonConvergence,
     NotFactorizable,
     PhaseMatchParams,
@@ -235,19 +234,17 @@ def test_v_mz_lower_bound_on_sweep():
 
 
 def test_sweep_visibility_shapes_and_flat_matched_ray():
-    curves = sweep_visibility(TraceKind.HOM, [-math.pi / 4, 0.0], Interval(1.0, 120.0), 25,
-                              omega_p=OMEGA_P, gamma=GAMMA, length=1e3, pump_bw=40.0)
-    assert curves[0].swept == "pump_bandwidth"
-    assert np.all(curves[0].vs == 1.0)
-    assert np.all(np.diff(curves[1].vs) < 0.0)
-    curves = sweep_visibility(TraceKind.MZ, [0.0], Interval(1e3, 5e4), 25,
-                              omega_p=OMEGA_P, gamma=GAMMA, length=1e3, pump_bw=40.0)
-    assert curves[0].swept == "crystal_length"
-    assert np.all(np.diff(curves[0].vs) < 0.0)
+    vs = sweep_visibility(TraceKind.HOM, CONV, PUMP, [-math.pi / 4, 0.0],
+                          np.linspace(1.0, 120.0, 25))
+    assert vs.shape == (2, 25)
+    assert np.all(vs[0] == 1.0)
+    assert np.all(np.diff(vs[1]) < 0.0)
+    vs = sweep_visibility(TraceKind.MZ, CONV, PUMP, [0.0], np.linspace(1e3, 5e4, 25))
+    assert vs.shape == (1, 25)
+    assert np.all(np.diff(vs[0]) < 0.0)
     # far beyond the sweep the curve settles within a hair of 1/3
-    far = sweep_visibility(TraceKind.MZ, [0.0], Interval(1e8, 1e9), 2,
-                           omega_p=OMEGA_P, gamma=GAMMA, length=1e3, pump_bw=40.0)
-    assert far[0].vs[-1] == pytest.approx(1.0 / 3.0, abs=1e-3)
+    far = sweep_visibility(TraceKind.MZ, CONV, PUMP, [0.0], np.linspace(1e8, 1e9, 2))
+    assert far[0, -1] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
