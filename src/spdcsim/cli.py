@@ -110,6 +110,10 @@ class RunConfig:
             raise CliError("tau_max must be > 0")
         if self.grid_span is not None and self.grid_span <= 0:
             raise CliError("grid_span must be > 0")
+        for key in ("tau_max", "grid_span"):
+            half = getattr(self, key)
+            if half is not None and not math.isfinite(2.0 * half):
+                raise CliError(f"{key} = {half} gives a window width 2 * {key} that is not finite")
         if self.tau_steps is not None and self.tau_steps < 2:
             raise CliError("tau_steps must be >= 2")
         if self.grid_steps < 2:
@@ -255,7 +259,11 @@ def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
         if kind is TraceKind.MZ:
             # at least 40 samples per fringe period, else the fringes alias
             fringe = 2.0 * math.pi / cfg.omega_p
-            steps = max(steps, int(math.ceil(2.0 * tau_max / fringe * 40.0)) + 1)
+            samples = 2.0 * tau_max / fringe * 40.0
+            if not math.isfinite(samples):
+                raise CliError(f"omega_p = {cfg.omega_p} gives a fringe step count that is "
+                               "not finite; set tau_steps")
+            steps = max(steps, int(math.ceil(samples)) + 1)
     return np.linspace(-tau_max, tau_max, steps)
 
 

@@ -197,14 +197,18 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
 # analytically; the two v profiles come out even in v, so each delay sums
 # cos(v tau) over v > 0 with doubled weights.  The kernel is
-# phi_L(x, L) / L = sinc(x L / 2 pi): the L^2 cancels in the normalization.
-# None of this touches a closed form.
+# phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2 cancels in the
+# normalization.  None of this touches a closed form.
 
 # panel density of the two builds the self-check compares
 _PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
-# bytes of one float64 kernel block in the build loop, and of all the
-# temporaries of one node chunk in _cos_sums
+# bytes of one float64 kernel block in the build loop, which holds two at
+# once (y and p1, which the products overwrite), and of all the temporaries
+# of one node chunk in _cos_sums
 _BLOCK_BYTES = 16 << 20
+# |y| from which the kernel divides the angle-added sin(y), whose absolute
+# error is a few ulp of 1, by y: the quotient is then off by a few ulp at most
+_RIDGE = 1.0
 
 
 def _mirrored_panels(half_width: float, panel: float, budget: int,
@@ -221,6 +225,42 @@ def _mirrored_panels(half_width: float, panel: float, budget: int,
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()[5 * n:]
     weights = (half[:, None] * w[None, :]).ravel()[5 * n:]
     return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+
+
+def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
+    """Yield (lo, p1, spare) for each chunk of up to `chunk` columns of
+    p1[i, j] = sin(y) / y, y = au[i] + bv[lo + j], 1 at y = 0, over the
+    ascending axis bv.  p1 and spare are (len(au), columns) views of two
+    buffers that the next chunk reuses; the caller may overwrite both.
+
+    sin(y) = sin(au) cos(bv) + cos(au) sin(bv) is one (len(au) x 2) @
+    (2 x columns) matrix product, so the build takes len(au) + len(bv)
+    sines and cosines instead of one sine per node pair.  Within _RIDGE of
+    the ridge y = 0 that product's rounding would grow by 1 / |y|, so there
+    p1 is sin(y) / y evaluated directly.
+    """
+    rows = np.stack((np.sin(au), np.cos(au)), axis=1)
+    cols = np.stack((np.cos(bv), np.sin(bv)), axis=1)
+    # the (i, j) with |y| < _RIDGE: each row's is one range of the sorted bv
+    first = np.searchsorted(bv, -au - _RIDGE, side="right")
+    count = np.searchsorted(bv, -au + _RIDGE, side="left") - first
+    ridge_i = np.repeat(np.arange(len(au)), count)
+    ridge_j = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    cells = len(au) * min(chunk, len(bv))
+    y_buf, p_buf = np.empty(cells), np.empty(cells)
+    for lo in range(0, len(bv), chunk):
+        hi = min(lo + chunk, len(bv))
+        shape, size = (len(au), hi - lo), len(au) * (hi - lo)
+        y = np.add(au[:, None], bv[None, lo:hi], out=y_buf[:size].reshape(shape))
+        p1 = np.matmul(rows, cols[lo:hi].T, out=p_buf[:size].reshape(shape))
+        at = (ridge_j >= lo) & (ridge_j < hi)
+        i, j = ridge_i[at], ridge_j[at] - lo
+        y_ridge = y[i, j]
+        y[i, j] = 1.0  # keeps y = 0 out of the division; these entries are replaced
+        p1 /= y
+        p1[i, j] = np.divide(np.sin(y_ridge), y_ridge, out=np.ones_like(y_ridge),
+                             where=y_ridge != 0.0)
+        yield lo, p1, y
 
 
 class _RateEngine:
@@ -258,18 +298,19 @@ class _RateEngine:
         half = len(vn) // 2
         vp, vwp = vn[half:], vw[half:]
         wu = np.exp(-((un / bw) ** 2)) * uw
-        au = (a * L / (2.0 * math.pi)) * un
-        bv = (b * L / (2.0 * math.pi)) * vp
+        # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
+        # p1 and leaves bv ascending, as _sinc_blocks needs
+        au = (math.copysign(0.5, b) * a * L) * un
+        bv = (0.5 * abs(b) * L) * vp
         s_u = np.zeros_like(un)   # sum over v > 0 of p1^2
         c_u = np.zeros_like(un)   # sum over v > 0 of p1 * p2
         s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
         c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
         chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
-        for lo in range(0, len(vp), chunk):
-            hi = lo + chunk
-            p1 = np.sinc(au[:, None] + bv[None, lo:hi])
-            sq = p1 * p1
-            cross = p1 * p1[::-1]
+        for lo, p1, spare in _sinc_blocks(au, bv, chunk):
+            hi = lo + p1.shape[1]
+            cross = np.multiply(p1, p1[::-1], out=spare)
+            sq = np.multiply(p1, p1, out=p1)
             s_u += sq @ vwp[lo:hi]
             c_u += cross @ vwp[lo:hi]
             s_v[lo:hi] = wu @ sq

@@ -469,6 +469,29 @@ def test_bad_sweep_exits_one(tmp_path, capsys, source, kind, settings, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, settings, key", [
+    ("hom", {"tau_max": "1e308", "tau_steps": "3"}, "tau_max"),
+    ("mz", {"tau_max": "1e308"}, "tau_max"),
+    ("spectrum", {"grid_span": "1e308", "grid_steps": "3"}, "grid_span"),
+    ("mz", {"omega_p": "1e308"}, "omega_p"),
+], ids=["hom-window", "mz-window", "spectrum-window", "mz-fringe-steps"])
+def test_overflowing_window_exits_one(tmp_path, capsys, source, command, settings, key):
+    out = tmp_path / "x.csv"
+    args = [command, "--out", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        args += ["--config", str(cfg)]
+    else:
+        for k, v in settings.items():
+            args += ["--" + k.replace("_", "-"), v]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} = ") and "not finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("what", ["config", "crystal"])
 def test_missing_input_file_is_named_by_kind(tmp_path, capsys, what):
     missing = tmp_path / "missing.txt"

@@ -30,7 +30,14 @@ from spdcsim import (
     v_hom,
     v_mz,
 )
-from spdcsim.interferometry import _delay_blocks, _engines, _RateEngine
+from spdcsim.interferometry import (
+    _RIDGE,
+    _delay_blocks,
+    _engines,
+    _RateEngine,
+    _sinc_blocks,
+    delay_span,
+)
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -371,6 +378,73 @@ def test_reflection_fold_matches_unfolded_reduction():
              (eng.g2_v, ref[2][half:]), (eng.g3_v, ref[3][half:])]
     pairs += zip((eng.hom(taus), eng.mz(taus)), _unfolded_traces(eng, ref, PUMP.omega_p, taus))
     for got, want in pairs:
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _kernel(au, bv, chunk):
+    """Every block of _sinc_blocks, copied out of its reused buffer."""
+    return np.concatenate([p1.copy() for _, p1, _ in _sinc_blocks(au, bv, chunk)], axis=1)
+
+
+# an ascending axis whose nodes lie more than 2 _RIDGE apart, so a row on the
+# ridge through one node has that node alone within _RIDGE of it
+_SPREAD_BV = np.array([-999.75, -310.5, -17.25, -3.0, 0.0, 2.5, 41.125, 640.0, 998.5])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, len(_SPREAD_BV)])
+def test_sinc_kernel_matches_np_sinc_on_and_near_the_ridge(chunk):
+    t = _RIDGE
+    offsets = [0.0, t, -t, t * (1 + 1e-12), t * (1 - 1e-12), -t * (1 + 1e-12),
+               -t * (1 - 1e-12), 1e-9, -1e-9]
+    # rows on the ridge of every node, at each offset from it, plus far rows of both signs
+    au = np.concatenate(([-b + d for b in _SPREAD_BV for d in offsets],
+                         np.linspace(-1e3, 1e3, 41)))
+    y = au[:, None] + _SPREAD_BV[None, :]
+    assert np.count_nonzero(y == 0.0) >= len(_SPREAD_BV)
+    want = np.sinc(y / np.pi)
+    got = _kernel(au, _SPREAD_BV, chunk)
+    assert np.all(got[y == 0.0] == 1.0)
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_sinc_kernel_matches_np_sinc_on_dense_axes():
+    rng = np.random.default_rng(7)
+    au = np.concatenate((rng.uniform(-1e3, 1e3, 300), -rng.uniform(0, 1e3, 50)))
+    bv = np.sort(np.concatenate((rng.uniform(-1e3, 1e3, 700), -au[-50:])))
+    want = np.sinc(np.add.outer(au, bv) / np.pi)
+    assert np.max(np.abs(_kernel(au, bv, 64) - want)) <= 1e-15
+
+
+def _sinc_reference_profiles(eng, params):
+    """Reference build: one np.sinc per node pair on the engine's own nodes,
+    folded like the engine (p2 is p1's row reversal, v < 0 by symmetry)."""
+    a = 0.5 * (params.gamma_s + params.gamma_i)
+    b = 0.5 * (params.gamma_s - params.gamma_i)
+    L = params.length
+    au = (a * L / (2.0 * math.pi)) * eng.un
+    vp, vwp = eng._vp, eng.vw[len(eng.vn) // 2:]
+    s_u, c_u = np.zeros_like(eng.un), np.zeros_like(eng.un)
+    s_v, c_v = np.empty_like(vp), np.empty_like(vp)
+    step = max(1, 2**20 // len(eng.un))
+    for lo in range(0, len(vp), step):
+        p1 = np.sinc(au[:, None] + (b * L / (2.0 * math.pi)) * vp[None, lo:lo + step])
+        sq, cross = p1 * p1, p1 * p1[::-1]
+        s_u += sq @ vwp[lo:lo + step]
+        c_u += cross @ vwp[lo:lo + step]
+        s_v[lo:lo + step] = eng.wu @ sq
+        c_v[lo:lo + step] = eng.wu @ cross
+    q_u = 2.0 * (s_u + s_u[::-1])
+    return q_u, 2.0 * c_u, 2.0 * s_v, c_v, eng.wu @ q_u
+
+
+@pytest.mark.parametrize("theta, length", [
+    (-math.pi / 4, 1e3), (math.pi / 5, 2e4), (-math.pi / 6, 2e4), (2 * math.pi / 3, 1e3),
+], ids=["epm", "conv_pos", "conv_neg", "b_negative"])
+def test_engine_profiles_match_np_sinc_build(theta, length):
+    params = make_params(theta, length)
+    eng = _RateEngine(params, PUMP, delay_span(params, PUMP), "coarse", 2**15)
+    ref = _sinc_reference_profiles(eng, params)
+    for got, want in zip((eng.q_u, eng.r_u, eng.g2_v, eng.g3_v, eng.mass), ref):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
