@@ -34,7 +34,6 @@ from .dispersion import (
     validity_bound,
 )
 from .interferometry import (
-    TRACE_SPEC,
     TraceKind,
     closed_form_params,
     delay_span,
@@ -44,7 +43,7 @@ from .interferometry import (
     mz_trace_integral,
     sweep_visibility,
 )
-from .numerics import Interval, NonConvergence, QuadratureSpec
+from .numerics import Interval, NonConvergence
 
 __all__ = ["RunConfig", "main"]
 
@@ -59,6 +58,9 @@ VALIDATION_SETS = (
     ("conv_hom_neg", TraceKind.HOM, -math.pi / 6, 2e4),
     ("conv_mz_neg", TraceKind.MZ, -math.pi / 6, 2e4),
 )
+# points in any one grid a command allocates; the largest benchmark grid,
+# a 401 x 401 spectrum, has 160,801
+MAX_GRID_POINTS = 10**7
 
 
 class CliError(ValueError):
@@ -77,8 +79,6 @@ class RunConfig:
     grid_span: float | None = None
     grid_steps: int = 101
     method: str = "closed"
-    rel_tol: float | None = None
-    abs_tol: float | None = None
     out: str | None = None      # None: CSV commands write out.csv, match only prints
     kind: str = "hom"
     sweep_lo: float | None = None
@@ -130,6 +130,12 @@ class RunConfig:
             raise CliError("sweep_lo must be > 0")
         if None not in (self.sweep_lo, self.sweep_hi) and self.sweep_lo >= self.sweep_hi:
             raise CliError("sweep_lo must be < sweep_hi")
+        for key, points in (("tau_steps", self.tau_steps or 0),
+                            ("grid_steps", self.grid_steps ** 2),
+                            ("sweep_steps", self.sweep_steps * len(self.thetas))):
+            if points > MAX_GRID_POINTS:
+                raise CliError(f"{key} = {getattr(self, key)} gives a grid of {points} points, "
+                               f"more than {MAX_GRID_POINTS}")
 
     @property
     def params(self) -> PhaseMatchParams:
@@ -139,12 +145,6 @@ class RunConfig:
     @property
     def pump(self) -> PumpSpectrum:
         return PumpSpectrum(omega_p=self.omega_p, bandwidth=self.pump_bw)
-
-    @property
-    def quad_spec(self) -> QuadratureSpec:
-        """The trace tolerances, with the ones this run sets replacing TRACE_SPEC's."""
-        return replace(TRACE_SPEC, **{k: getattr(self, k) for k in ("rel_tol", "abs_tol")
-                                      if getattr(self, k) is not None})
 
 
 def _thetas(text: str) -> tuple[float, ...]:
@@ -264,30 +264,31 @@ def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
                 raise CliError(f"omega_p = {cfg.omega_p} gives a fringe step count that is "
                                "not finite; set tau_steps")
             steps = max(steps, int(math.ceil(samples)) + 1)
+            if steps > MAX_GRID_POINTS:
+                raise CliError(f"tau_max = {tau_max} gives a fringe grid of {steps:.3g} points "
+                               f"at omega_p = {cfg.omega_p}, more than {MAX_GRID_POINTS}")
     return np.linspace(-tau_max, tau_max, steps)
 
 
-def _quadrature_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
-    run = hom_trace_integral if kind is TraceKind.HOM else mz_trace_integral
-    # size the panels for the grid itself: the default reach would also
-    # cover the delay span and change the nodes when --tau-max is below it
-    return run(cfg.params, cfg.pump, taus, cfg.quad_spec, tau_max=float(np.max(np.abs(taus))))
-
-
-def _closed_trace(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
-    rate = hom_rate_closed if kind is TraceKind.HOM else mz_rate_closed
-    cfp = closed_form_params(cfg.params, cfg.pump)
-    return np.array([rate(cfp, t) for t in taus])
+def _trace_columns(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> dict[str, np.ndarray]:
+    """The P_closed and P_quadrature columns that cfg.method asks for; the
+    functions are this module's bindings at call time (perfbench patches them)."""
+    hom = kind is TraceKind.HOM
+    columns = {}
+    if cfg.method in ("closed", "both"):
+        rate = hom_rate_closed if hom else mz_rate_closed
+        cfp = closed_form_params(cfg.params, cfg.pump)
+        columns["P_closed"] = np.array([rate(cfp, t) for t in taus])
+    if cfg.method in ("quadrature", "both"):
+        run = hom_trace_integral if hom else mz_trace_integral
+        columns["P_quadrature"] = run(cfg.params, cfg.pump, taus)
+    return columns
 
 
 def _trace_command(cfg: RunConfig, kind: TraceKind) -> int:
     taus = _tau_grid(cfg, kind)
-    columns = {"tau_ps": taus}
-    if cfg.method in ("closed", "both"):
-        columns["P_closed"] = _closed_trace(cfg, kind, taus)
-    if cfg.method in ("quadrature", "both"):
-        columns["P_quadrature"] = _quadrature_trace(cfg, kind, taus)
-    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)}, columns)
+    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
+               {"tau_ps": taus, **_trace_columns(cfg, kind, taus)})
     return 0
 
 
@@ -408,11 +409,10 @@ def cmd_match(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     devs = []
     for name, kind, theta, length in VALIDATION_SETS:
-        sub = replace(cfg, theta=theta, length_um=length)
+        sub = replace(cfg, theta=theta, length_um=length, method="both")
         taus = np.linspace(-1, 1, 201) * delay_span(sub.params, sub.pump)
-        closed = _closed_trace(sub, kind, taus)
-        quad = _quadrature_trace(sub, kind, taus)
-        dev = float(np.max(np.abs(closed - quad)))
+        columns = _trace_columns(sub, kind, taus)
+        dev = float(np.max(np.abs(columns["P_closed"] - columns["P_quadrature"])))
         print(f"{name}: kind={kind.value} theta={_fmt(theta)} length_um={_fmt(length)} "
               f"max_dev={dev:.3e}")
         devs.append(dev)
@@ -437,8 +437,7 @@ COMMANDS = {
               ("crystal", "omega_lo", "omega_hi", "zeta_lo", "zeta_hi")),
     "validate": (cmd_validate, "closed form vs quadrature deviation suite", ()),
 }
-_COMMON_FLAGS = ("out", "units", "omega_p", "pump_bw", "gamma", "theta", "length_um",
-                 "rel_tol", "abs_tol")
+_COMMON_FLAGS = ("out", "units", "omega_p", "pump_bw", "gamma", "theta", "length_um")
 _FLAG_HELP = {
     "out": "output path (CSV, or text for match)",
     "units": "angular-frequency input units: radps, or si for 1/s",

@@ -206,6 +206,10 @@ _PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
 # once (y and p1, which the products overwrite), and of all the temporaries
 # of one node chunk in _cos_sums
 _BLOCK_BYTES = 16 << 20
+# difference-axis reach in units of 1 / tau_theta: the squared sinc tails
+# thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
+# v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
+_V_REACH = 3000.0
 # |y| from which the kernel divides the angle-added sin(y), whose absolute
 # error is a few ulp of 1, by y: the quotient is then off by a few ulp at most
 _RIDGE = 1.0
@@ -284,11 +288,9 @@ class _RateEngine:
         bw = pump.bandwidth
         density = _PANEL_DENSITY[grade]
         u_half = 8.0 * bw
-        # difference-axis reach: the squared sinc tails thin out as 1/v^2,
-        # leaving a relative baseline deficit ~2/(pi tau_theta v_half), so
-        # 3000/tau_theta keeps truncation near 2e-4; the a*u/b term tracks
-        # the phase-matching ridge across the pump-limited u range.
-        v_half = 3000.0 / tau_theta + 5.0 * bw * abs(a) / abs(b)
+        # the a*u/b term tracks the phase-matching ridge across the
+        # pump-limited u range
+        v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
         u_rate = abs(a) * L / 2.0 + tau_max
         v_rate = abs(b) * L / 2.0 + tau_max
         panel_u = min(2.0 * math.pi / u_rate if u_rate > 0 else u_half, 0.7 * bw) / density
@@ -411,10 +413,8 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
                       taus: np.ndarray, spec: QuadratureSpec,
                       tau_max: float | None) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
-    if tau_max is None:
-        tau_max = max(float(np.max(np.abs(taus))) if taus.size else 0.0,
-                      delay_span(params, pump))
-    fine, coarse = _engines(params, pump, float(tau_max), spec.max_subdivisions)
+    reach = max(float(np.max(np.abs(taus))) if taus.size else 0.0, float(tau_max or 0.0))
+    fine, coarse = _engines(params, pump, reach, spec.max_subdivisions)
     run = (lambda e: e.hom(taus)) if kind is TraceKind.HOM else (lambda e: e.mz(taus))
     values = run(fine)
     drift = float(np.max(np.abs(values - run(coarse)))) if taus.size else 0.0
@@ -432,9 +432,8 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
     """Dip trace by quadrature of the raw rate integral, normalized to its
     large-delay baseline.  Self-checked by panel refinement.
 
-    tau_max pins the oscillation-resolution scale of the panel grid; it
-    defaults to the larger of max |taus| and delay_span, so pass it to get
-    the nodes sized for the given delays alone.
+    The panels resolve the oscillations up to the larger of max |taus| and
+    tau_max, so a tau_max below the delays changes nothing.
     """
     return _trace_quadrature(TraceKind.HOM, params, pump, taus, spec, tau_max)
 
@@ -464,7 +463,7 @@ def symmetric_rates(bp: BiphotonAmplitude, tau: float) -> tuple[float, float]:
         raise NotFactorizable("amplitude defect too large for the reduced rates")
     scale = params.gamma / math.sqrt(2.0)
     cfp = closed_form_params(params, pump)
-    v_half = 3000.0 / cfp.tau_theta
+    v_half = _V_REACH / cfp.tau_theta
     iv_v = Interval(-v_half, v_half)
     d_sq = lambda v: phi_L(scale * v, params.length) ** 2
     base_m = integrate_1d(d_sq, iv_v, TRACE_SPEC)

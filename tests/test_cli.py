@@ -41,17 +41,20 @@ def test_identical_config_gives_identical_bytes(tmp_path):
     assert read(a).replace("a.csv", "b.csv") == read(b)
 
 
-def test_threads_flag_and_config_key_are_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["threads", "rel_tol", "abs_tol"])
+def test_threads_flag_and_config_key_are_rejected(tmp_path, capsys, name):
+    # flags and config keys that no longer exist
     out = tmp_path / "x.csv"
+    flag = "--" + name.replace("_", "-")
     base = ["hom", "--method", "quadrature", "--tau-steps", "9", "--tau-max", "0.1"]
-    assert run(base + ["--threads", "2", "--out", str(out)]) == 1
+    assert run(base + [flag, "2", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--threads" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("threads = 2\n")
+    cfg.write_text(f"{name} = 2\n")
     assert run(base + ["--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'threads'" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and f"'{name}'" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -321,8 +324,9 @@ def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source)
 
 
 def test_quadrature_nonconvergence_exits_two(tmp_path, capsys):
-    rc = run(["hom", "--method", "quadrature", "--tau-steps", "5", "--tau-max", "0.05",
-              "--rel-tol", "1e-15", "--abs-tol", "1e-16", "--out", str(tmp_path / "x.csv")])
+    # the u axis of a 1 m crystal needs 17,286,104 panels, far over the budget
+    rc = run(["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9",
+              "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
@@ -470,13 +474,21 @@ def test_bad_sweep_exits_one(tmp_path, capsys, source, kind, settings, message):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command, settings, key", [
-    ("hom", {"tau_max": "1e308", "tau_steps": "3"}, "tau_max"),
-    ("mz", {"tau_max": "1e308"}, "tau_max"),
-    ("spectrum", {"grid_span": "1e308", "grid_steps": "3"}, "grid_span"),
-    ("mz", {"omega_p": "1e308"}, "omega_p"),
-], ids=["hom-window", "mz-window", "spectrum-window", "mz-fringe-steps"])
-def test_overflowing_window_exits_one(tmp_path, capsys, source, command, settings, key):
+@pytest.mark.parametrize("command, settings, key, reason", [
+    ("hom", {"tau_max": "1e308", "tau_steps": "3"}, "tau_max", "not finite"),
+    ("mz", {"tau_max": "1e308"}, "tau_max", "not finite"),
+    ("spectrum", {"grid_span": "1e308", "grid_steps": "3"}, "grid_span", "not finite"),
+    ("mz", {"omega_p": "1e308"}, "omega_p", "not finite"),
+    # each of these would ask numpy for tens of GiB or more
+    ("mz", {"tau_max": "1e6"}, "tau_max", "more than 10000000"),
+    ("mz", {"tau_max": "1e300"}, "tau_max", "more than 10000000"),
+    ("hom", {"tau_steps": "25000000000"}, "tau_steps", "more than 10000000"),
+    ("spectrum", {"grid_steps": "100000"}, "grid_steps", "more than 10000000"),
+    ("visibility", {"sweep_lo": "5", "sweep_hi": "200", "sweep_steps": "2000001"},
+     "sweep_steps", "more than 10000000"),
+], ids=["hom-window", "mz-window", "spectrum-window", "mz-fringe-steps", "mz-fringe-grid",
+        "mz-huge-fringe-grid", "hom-grid", "spectrum-grid", "sweep-grid"])
+def test_overflowing_window_exits_one(tmp_path, capsys, source, command, settings, key, reason):
     out = tmp_path / "x.csv"
     args = [command, "--out", str(out)]
     if source == "config":
@@ -488,7 +500,7 @@ def test_overflowing_window_exits_one(tmp_path, capsys, source, command, setting
             args += ["--" + k.replace("_", "-"), v]
     assert run(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {key} = ") and "not finite" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {key} = ") and reason in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -544,6 +556,23 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
         assert {"spec", "tau_max"} <= set(bound.arguments), name
 
 
+def test_closed_products_match_the_benchmark_reference_bytes(tmp_path, monkeypatch, capsys):
+    # the closed_products pass and the closed fringe column of fringe_scan,
+    # as perfbench/make_golden.py runs them, against perfbench/golden.json
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    calls = workloads.plan("closed_products", 0, tmp_path)
+    (fringe,) = workloads.plan("fringe_scan", 0, tmp_path)
+    argv = [("closed" if arg == "both" else arg) for arg in fringe.argv]
+    for call_argv in [*(call.argv for call in calls), argv]:
+        assert main(list(call_argv)) == 0
+    capsys.readouterr()
+    golden = workloads.load_golden()
+    assert workloads.check("closed_products", 0, calls, golden) == []
+    assert (workloads.product_digests("fringe_scan", [fringe])["fringe.P_closed"]
+            == golden["rows"]["0"]["fringe.P_closed"])
+
+
 # ---------------------------------------------------------------------------
 # one input schema: flags, config keys and the README
 # ---------------------------------------------------------------------------
@@ -551,9 +580,8 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
 # a valid, non-default text for every RunConfig field that is also a flag
 FIELD_SAMPLES = {
     "omega_p": "2100.5", "pump_bw": "35", "gamma": "9e-5", "theta": "-0.5",
-    "length_um": "2e3", "rel_tol": "1e-5", "abs_tol": "1e-8", "out": "x.csv",
-    "units": "si", "grid_span": "50", "grid_steps": "11", "tau_max": "0.1",
-    "tau_steps": "9", "method": "both", "kind": "mz", "sweep_lo": "5",
+    "length_um": "2e3", "out": "x.csv", "units": "si", "grid_span": "50", "grid_steps": "11",
+    "tau_max": "0.1", "tau_steps": "9", "method": "both", "kind": "mz", "sweep_lo": "5",
     "sweep_hi": "200", "sweep_steps": "7", "thetas": "0.5, -0.25,", "crystal": "c.txt",
     "omega_lo": "1600", "omega_hi": "2400", "zeta_lo": "-0.01", "zeta_hi": "0.01",
 }

@@ -518,6 +518,24 @@ def test_hom_and_mz_traces_share_one_engine_build():
     assert np.array_equal(hom_trace_integral(params, PUMP, taus, tau_max=0.02), hom)
 
 
+def test_trace_panels_are_sized_from_the_delays_alone(monkeypatch):
+    params = make_params(math.pi / 5, length=2e4)
+    taus = default_tau_grid(params, PUMP)
+    span = float(np.max(np.abs(taus)))
+
+    def closed_form(*args):
+        raise AssertionError("the quadrature route reached closed-form code")
+
+    # the oracle must not lean on the closed forms, not even for its reach
+    monkeypatch.setattr("spdcsim.interferometry.closed_form_params", closed_form)
+    monkeypatch.setattr("spdcsim.interferometry.delay_span", closed_form)
+    for trace in (hom_trace_integral, mz_trace_integral):
+        values = trace(params, PUMP, taus)
+        assert np.array_equal(values, trace(params, PUMP, taus, tau_max=span))
+        # a tau_max below the delays widens nothing and under-resolves nothing
+        assert np.array_equal(values, trace(params, PUMP, taus, tau_max=span / 10))
+
+
 # ---------------------------------------------------------------------------
 # reduced symmetric rates
 # ---------------------------------------------------------------------------
