@@ -53,7 +53,6 @@ from .interferometry import (
     NotFactorizable,
     TraceKind,
     closed_form_params,
-    default_tau_grid,
     delay_span,
     fringe_envelope_terms,
     hom_rate_closed,

@@ -189,11 +189,16 @@ def _parse_value(parse, text: str, path: str, key: str):
         raise CliError(f"{path}: {key}: {exc}") from exc
 
 
-def _coerce_config(raw: dict[str, str], path: str) -> dict:
+def _inputs(command: str) -> tuple[str, ...]:
+    """The RunConfig fields `command` reads: its flags, config keys and meta keys."""
+    return _COMMON_FLAGS + COMMANDS[command][2]
+
+
+def _coerce_config(raw: dict[str, str], path: str, command: str) -> dict:
     out: dict = {}
     for key, value in raw.items():
-        if key not in _PARSERS:
-            raise CliError(f"{path}: unknown config key {key!r}")
+        if key not in _inputs(command):
+            raise CliError(f"{path}: {command} reads no config key {key!r}")
         out[key] = _parse_value(_PARSERS[key], value, path, key)
     return out
 
@@ -201,15 +206,17 @@ def _coerce_config(raw: dict[str, str], path: str) -> dict:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        cfg = replace(cfg, **_coerce_config(_parse_kv_file(args.config, "config"), args.config))
-    cfg = replace(cfg, **{name: getattr(args, name) for name in _PARSERS
-                          if getattr(args, name, None) is not None})
+        raw = _parse_kv_file(args.config, "config")
+        cfg = replace(cfg, **_coerce_config(raw, args.config, args.command))
+    cfg = replace(cfg, **{name: getattr(args, name) for name in _inputs(args.command)
+                          if getattr(args, name) is not None})
     if cfg.units == "si":
-        # angular frequencies supplied in 1/s: convert to rad/ps
-        # (the dip sweep runs over the pump bandwidth)
+        # angular frequencies supplied in 1/s: convert to rad/ps, and record
+        # that the values now held are in rad/ps (the dip sweep runs over
+        # the pump bandwidth)
         keys = _ANGULAR_FREQ_KEYS + (("sweep_lo", "sweep_hi") if cfg.kind == "hom" else ())
         si = {k: getattr(cfg, k) * 1e-12 for k in keys if getattr(cfg, k) is not None}
-        cfg = replace(cfg, **si)
+        cfg = replace(cfg, units="radps", **si)
     cfg.validate()
     return cfg
 
@@ -222,8 +229,8 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
-def _meta_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
-    entries: dict[str, object] = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+def _meta_lines(cfg: RunConfig, command: str, extra: dict | None = None) -> list[str]:
+    entries: dict[str, object] = {name: getattr(cfg, name) for name in _inputs(command)}
     if extra:
         entries.update(extra)
     lines = []
@@ -237,13 +244,15 @@ def _meta_lines(cfg: RunConfig, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _write_csv(cfg: RunConfig, extra_meta: dict | None, columns: dict[str, np.ndarray]) -> None:
-    """Meta lines, the header of column names, then one row per index of
-    the equal-length columns, each value at %.9g (the bytes of _fmt)."""
+def _write_csv(cfg: RunConfig, command: str, extra_meta: dict | None,
+               columns: dict[str, np.ndarray]) -> None:
+    """Meta lines of `command`'s inputs and extra_meta, the header of column
+    names, then one row per index of the equal-length columns, each value
+    at %.9g (the bytes of _fmt)."""
     if cfg.out is None:
         cfg = replace(cfg, out="out.csv")
     with open(cfg.out, "w") as fh:
-        fh.write("\n".join(_meta_lines(cfg, extra_meta) + [",".join(columns)]) + "\n")
+        fh.write("\n".join(_meta_lines(cfg, command, extra_meta) + [",".join(columns)]) + "\n")
         np.savetxt(fh, np.column_stack(list(columns.values())), fmt="%.9g", delimiter=",")
 
 
@@ -287,7 +296,7 @@ def _trace_columns(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> dict[st
 
 def _trace_command(cfg: RunConfig, kind: TraceKind) -> int:
     taus = _tau_grid(cfg, kind)
-    _write_csv(cfg, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
+    _write_csv(cfg, kind.value, {"tau_max_effective": taus[-1], "tau_steps_effective": len(taus)},
                {"tau_ps": taus, **_trace_columns(cfg, kind, taus)})
     return 0
 
@@ -304,7 +313,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     iv = Interval(center - span, center + span)
     g = grid(BiphotonAmplitude(params=params, pump=pump), iv, iv, cfg.grid_steps)
     n_s, n_i = g.values.shape
-    _write_csv(cfg, {"grid_span_effective": span},
+    _write_csv(cfg, "spectrum", {"grid_span_effective": span},
                {"omega_s": np.repeat(g.axis_s, n_i), "omega_i": np.tile(g.axis_i, n_s),
                 "abs_A": g.values.ravel()})
     return 0
@@ -325,7 +334,8 @@ def cmd_visibility(cfg: RunConfig) -> int:
     xs = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_steps)
     vs = sweep_visibility(kind, cfg.params, cfg.pump, cfg.thetas, xs)
     # rows run sweep-major, theta-minor
-    _write_csv(cfg, {"swept": "pump_bandwidth" if kind is TraceKind.HOM else "crystal_length"},
+    swept = "pump_bandwidth" if kind is TraceKind.HOM else "crystal_length"
+    _write_csv(cfg, "visibility", {"swept": swept},
                {"sweep_value": np.repeat(xs, len(cfg.thetas)),
                 "theta": np.tile(cfg.thetas, len(xs)), "visibility": vs.T.ravel()})
     return 0
@@ -417,27 +427,31 @@ def cmd_validate(cfg: RunConfig) -> int:
               f"max_dev={dev:.3e}")
         devs.append(dev)
     names, _, thetas, lengths = zip(*VALIDATION_SETS)
-    _write_csv(cfg, {"sets": ",".join(names)},
+    _write_csv(cfg, "validate", {"sets": ",".join(names)},
                {"theta": thetas, "length_um": lengths, "max_abs_deviation": devs})
     print(f"overall max deviation: {max(devs):.3e}")
     return 0
 
 
-_TRACE_FLAGS = ("tau_max", "tau_steps", "method")
+_TRACE_FLAGS = ("theta", "length_um", "tau_max", "tau_steps", "method")
 
-# subcommand -> (handler, help, flags beyond the common ones)
+# subcommand -> (handler, help, inputs beyond the common ones); a command's
+# flags, config keys and CSV meta keys are exactly its _inputs
 COMMANDS = {
     "spectrum": (cmd_spectrum, "joint spectral amplitude magnitude grid",
-                 ("grid_span", "grid_steps")),
+                 ("theta", "length_um", "grid_span", "grid_steps")),
     "hom": (cmd_hom, "dip coincidence trace", _TRACE_FLAGS),
     "mz": (cmd_mz, "fringe coincidence trace", _TRACE_FLAGS),
     "visibility": (cmd_visibility, "visibility sweep curves",
-                   ("kind", "sweep_lo", "sweep_hi", "sweep_steps", "thetas")),
+                   ("length_um", "kind", "sweep_lo", "sweep_hi", "sweep_steps", "thetas")),
     "match": (cmd_match, "solve the matching conditions for a crystal file",
-              ("crystal", "omega_lo", "omega_hi", "zeta_lo", "zeta_hi")),
+              ("length_um", "crystal", "omega_lo", "omega_hi", "zeta_lo", "zeta_hi")),
     "validate": (cmd_validate, "closed form vs quadrature deviation suite", ()),
 }
-_COMMON_FLAGS = ("out", "units", "omega_p", "pump_bw", "gamma", "theta", "length_um")
+# match solves for omega_p and gamma and reads neither, but takes them so that
+# one setting fits every command (perfbench/workloads.plan passes --omega-p,
+# --pump-bw and --gamma to each command it runs, match included)
+_COMMON_FLAGS = ("out", "units", "omega_p", "pump_bw", "gamma")
 _FLAG_HELP = {
     "out": "output path (CSV, or text for match)",
     "units": "angular-frequency input units: radps, or si for 1/s",
@@ -459,13 +473,14 @@ def _build_parser() -> _Parser:
     """One subparser per COMMANDS entry; the flag --x-y sets RunConfig.x_y."""
     parser = _Parser(prog="spdcsim", description=__doc__)
     sub = parser.add_subparsers(metavar="command", required=True)
-    for command, (_, blurb, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=blurb)
+    for command, (_, blurb, _) in COMMANDS.items():
+        # no abbreviations: --theta must not parse as visibility's --thetas
+        p = sub.add_parser(command, help=blurb, allow_abbrev=False)
         # "-" then a digit starts a value such as -0.5,0.1 or -1e-3, not an option
         p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(command=command)
         p.add_argument("--config", help="key=value config file")
-        for name in _COMMON_FLAGS + flags:
+        for name in _inputs(command):
             p.add_argument("--" + name.replace("_", "-"), type=_PARSERS[name],
                            help=_FLAG_HELP.get(name))
     return parser

@@ -184,6 +184,8 @@ class PhaseMatchParams:
             raise ValueError("gamma must be > 0")
         if not self.length > 0:
             raise ValueError("length must be > 0")
+        if not math.isfinite(self.gamma * self.length):
+            raise ValueError(f"gamma * length = {self.gamma * self.length} is not finite")
 
     @property
     def gamma_s(self) -> float:

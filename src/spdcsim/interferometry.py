@@ -37,7 +37,6 @@ __all__ = [
     "v_mz",
     "sweep_visibility",
     "delay_span",
-    "default_tau_grid",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -85,7 +84,11 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     gl = params.gamma * params.length
     plus = abs(c + s)
     minus = abs(c - s)
-    xi = math.inf if plus < 1e-12 else 4.0 / (pump.bandwidth * gl * plus)
+    width = pump.bandwidth * gl * plus
+    if not math.isfinite(width) or (width == 0.0 and plus >= 1e-12):
+        raise ValueError(f"pump bandwidth * gamma * length * |cos theta + sin theta| = {width}; "
+                         "it must be finite, and > 0 off the gamma_s = -gamma_i ray")
+    xi = math.inf if plus < 1e-12 else 4.0 / width
     # snap the degenerate ray to an exact zero width, mirroring the xi branch
     tau_theta = 0.0 if minus < 1e-12 else 0.5 * gl * minus
     q2 = 0.0 if tau_theta == 0.0 else (
@@ -400,13 +403,11 @@ def _engines(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
 def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
     """Half-width of a delay window covering the dip plus the pump
     envelope: 2 tau_theta + 8 / bandwidth."""
-    return 2.0 * closed_form_params(params, pump).tau_theta + 8.0 / pump.bandwidth
-
-
-def default_tau_grid(params: PhaseMatchParams, pump: PumpSpectrum, n: int = 201) -> np.ndarray:
-    """Symmetric delay grid covering the dip plus the pump envelope."""
-    span = delay_span(params, pump)
-    return np.linspace(-span, span, n)
+    span = 2.0 * closed_form_params(params, pump).tau_theta + 8.0 / pump.bandwidth
+    if not math.isfinite(2.0 * span):
+        raise ValueError(f"delay span 2 tau_theta + 8 / bandwidth = {span} gives a window "
+                         "width that is not finite")
+    return span
 
 
 def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpectrum,

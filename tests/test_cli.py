@@ -213,7 +213,7 @@ def test_write_csv_matches_per_value_format(tmp_path):
     values = np.array([-0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 123456789012.0, 1e-5])
     columns = {"a": values, "b": values[::-1], "c": np.arange(len(values), dtype=float)}
     out = tmp_path / "w.csv"
-    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), {"extra": 1}, columns)
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "hom", {"extra": 1}, columns)
     expected = ["a,b,c"] + [",".join(format(float(x), ".9g") for x in row)
                             for row in zip(*columns.values())]
     text = read(out)
@@ -523,6 +523,33 @@ def test_si_units_half_sweep_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err == "error: visibility needs sweep_lo and sweep_hi\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["hom", "--pump-bw", "1e-320"], "delay span"),
+    (["hom", "--pump-bw", "5e-308", "--tau-steps", "3"], "delay span"),
+    (["mz", "--pump-bw", "1e-320"], "delay span"),
+    (["mz", "--pump-bw", "1e-320", "--tau-steps", "5"], "delay span"),
+    (["validate", "--pump-bw", "1e-320"], "delay span"),
+    (["hom", "--gamma", "1e305", "--length-um", "1e5", "--tau-steps", "3"], "gamma * length"),
+    (["hom", "--method", "quadrature", "--gamma", "1e305", "--length-um", "1e5", "--theta", "0.3",
+      "--tau-max", "1", "--tau-steps", "3"], "gamma * length"),
+    (["mz", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3", "--tau-max", "1",
+      "--tau-steps", "3"], "pump bandwidth * gamma * length"),
+    (["visibility", "--kind", "hom", "--gamma", "1e300", "--length-um", "1e7", "--sweep-lo", "5",
+      "--sweep-hi", "200", "--sweep-steps", "2"], "pump bandwidth * gamma * length"),
+    (["hom", "--pump-bw", "1e-320", "--gamma", "1e-10", "--theta", "0", "--tau-max", "1",
+      "--tau-steps", "3"], "pump bandwidth * gamma * length"),
+], ids=["hom-span-inf", "hom-window-inf", "mz-span", "mz-span-steps", "validate-span",
+        "hom-gl", "hom-quadrature-gl", "mz-width", "visibility-width", "hom-width-zero"])
+def test_overflowing_derived_scale_exits_one(tmp_path, capsys, args, message):
+    # each setting is finite and positive, but a scale derived from it is
+    # inf or 0: a CSV of nan, or a division by zero, without the guards
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_io_failure_exits_three(tmp_path, capsys):
     rc = run(["hom", "--tau-steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 3
@@ -599,11 +626,85 @@ def test_flag_and_config_key_agree(tmp_path, name):
 
     def meta(*argv):
         args = spdcsim.cli._build_parser().parse_args([command, *argv])
-        lines = spdcsim.cli._meta_lines(spdcsim.cli._resolve_config(args))
-        return [line for line in lines if line.startswith(f"# {name}=")]
+        lines = spdcsim.cli._meta_lines(spdcsim.cli._resolve_config(args), command)
+        # units is recorded as the rad/ps the values are held in, so its
+        # effect shows in the converted frequencies of the whole block
+        return lines if name == "units" else [line for line in lines
+                                              if line.startswith(f"# {name}=")]
 
     from_flag = meta("--" + name.replace("_", "-"), value)
     assert from_flag == meta("--config", str(cfg)) != meta()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--theta", "0.3"],
+    ["validate", "--length-um", "7"],
+    ["visibility", "--sweep-lo", "5", "--sweep-hi", "200", "--theta", "0.3"],
+    ["match", "--crystal", "c.txt", "--omega-lo", "1600", "--omega-hi", "2400",
+     "--zeta-lo", "-0.01", "--zeta-hi", "0.01", "--theta", "0.3"],
+    ["hom", "--tau-st", "3"],
+], ids=["validate-theta", "validate-length", "visibility-theta", "match-theta", "hom-abbrev"])
+def test_flag_the_command_does_not_read_exits_one(tmp_path, monkeypatch, capsys, argv):
+    # visibility would read --theta as an abbreviated --thetas, and hom
+    # --tau-st as --tau-steps, if abbreviations were allowed
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("validate", "theta", "0.3"), ("hom", "grid_steps", "11")])
+def test_config_key_the_command_does_not_read_exits_one(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {command} reads no config key {key!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, unset, extras", [
+    (["spectrum", "--grid-steps", "3"], {"grid_span"}, {"grid_span_effective"}),
+    (["hom", "--tau-steps", "5"], {"tau_max"}, {"tau_max_effective", "tau_steps_effective"}),
+    (["mz", "--tau-max", "0.01", "--tau-steps", "5"], set(),
+     {"tau_max_effective", "tau_steps_effective"}),
+    (["visibility", "--sweep-lo", "5", "--sweep-hi", "200", "--sweep-steps", "2"], set(),
+     {"swept"}),
+    (["validate"], set(), {"sets"}),
+], ids=["spectrum", "hom", "mz", "visibility", "validate"])
+def test_meta_block_records_exactly_the_inputs_the_command_reads(tmp_path, capsys, argv, unset,
+                                                                 extras):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    keys = {line[2:].split("=", 1)[0] for line in read(out).splitlines() if line.startswith("# ")}
+    inputs = set(spdcsim.cli._COMMON_FLAGS + spdcsim.cli.COMMANDS[argv[0]][2])
+    assert keys == (inputs - unset) | extras
+    assert argv[0] == "visibility" or "kind" not in keys  # an mz trace is not a 'hom' run
+
+
+def test_si_units_are_recorded_as_the_radps_values_held(tmp_path):
+    out = tmp_path / "si.csv"
+    assert run(["hom", "--tau-steps", "7", "--units", "si", "--omega-p", "2e15",
+                "--pump-bw", "4e13", "--out", str(out)]) == 0
+    meta = read(out).splitlines()
+    assert "# units='radps'" in meta and "# omega_p=2000.0" in meta and "# pump_bw=40.0" in meta
+
+
+def test_every_benchmark_argv_parses_and_resolves(tmp_path, monkeypatch):
+    # the benchmark's whole input table: a command that stops taking one of
+    # these inputs fails here, not in a benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    parser = spdcsim.cli._build_parser()
+    argvs = [call.argv for workload in workloads.WORKLOADS
+             for row in range(workloads.TABLE_ROWS)
+             for call in workloads.plan(workload, row, tmp_path)]
+    assert len(argvs) == 512
+    for argv in argvs:
+        spdcsim.cli._resolve_config(parser.parse_args(list(argv)))
 
 
 def test_readme_cli_examples_parse():

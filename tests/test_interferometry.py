@@ -16,7 +16,6 @@ from spdcsim import (
     QuadratureSpec,
     TraceKind,
     closed_form_params,
-    default_tau_grid,
     erf,
     fluorescence_bandwidth,
     fringe_envelope_terms,
@@ -319,7 +318,8 @@ def test_mz_closed_crystal_independent_on_matched_ray():
 
 
 def test_trace_ranges():
-    taus = default_tau_grid(EPM, PUMP, 61)
+    span = delay_span(EPM, PUMP)
+    taus = np.linspace(-span, span, 61)
     hom = hom_trace_integral(EPM, PUMP, taus)
     mz = mz_trace_integral(EPM, PUMP, taus)
     assert np.all(hom >= -1e-9) and np.all(hom <= 1.0 + 1e-3)
@@ -520,8 +520,8 @@ def test_hom_and_mz_traces_share_one_engine_build():
 
 def test_trace_panels_are_sized_from_the_delays_alone(monkeypatch):
     params = make_params(math.pi / 5, length=2e4)
-    taus = default_tau_grid(params, PUMP)
-    span = float(np.max(np.abs(taus)))
+    span = delay_span(params, PUMP)
+    taus = np.linspace(-span, span, 201)
 
     def closed_form(*args):
         raise AssertionError("the quadrature route reached closed-form code")
