@@ -50,7 +50,6 @@ from .biphoton import (
 from .interferometry import (
     ClosedFormParams,
     DegenerateDip,
-    NotFactorizable,
     TraceKind,
     closed_form_params,
     delay_span,
@@ -60,7 +59,6 @@ from .interferometry import (
     mz_rate_closed,
     mz_trace_integral,
     sweep_visibility,
-    symmetric_rates,
     v_hom,
     v_mz,
 )

@@ -37,8 +37,9 @@ __all__ = [
 @dataclass(frozen=True)
 class PumpSpectrum:
     """Gaussian pump: center omega_p and intensity 1/e half-width bandwidth,
-    both in rad/ps.  bandwidth = 0 denotes the monochromatic limit (use
-    tb_amplitude for that case; pump_alpha requires bandwidth > 0)."""
+    both in rad/ps and both > 0.  Every consumer of a pump relies on
+    bandwidth > 0; the monochromatic limit is tb_amplitude(params), which
+    takes no pump."""
 
     omega_p: float
     bandwidth: float
@@ -48,8 +49,8 @@ class PumpSpectrum:
             raise ValueError("omega_p and bandwidth must be finite")
         if not self.omega_p > 0:
             raise ValueError("omega_p must be > 0")
-        if self.bandwidth < 0:
-            raise ValueError("bandwidth must be >= 0")
+        if not self.bandwidth > 0:
+            raise ValueError("bandwidth must be > 0")
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,6 @@ def pump_alpha(pump: PumpSpectrum, omega_sum) -> float | np.ndarray:
     square root of the Gaussian intensity spectrum.  Taken real and
     positive; all observables downstream depend on its square only.
     """
-    if pump.bandwidth <= 0:
-        raise ValueError("pump_alpha needs bandwidth > 0 (monochromatic limit is tb_amplitude)")
     d = (np.asarray(omega_sum, dtype=float) - pump.omega_p) / pump.bandwidth
     out = np.exp(-0.5 * d * d)
     return float(out) if out.ndim == 0 else out
@@ -108,7 +107,9 @@ def phi_L(delta, length: float):
     y = 0.5 * length * np.asarray(delta, dtype=float)
     small = np.abs(y) < 5e-7
     safe = np.where(small, 1.0, y)
-    out = np.where(small, length * (1.0 - y * y / 6.0), length * np.sin(safe) / safe)
+    out = np.asarray(length * np.sin(safe) / safe)
+    # the series only on the entries it replaces: the square of the others may overflow
+    out[small] = length * (1.0 - y[small] ** 2 / 6.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -162,9 +163,20 @@ def factorization_check(bp: BiphotonAmplitude, n_samples: int) -> float:
 
 
 def grid(bp: BiphotonAmplitude, span_s: Interval, span_i: Interval, n: int) -> Grid2D:
-    """|A| on an n x n tensor grid (row-major, signal axis along rows)."""
+    """|A| on an n x n tensor grid (row-major, signal axis along rows).
+
+    Raises:
+        ValueError: n < 2, or the largest phase-matching phase on the grid
+            is not finite (its sine would be nan).
+    """
     if n < 2:
         raise ValueError("grid needs n >= 2")
+    p = bp.params
+    reach = max(abs(x - 0.5 * p.omega_p) for x in (span_s.lo, span_s.hi, span_i.lo, span_i.hi))
+    phase = 0.5 * p.length * ((abs(p.gamma_s) + abs(p.gamma_i)) * reach)
+    if not math.isfinite(phase):
+        raise ValueError(f"largest grid phase 0.5 L (|gamma_s| + |gamma_i|) max|detuning| = "
+                         f"{phase} is not finite")
     axis_s = np.linspace(span_s.lo, span_s.hi, n)
     axis_i = np.linspace(span_i.lo, span_i.hi, n)
     vals = np.abs(amplitude(bp, axis_s[:, None], axis_i[None, :]))

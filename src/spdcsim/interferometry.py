@@ -17,13 +17,12 @@ from enum import Enum
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, PumpSpectrum, factorization_check, phi_L
+from .biphoton import PumpSpectrum
 from .dispersion import PhaseMatchParams
-from .numerics import Interval, NonConvergence, QuadratureSpec, erf, integrate_1d
+from .numerics import NonConvergence, QuadratureSpec, erf
 
 __all__ = [
     "DegenerateDip",
-    "NotFactorizable",
     "TraceKind",
     "ClosedFormParams",
     "closed_form_params",
@@ -32,7 +31,6 @@ __all__ = [
     "fringe_envelope_terms",
     "hom_trace_integral",
     "mz_trace_integral",
-    "symmetric_rates",
     "v_hom",
     "v_mz",
     "sweep_visibility",
@@ -49,10 +47,6 @@ TRACE_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-7, max_subdivisions=2**15)
 
 class DegenerateDip(ValueError):
     """Dip half-width is zero (gamma_s == gamma_i ray): the trace is flat."""
-
-
-class NotFactorizable(ValueError):
-    """Amplitude does not split into sum x difference factors."""
 
 
 class TraceKind(Enum):
@@ -78,8 +72,6 @@ class ClosedFormParams:
 
 
 def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFormParams:
-    if pump.bandwidth <= 0:
-        raise ValueError("closed forms need pump bandwidth > 0")
     c, s = math.cos(params.theta), math.sin(params.theta)
     gl = params.gamma * params.length
     plus = abs(c + s)
@@ -223,9 +215,11 @@ def _mirrored_panels(half_width: float, panel: float, budget: int,
     """10-point Gauss-Legendre panels on [-half_width, half_width], with
     nodes and weights mirrored exactly from the positive half."""
     x, w = np.polynomial.legendre.leggauss(10)
-    n = max(1, int(math.ceil(2.0 * half_width / panel)))
-    if n > budget:
-        raise NonConvergence(f"panel quadrature on the {where} needs {n} panels, budget {budget}")
+    count = 2.0 * half_width / panel
+    if not count <= budget:  # also an infinite count, which has no integer ceiling
+        needs = math.ceil(count) if math.isfinite(count) else count
+        raise NonConvergence(f"panel quadrature on the {where} needs {needs} panels, budget {budget}")
+    n = max(1, math.ceil(count))
     edges = np.linspace(-half_width, half_width, n + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -279,8 +273,6 @@ class _RateEngine:
 
     def __init__(self, params: PhaseMatchParams, pump: PumpSpectrum,
                  tau_max: float, grade: str, budget: int):
-        if pump.bandwidth <= 0:
-            raise ValueError("quadrature rates need pump bandwidth > 0")
         gs, gi = params.gamma_s, params.gamma_i
         a = 0.5 * (gs + gi)
         b = 0.5 * (gs - gi)
@@ -445,36 +437,6 @@ def mz_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
     """Fringe trace by quadrature of the raw rate integral, normalized so
     the fringe-averaged large-delay value is 1."""
     return _trace_quadrature(TraceKind.MZ, params, pump, taus, spec, tau_max)
-
-
-def symmetric_rates(bp: BiphotonAmplitude, tau: float) -> tuple[float, float]:
-    """Reduced one-dimensional rates for a sum x difference amplitude.
-
-    The dip arrangement reads the difference-frequency weight, the fringe
-    arrangement the sum-frequency weight:
-        P- = int |D(v)|^2 (1 - cos v tau) / int |D|^2
-        P+ = int |S(w)|^2 (1 + cos w tau) / int |S|^2
-
-    Raises:
-        NotFactorizable: the amplitude does not factorize (sampled defect
-            above 1e-9 * length).
-    """
-    params, pump = bp.params, bp.pump
-    if factorization_check(bp, 256) > 1e-9 * params.length:
-        raise NotFactorizable("amplitude defect too large for the reduced rates")
-    scale = params.gamma / math.sqrt(2.0)
-    cfp = closed_form_params(params, pump)
-    v_half = _V_REACH / cfp.tau_theta
-    iv_v = Interval(-v_half, v_half)
-    d_sq = lambda v: phi_L(scale * v, params.length) ** 2
-    base_m = integrate_1d(d_sq, iv_v, TRACE_SPEC)
-    num_m = integrate_1d(lambda v: d_sq(v) * (1.0 - np.cos(v * tau)), iv_v, TRACE_SPEC)
-    bw = pump.bandwidth
-    iv_u = Interval(pump.omega_p - 8.0 * bw, pump.omega_p + 8.0 * bw)
-    s_sq = lambda w: np.exp(-(((w - pump.omega_p) / bw) ** 2))
-    base_p = integrate_1d(s_sq, iv_u, TRACE_SPEC)
-    num_p = integrate_1d(lambda w: s_sq(w) * (1.0 + np.cos(w * tau)), iv_u, TRACE_SPEC)
-    return num_m / base_m, num_p / base_p
 
 
 def sweep_visibility(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpectrum,

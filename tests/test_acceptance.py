@@ -36,7 +36,6 @@ from spdcsim import (
     mz_rate_closed,
     mz_trace_integral,
     postselect_coincidence,
-    pump_alpha,
     solve_epm,
     sweep_visibility,
     tb_amplitude,

@@ -52,6 +52,12 @@ def test_pump_spectrum_rejects_non_finite(omega_p, bandwidth):
         PumpSpectrum(omega_p=omega_p, bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -0.0, -1.0])
+def test_pump_spectrum_rejects_non_positive_bandwidth(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be > 0"):
+        PumpSpectrum(omega_p=OMEGA_P, bandwidth=bandwidth)
+
+
 def test_pump_alpha_rejects_monochromatic():
     with pytest.raises(ValueError):
         pump_alpha(PumpSpectrum(omega_p=OMEGA_P, bandwidth=0.0), OMEGA_P)

@@ -323,12 +323,23 @@ def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source)
     assert Path("out.csv").read_text() == report
 
 
-def test_quadrature_nonconvergence_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
     # the u axis of a 1 m crystal needs 17,286,104 panels, far over the budget
-    rc = run(["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9",
-              "--out", str(tmp_path / "x.csv")])
+    ["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9"],
+    # gamma * length = 1e307 is finite, but the u axis panel count is not
+    ["hom", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",
+     "--tau-max", "1", "--tau-steps", "3"],
+    ["mz", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",
+     "--tau-max", "1", "--tau-steps", "3"],
+], ids=["long-crystal", "hom-infinite-count", "mz-infinite-count"])
+def test_quadrature_nonconvergence_exits_two(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    rc = run(args + ["--out", str(out)])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_match_without_crossing_exits_one(tmp_path, capsys):
@@ -548,6 +559,26 @@ def test_overflowing_derived_scale_exits_one(tmp_path, capsys, args, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_spectrum_infinite_grid_phase_exits_one(tmp_path, capsys):
+    # gamma * length = 1e307 is finite, but its product with the ~100 rad/ps
+    # detunings of the grid is not: a CSV of nan without the guard
+    out = tmp_path / "x.csv"
+    assert run(["spectrum", "--gamma", "1e300", "--length-um", "1e7", "--grid-steps", "3",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: largest grid phase") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_spectrum_large_finite_grid_phase_warns_nothing(tmp_path):
+    # the phases reach ~5e307: finite, but squaring them for the series
+    # branch of phi_L would overflow (a RuntimeWarning fails the test)
+    out = tmp_path / "x.csv"
+    assert run(["spectrum", "--gamma", "1e299", "--length-um", "1e7", "--grid-steps", "3",
+                "--out", str(out)]) == 0
+    assert "nan" not in read(out)
 
 
 def test_io_failure_exits_three(tmp_path, capsys):

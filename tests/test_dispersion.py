@@ -25,7 +25,7 @@ from spdcsim import (
     vacuum_model,
     validity_bound,
 )
-from conftest import planted_cases, planted_joint_model
+from conftest import planted_cases
 
 
 def quadratic_model(p, s, i, lo=10.0, hi=8000.0):

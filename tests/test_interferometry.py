@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from spdcsim import (
-    BiphotonAmplitude,
     DegenerateDip,
     NonConvergence,
-    NotFactorizable,
     PhaseMatchParams,
     PumpSpectrum,
     QuadratureSpec,
@@ -25,7 +23,6 @@ from spdcsim import (
     mz_trace_integral,
     phi_L,
     sweep_visibility,
-    symmetric_rates,
     v_hom,
     v_mz,
 )
@@ -534,39 +531,4 @@ def test_trace_panels_are_sized_from_the_delays_alone(monkeypatch):
         assert np.array_equal(values, trace(params, PUMP, taus, tau_max=span))
         # a tau_max below the delays widens nothing and under-resolves nothing
         assert np.array_equal(values, trace(params, PUMP, taus, tau_max=span / 10))
-
-
-# ---------------------------------------------------------------------------
-# reduced symmetric rates
-# ---------------------------------------------------------------------------
-
-def test_symmetric_rates_zero_delay():
-    bp = BiphotonAmplitude(params=EPM, pump=PUMP)
-    p_minus, p_plus = symmetric_rates(bp, 0.0)
-    assert p_minus == pytest.approx(0.0, abs=1e-9)
-    assert p_plus == pytest.approx(2.0, rel=1e-9)
-
-
-def test_symmetric_rates_match_two_dimensional_routes():
-    bp = BiphotonAmplitude(params=EPM, pump=PUMP)
-    cfp = closed_form_params(EPM, PUMP)
-    for tau in (0.01, 0.03, 0.05):
-        p_minus, p_plus = symmetric_rates(bp, tau)
-        quad = hom_trace_integral(EPM, PUMP, np.array([tau]), tau_max=0.12)[0]
-        assert p_minus == pytest.approx(quad, abs=1e-5)
-        assert p_plus == pytest.approx(mz_rate_closed(cfp, tau), abs=1e-6)
-
-
-def test_symmetric_rates_envelope_width():
-    bp = BiphotonAmplitude(params=EPM, pump=PUMP)
-    tau = 2.0 / PUMP.bandwidth  # 0.05 ps at 40 rad/ps
-    _, p_plus = symmetric_rates(bp, tau)
-    envelope = abs(p_plus - 1.0) / abs(math.cos(OMEGA_P * tau))
-    assert envelope == pytest.approx(math.exp(-1.0), rel=1e-6)
-
-
-def test_symmetric_rates_reject_unfactorizable():
-    bp = BiphotonAmplitude(params=CONV, pump=PUMP)
-    with pytest.raises(NotFactorizable):
-        symmetric_rates(bp, 0.0)
 
