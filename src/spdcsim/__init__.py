@@ -33,9 +33,6 @@ from .dispersion import (
     validity_bound,
 )
 from .biphoton import (
-    BiphotonAmplitude,
-    Grid2D,
-    LimitProfile,
     PumpSpectrum,
     amplitude,
     db_amplitude,

@@ -2,8 +2,10 @@
 model: evaluation, factorization structure, limiting profiles, grids and
 marginal spectra.
 
-The amplitude carries units of length (um); every observable built on top
-of it is a normalized ratio, so no global normalization is tracked.
+A setting is a crystal and a pump, passed as (params, pump); the pump
+center omega_p is also the expansion point of the mismatch.  The amplitude
+carries units of length (um); every observable built on top of it is a
+normalized ratio, so no global normalization is tracked.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .numerics import Interval, integrate_1d
 
 __all__ = [
     "PumpSpectrum",
-    "BiphotonAmplitude",
-    "Grid2D",
-    "LimitProfile",
     "pump_alpha",
     "phi_L",
     "amplitude",
@@ -53,37 +52,6 @@ class PumpSpectrum:
             raise ValueError("bandwidth must be > 0")
 
 
-@dataclass(frozen=True)
-class BiphotonAmplitude:
-    """Joint spectral amplitude A(w_s, w_i) = pump envelope times
-    phase-matching function, in the first-order mismatch model."""
-
-    params: PhaseMatchParams
-    pump: PumpSpectrum
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """|A| sampled on a rectangular grid; rows follow the signal axis."""
-
-    axis_s: np.ndarray
-    axis_i: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class LimitProfile:
-    """One-argument spectral profile of a maximally entangled limit state.
-
-    profile maps the detuning of one photon to the amplitude weight;
-    correlation_sign says how the partner detuning pairs up (-1: opposite
-    sign, anti-correlated; +1: same sign, correlated).
-    """
-
-    profile: Callable[[float], float]
-    correlation_sign: int
-
-
 def pump_alpha(pump: PumpSpectrum, omega_sum) -> float | np.ndarray:
     """Pump spectral amplitude at the given sum frequency.
 
@@ -92,7 +60,10 @@ def pump_alpha(pump: PumpSpectrum, omega_sum) -> float | np.ndarray:
     positive; all observables downstream depend on its square only.
     """
     d = (np.asarray(omega_sum, dtype=float) - pump.omega_p) / pump.bandwidth
-    out = np.exp(-0.5 * d * d)
+    # far outside a narrow pump d * d overflows to inf, and exp(-inf) = 0 is
+    # the exact limit, so the overflow is not an error
+    with np.errstate(over="ignore"):
+        out = np.exp(-0.5 * d * d)
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,17 +84,17 @@ def phi_L(delta, length: float):
     return float(out) if out.ndim == 0 else out
 
 
-def amplitude(bp: BiphotonAmplitude, omega_s, omega_i):
+def amplitude(params: PhaseMatchParams, pump: PumpSpectrum, omega_s, omega_i):
     """A(w_s, w_i) = alpha(w_s + w_i) * phi_L(gamma_s ws~ + gamma_i wi~).
 
-    Detunings are measured from the degenerate frequency w_p / 2.  Result
-    units: um (phi_L carries the crystal length).
+    Detunings are measured from the degenerate frequency w_p / 2 of the
+    pump.  Result units: um (phi_L carries the crystal length).
     """
-    p = bp.params
-    ds = np.asarray(omega_s, dtype=float) - 0.5 * p.omega_p
-    di = np.asarray(omega_i, dtype=float) - 0.5 * p.omega_p
-    mismatch = p.gamma_s * ds + p.gamma_i * di
-    return pump_alpha(bp.pump, np.asarray(omega_s) + np.asarray(omega_i)) * phi_L(mismatch, p.length)
+    ds = np.asarray(omega_s, dtype=float) - 0.5 * pump.omega_p
+    di = np.asarray(omega_i, dtype=float) - 0.5 * pump.omega_p
+    mismatch = params.gamma_s * ds + params.gamma_i * di
+    return (pump_alpha(pump, np.asarray(omega_s) + np.asarray(omega_i))
+            * phi_L(mismatch, params.length))
 
 
 def truncation_halfwidth(params: PhaseMatchParams, pump: PumpSpectrum,
@@ -141,7 +112,7 @@ def truncation_halfwidth(params: PhaseMatchParams, pump: PumpSpectrum,
     return max(sigmas * pump.bandwidth, lobes * lobe)
 
 
-def factorization_check(bp: BiphotonAmplitude, n_samples: int) -> float:
+def factorization_check(params: PhaseMatchParams, pump: PumpSpectrum, n_samples: int) -> float:
     """Largest sampled defect |A - S(sum) D(diff)| of the sum/difference
     split, with S the pump envelope and D the phase-matching profile along
     the difference frequency.
@@ -149,21 +120,22 @@ def factorization_check(bp: BiphotonAmplitude, n_samples: int) -> float:
     The split is exact (defect at round-off level, <= 1e-12 * length) on
     the gamma_s = -gamma_i ray and fails measurably elsewhere.
     """
-    p = bp.params
     rng = np.random.default_rng(0)  # fixed seed: the check is deterministic
-    half = truncation_halfwidth(p, bp.pump, lobes=3.0, sigmas=4.0)
+    half = truncation_halfwidth(params, pump, lobes=3.0, sigmas=4.0)
     ds = rng.uniform(-half, half, n_samples)
     di = rng.uniform(-half, half, n_samples)
-    ws = 0.5 * p.omega_p + ds
-    wi = 0.5 * p.omega_p + di
-    a = amplitude(bp, ws, wi)
-    s = pump_alpha(bp.pump, ws + wi)
-    d = phi_L((p.gamma / math.sqrt(2.0)) * (ds - di), p.length)
+    ws = 0.5 * pump.omega_p + ds
+    wi = 0.5 * pump.omega_p + di
+    a = amplitude(params, pump, ws, wi)
+    s = pump_alpha(pump, ws + wi)
+    d = phi_L((params.gamma / math.sqrt(2.0)) * (ds - di), params.length)
     return float(np.max(np.abs(a - s * d)))
 
 
-def grid(bp: BiphotonAmplitude, span_s: Interval, span_i: Interval, n: int) -> Grid2D:
-    """|A| on an n x n tensor grid (row-major, signal axis along rows).
+def grid(params: PhaseMatchParams, pump: PumpSpectrum, span: Interval,
+         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """|A| on the n x n tensor grid span x span: returns (axis, values),
+    with the signal axis along the rows of values.
 
     Raises:
         ValueError: n < 2, or the largest phase-matching phase on the grid
@@ -171,20 +143,17 @@ def grid(bp: BiphotonAmplitude, span_s: Interval, span_i: Interval, n: int) -> G
     """
     if n < 2:
         raise ValueError("grid needs n >= 2")
-    p = bp.params
-    reach = max(abs(x - 0.5 * p.omega_p) for x in (span_s.lo, span_s.hi, span_i.lo, span_i.hi))
-    phase = 0.5 * p.length * ((abs(p.gamma_s) + abs(p.gamma_i)) * reach)
+    reach = max(abs(x - 0.5 * pump.omega_p) for x in (span.lo, span.hi))
+    phase = 0.5 * params.length * ((abs(params.gamma_s) + abs(params.gamma_i)) * reach)
     if not math.isfinite(phase):
         raise ValueError(f"largest grid phase 0.5 L (|gamma_s| + |gamma_i|) max|detuning| = "
                          f"{phase} is not finite")
-    axis_s = np.linspace(span_s.lo, span_s.hi, n)
-    axis_i = np.linspace(span_i.lo, span_i.hi, n)
-    vals = np.abs(amplitude(bp, axis_s[:, None], axis_i[None, :]))
-    return Grid2D(axis_s=axis_s, axis_i=axis_i, values=vals)
+    axis = np.linspace(span.lo, span.hi, n)
+    return axis, np.abs(amplitude(params, pump, axis[:, None], axis[None, :]))
 
 
-def marginal_spectrum(bp: BiphotonAmplitude, which: Literal["signal", "idler"],
-                      omega: float) -> float:
+def marginal_spectrum(params: PhaseMatchParams, pump: PumpSpectrum,
+                      which: Literal["signal", "idler"], omega: float) -> float:
     """Single-photon spectrum: integral of |A|^2 over the partner frequency.
 
     The infinite domain is truncated to the standard half-width around the
@@ -192,21 +161,20 @@ def marginal_spectrum(bp: BiphotonAmplitude, which: Literal["signal", "idler"],
     """
     if which not in ("signal", "idler"):
         raise ValueError("which must be 'signal' or 'idler'")
-    p = bp.params
-    half = truncation_halfwidth(p, bp.pump)
-    center = 0.5 * p.omega_p
+    half = truncation_halfwidth(params, pump)
+    center = 0.5 * pump.omega_p
     lo, hi = center - half, center + half
     if which == "signal":
-        f = lambda w: np.abs(amplitude(bp, omega, w)) ** 2
+        f = lambda w: np.abs(amplitude(params, pump, omega, w)) ** 2
     else:
-        f = lambda w: np.abs(amplitude(bp, w, omega)) ** 2
+        f = lambda w: np.abs(amplitude(params, pump, w, omega)) ** 2
     # a narrow pump confines the integrand to a sliver of the truncated
     # domain; splitting at the pump window edges keeps the adaptive rule
     # from skipping over it
-    ridge = bp.pump.omega_p - omega
+    ridge = pump.omega_p - omega
     edges = sorted({lo, hi,
-                    min(max(ridge - 10.0 * bp.pump.bandwidth, lo), hi),
-                    min(max(ridge + 10.0 * bp.pump.bandwidth, lo), hi)})
+                    min(max(ridge - 10.0 * pump.bandwidth, lo), hi),
+                    min(max(ridge + 10.0 * pump.bandwidth, lo), hi)})
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         if b > a:
@@ -214,22 +182,23 @@ def marginal_spectrum(bp: BiphotonAmplitude, which: Literal["signal", "idler"],
     return total
 
 
-def tb_amplitude(params: PhaseMatchParams) -> LimitProfile:
-    """Monochromatic-pump limit: phase-matching sinc over the detuning,
-    partner detuning opposite in sign (frequency anti-correlated)."""
+def tb_amplitude(params: PhaseMatchParams) -> Callable[[float], float]:
+    """Monochromatic-pump limit, as a profile over the signal detuning x:
+    the phase-matching sinc at idler detuning -x (frequency
+    anti-correlated)."""
     dg = params.gamma_s - params.gamma_i
 
     def profile(detuning):
         return phi_L(dg * np.asarray(detuning, dtype=float), params.length)
 
-    return LimitProfile(profile=profile, correlation_sign=-1)
+    return profile
 
 
-def db_amplitude(pump: PumpSpectrum) -> LimitProfile:
-    """Long-crystal limit: pump envelope along equal detunings (frequency
-    correlated)."""
+def db_amplitude(pump: PumpSpectrum) -> Callable[[float], float]:
+    """Long-crystal limit, as a profile over the signal detuning x: the pump
+    envelope at idler detuning +x (frequency correlated)."""
 
     def profile(detuning):
         return pump_alpha(pump, 2.0 * np.asarray(detuning, dtype=float) + pump.omega_p)
 
-    return LimitProfile(profile=profile, correlation_sign=+1)
+    return profile

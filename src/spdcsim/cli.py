@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude, PumpSpectrum, grid, truncation_halfwidth
+from .biphoton import PumpSpectrum, grid, truncation_halfwidth
 from .dispersion import (
     DegenerateGammas,
     DispersionModel,
@@ -139,8 +139,7 @@ class RunConfig:
 
     @property
     def params(self) -> PhaseMatchParams:
-        return PhaseMatchParams(omega_p=self.omega_p, gamma=self.gamma,
-                                theta=self.theta, length=self.length_um)
+        return PhaseMatchParams(gamma=self.gamma, theta=self.theta, length=self.length_um)
 
     @property
     def pump(self) -> PumpSpectrum:
@@ -309,13 +308,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     params, pump = cfg.params, cfg.pump
     span = cfg.grid_span if cfg.grid_span is not None else truncation_halfwidth(
         params, pump, lobes=3.0, sigmas=3.0)
-    center = 0.5 * cfg.omega_p
-    iv = Interval(center - span, center + span)
-    g = grid(BiphotonAmplitude(params=params, pump=pump), iv, iv, cfg.grid_steps)
-    n_s, n_i = g.values.shape
+    center = 0.5 * pump.omega_p
+    axis, values = grid(params, pump, Interval(center - span, center + span), cfg.grid_steps)
     _write_csv(cfg, "spectrum", {"grid_span_effective": span},
-               {"omega_s": np.repeat(g.axis_s, n_i), "omega_i": np.tile(g.axis_i, n_s),
-                "abs_A": g.values.ravel()})
+               {"omega_s": np.repeat(axis, axis.size), "omega_i": np.tile(axis, axis.size),
+                "abs_A": values.ravel()})
     return 0
 
 
@@ -399,8 +396,7 @@ def cmd_match(cfg: RunConfig) -> int:
     else:
         lines.append(f"gamma = {_fmt(gamma)} ps/um")
         lines.append(f"theta = {_fmt(theta)} rad")
-        params = PhaseMatchParams(omega_p=omega_p, gamma=gamma, theta=theta,
-                                  length=cfg.length_um)
+        params = PhaseMatchParams(gamma=gamma, theta=theta, length=cfg.length_um)
         try:
             lines.append(f"omega_f = {_fmt(fluorescence_bandwidth(params))} rad/ps")
         except ValueError:

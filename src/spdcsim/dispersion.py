@@ -14,7 +14,6 @@ from typing import Callable, Sequence
 from .numerics import Interval, NoSignChange, derivative, find_root
 
 __all__ = [
-    "SPEED_OF_LIGHT_UM_PER_PS",
     "OutOfValidityRange",
     "DegenerateGammas",
     "InfiniteBandwidth",
@@ -169,17 +168,17 @@ def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:
 
 @dataclass(frozen=True)
 class PhaseMatchParams:
-    """Pump center frequency plus the polar (gamma, theta) form of the
-    group-delay coefficients and the crystal length."""
+    """Polar (gamma, theta) form of the group-delay coefficients, taken at
+    the pump center (taylor_gammas(model, omega_p)), plus the crystal
+    length.  The center itself is the pump's: a setting is (params, pump)."""
 
-    omega_p: float  # rad/ps
     gamma: float    # ps/um
     theta: float    # rad
     length: float   # um
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.omega_p, self.gamma, self.theta, self.length))):
-            raise ValueError("omega_p, gamma, theta and length must be finite")
+        if not all(map(math.isfinite, (self.gamma, self.theta, self.length))):
+            raise ValueError("gamma, theta and length must be finite")
         if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
         if not self.length > 0:
@@ -196,10 +195,9 @@ class PhaseMatchParams:
         return self.gamma * math.sin(self.theta)
 
     @classmethod
-    def from_gammas(cls, omega_p: float, gamma_s: float, gamma_i: float,
-                    length: float) -> "PhaseMatchParams":
+    def from_gammas(cls, gamma_s: float, gamma_i: float, length: float) -> "PhaseMatchParams":
         gamma, theta = polar_params(gamma_s, gamma_i)
-        return cls(omega_p=omega_p, gamma=gamma, theta=theta, length=length)
+        return cls(gamma=gamma, theta=theta, length=length)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import pytest
 
 from spdcsim import (
     BellState,
-    BiphotonAmplitude,
     DispersionModel,
     Interval,
     PhaseMatchParams,
@@ -53,7 +52,7 @@ CONVENTIONAL_THETAS = (-math.pi / 5, -math.pi / 6, 0.0, math.pi / 5)
 
 
 def params_at(theta: float, length: float = 1e3) -> PhaseMatchParams:
-    return PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=length)
+    return PhaseMatchParams(gamma=GAMMA, theta=theta, length=length)
 
 
 def report(num: int, text: str) -> None:
@@ -181,20 +180,21 @@ def test_c06_matched_ray_fringe_formula():
 
 def test_c07_amplitude_symmetry_suite():
     rng = np.random.default_rng(2024)
-    bp = BiphotonAmplitude(params=params_at(-math.pi / 4), pump=PUMP)
+    params = params_at(-math.pi / 4)
     ds, di = rng.uniform(-150.0, 150.0, (2, 10_000))
-    a = np.abs(amplitude(bp, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
-    b = np.abs(amplitude(bp, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
-    assert np.max(np.abs(a - b)) <= 1e-12 * bp.params.length
+    a = np.abs(amplitude(params, PUMP, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
+    b = np.abs(amplitude(params, PUMP, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
+    assert np.max(np.abs(a - b)) <= 1e-12 * params.length
 
     for w in (975.0, 1000.0, 1010.0, 1035.0):
-        ms = marginal_spectrum(bp, "signal", w)
-        mi = marginal_spectrum(bp, "idler", w)
+        ms = marginal_spectrum(params, PUMP, "signal", w)
+        mi = marginal_spectrum(params, PUMP, "idler", w)
         assert abs(ms - mi) <= 1e-6 * max(ms, mi)
 
-    bp0 = BiphotonAmplitude(params=params_at(0.0), pump=PUMP)
-    rel = max(abs(marginal_spectrum(bp0, "signal", w) - marginal_spectrum(bp0, "idler", w))
-              / marginal_spectrum(bp0, "signal", w) for w in (985.0, 1005.0, 1025.0))
+    params0 = params_at(0.0)
+    rel = max(abs(marginal_spectrum(params0, PUMP, "signal", w)
+                  - marginal_spectrum(params0, PUMP, "idler", w))
+              / marginal_spectrum(params0, PUMP, "signal", w) for w in (985.0, 1005.0, 1025.0))
     assert rel > 1e-3
     report(7, "swap symmetry <= 1e-12 L, marginals equal on matched ray, split off it")
 
@@ -204,10 +204,9 @@ def test_c08_limit_state_profiles():
     params = params_at(-math.pi / 4)
     omega_f = fluorescence_bandwidth(params)
     pump_tb = PumpSpectrum(omega_p=OMEGA_P, bandwidth=omega_f / 100.0)
-    bp_tb = BiphotonAmplitude(params=params, pump=pump_tb)
     xs = np.linspace(-0.45 * omega_f, 0.45 * omega_f, 301)
-    section = np.abs(amplitude(bp_tb, OMEGA_P / 2 + xs, OMEGA_P / 2 - xs))
-    want = np.abs(tb_amplitude(params).profile(xs))
+    section = np.abs(amplitude(params, pump_tb, OMEGA_P / 2 + xs, OMEGA_P / 2 - xs))
+    want = np.abs(tb_amplitude(params)(xs))
     rms = np.sqrt(np.mean((section / section.max() - want / want.max()) ** 2))
     assert rms <= 0.01
 
@@ -215,10 +214,9 @@ def test_c08_limit_state_profiles():
     length_db = 4.0 * math.pi / ((PUMP.bandwidth / 100.0) * GAMMA * math.sqrt(2.0))
     params_db = params_at(-math.pi / 4, length=length_db)
     assert fluorescence_bandwidth(params_db) == pytest.approx(PUMP.bandwidth / 100.0, rel=1e-12)
-    bp_db = BiphotonAmplitude(params=params_db, pump=PUMP)
     xs = np.linspace(-1.2 * PUMP.bandwidth, 1.2 * PUMP.bandwidth, 301)
-    section = np.abs(amplitude(bp_db, OMEGA_P / 2 + xs, OMEGA_P / 2 + xs))
-    want = np.abs(db_amplitude(PUMP).profile(xs))
+    section = np.abs(amplitude(params_db, PUMP, OMEGA_P / 2 + xs, OMEGA_P / 2 + xs))
+    want = np.abs(db_amplitude(PUMP)(xs))
     rms = np.sqrt(np.mean((section / section.max() - want / want.max()) ** 2))
     assert rms <= 0.01
     report(8, "limit-state sections match sinc / Gaussian profiles within 1% RMS")

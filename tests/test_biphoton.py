@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spdcsim import (
-    BiphotonAmplitude,
     Interval,
     PhaseMatchParams,
     PumpSpectrum,
@@ -25,9 +24,10 @@ OMEGA_P = 2000.0
 GAMMA = 8e-5
 
 
-def make_bp(theta: float, length: float = 1e3, bandwidth: float = 40.0) -> BiphotonAmplitude:
-    params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=length)
-    return BiphotonAmplitude(params=params, pump=PumpSpectrum(omega_p=OMEGA_P, bandwidth=bandwidth))
+def setting(theta: float, length: float = 1e3,
+            bandwidth: float = 40.0) -> tuple[PhaseMatchParams, PumpSpectrum]:
+    params = PhaseMatchParams(gamma=GAMMA, theta=theta, length=length)
+    return params, PumpSpectrum(omega_p=OMEGA_P, bandwidth=bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +81,22 @@ def test_phi_series_branch_continuity():
 # ---------------------------------------------------------------------------
 
 def test_amplitude_peaks_at_degeneracy():
-    bp = make_bp(-math.pi / 4)
-    assert amplitude(bp, OMEGA_P / 2, OMEGA_P / 2) == bp.params.length
+    params, pump = setting(-math.pi / 4)
+    assert amplitude(params, pump, OMEGA_P / 2, OMEGA_P / 2) == params.length
 
 
 def test_amplitude_constant_phase_matching_on_diagonal():
     # on the gamma_s = -gamma_i ray the mismatch vanishes along equal detunings
-    bp = make_bp(-math.pi / 4, length=1e4)
-    pump = bp.pump
+    params, pump = setting(-math.pi / 4, length=1e4)
     for x in (-30.0, -5.0, 12.0, 40.0):
-        got = amplitude(bp, OMEGA_P / 2 + x, OMEGA_P / 2 + x)
+        got = amplitude(params, pump, OMEGA_P / 2 + x, OMEGA_P / 2 + x)
         assert got == pytest.approx(1e4 * pump_alpha(pump, OMEGA_P + 2 * x), rel=1e-12)
 
 
 def test_symmetry_axis_of_mismatch_factor():
     # pump factor removed: along (ds, di) = t (-sin, cos) the profile is constant
     for theta in (-math.pi / 4, math.pi / 20, 0.6, -1.2):
-        params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=1e4)
+        params = PhaseMatchParams(gamma=GAMMA, theta=theta, length=1e4)
         for t in np.linspace(-200.0, 200.0, 9):
             ds, di = -t * math.sin(theta), t * math.cos(theta)
             mism = params.gamma_s * ds + params.gamma_i * di
@@ -106,21 +105,21 @@ def test_symmetry_axis_of_mismatch_factor():
 
 def test_swap_symmetry_only_on_matched_ray():
     rng = np.random.default_rng(12)
-    bp = make_bp(-math.pi / 4, length=1e4)
+    params, pump = setting(-math.pi / 4, length=1e4)
     ds, di = rng.uniform(-100, 100, (2, 10_000))
-    a = np.abs(amplitude(bp, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
-    b = np.abs(amplitude(bp, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
-    assert np.max(np.abs(a - b)) <= 1e-12 * bp.params.length
-    bp_conv = make_bp(math.pi / 5, length=2e4)
-    a = np.abs(amplitude(bp_conv, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
-    b = np.abs(amplitude(bp_conv, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
-    assert np.max(np.abs(a - b)) > 1e-3 * bp_conv.params.length
+    a = np.abs(amplitude(params, pump, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
+    b = np.abs(amplitude(params, pump, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
+    assert np.max(np.abs(a - b)) <= 1e-12 * params.length
+    conv = setting(math.pi / 5, length=2e4)
+    a = np.abs(amplitude(*conv, OMEGA_P / 2 + ds, OMEGA_P / 2 + di))
+    b = np.abs(amplitude(*conv, OMEGA_P / 2 + di, OMEGA_P / 2 + ds))
+    assert np.max(np.abs(a - b)) > 1e-3 * conv[0].length
 
 
 def test_factorization_defects():
-    assert factorization_check(make_bp(-math.pi / 4), 2000) <= 1e-12 * 1e3
-    assert factorization_check(make_bp(0.0), 2000) > 0.0
-    assert factorization_check(make_bp(math.pi / 20, length=1e4), 2000) > 0.01 * 1e4
+    assert factorization_check(*setting(-math.pi / 4), 2000) <= 1e-12 * 1e3
+    assert factorization_check(*setting(0.0), 2000) > 0.0
+    assert factorization_check(*setting(math.pi / 20, length=1e4), 2000) > 0.01 * 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +129,27 @@ def test_factorization_defects():
 def test_grid_max_at_degeneracy_and_swap_symmetry():
     for theta, length, bw in ((math.pi / 20, 1e4, 40.0), (-math.pi / 4, 1e4, 40.0),
                               (-math.pi / 4, 1e3, 1.6), (-math.pi / 4, 5e4, 40.0)):
-        bp = make_bp(theta, length=length, bandwidth=bw)
         span = Interval(OMEGA_P / 2 - 60.0, OMEGA_P / 2 + 60.0)
-        g = grid(bp, span, span, 41)
-        peak = np.unravel_index(np.argmax(g.values), g.values.shape)
-        assert g.axis_s[peak[0]] == pytest.approx(OMEGA_P / 2)
-        assert g.axis_i[peak[1]] == pytest.approx(OMEGA_P / 2)
-    g = grid(make_bp(-math.pi / 4), Interval(940.0, 1060.0), Interval(940.0, 1060.0), 33)
-    assert np.max(np.abs(g.values - g.values.T)) <= 1e-12 * 1e3
+        axis, values = grid(*setting(theta, length=length, bandwidth=bw), span, 41)
+        peak = np.unravel_index(np.argmax(values), values.shape)
+        assert axis[peak[0]] == pytest.approx(OMEGA_P / 2)
+        assert axis[peak[1]] == pytest.approx(OMEGA_P / 2)
+    _, values = grid(*setting(-math.pi / 4), Interval(940.0, 1060.0), 33)
+    assert np.max(np.abs(values - values.T)) <= 1e-12 * 1e3
 
 
 def test_grid_anticorrelated_ridge_for_narrow_pump():
     # narrowband pump concentrates the weight along ds = -di
-    bp = make_bp(-math.pi / 4, length=1e3, bandwidth=1.6)
     span = Interval(OMEGA_P / 2 - 40.0, OMEGA_P / 2 + 40.0)
-    g = grid(bp, span, span, 81)
-    anti = np.mean(np.abs(np.diag(np.fliplr(g.values))))
-    diag = np.mean(np.abs(np.diag(g.values)))
+    _, values = grid(*setting(-math.pi / 4, length=1e3, bandwidth=1.6), span, 81)
+    anti = np.mean(np.abs(np.diag(np.fliplr(values))))
+    diag = np.mean(np.abs(np.diag(values)))
     assert anti > 5.0 * diag
 
 
 def test_grid_requires_two_points():
     with pytest.raises(ValueError):
-        grid(make_bp(0.0), Interval(0.0, 1.0), Interval(0.0, 1.0), 1)
+        grid(*setting(0.0), Interval(0.0, 1.0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,40 +157,39 @@ def test_grid_requires_two_points():
 # ---------------------------------------------------------------------------
 
 def test_marginals_equal_on_matched_ray():
-    bp = make_bp(-math.pi / 4)
+    params, pump = setting(-math.pi / 4)
     for w in (970.0, 1000.0, 1011.0, 1040.0):
-        ms = marginal_spectrum(bp, "signal", w)
-        mi = marginal_spectrum(bp, "idler", w)
+        ms = marginal_spectrum(params, pump, "signal", w)
+        mi = marginal_spectrum(params, pump, "idler", w)
         assert ms == pytest.approx(mi, rel=1e-6)
 
 
 def test_marginals_differ_conventional():
-    bp = make_bp(0.0)
+    params, pump = setting(0.0)
     rels = []
     for w in (985.0, 1000.0, 1015.0, 1060.0):
-        ms = marginal_spectrum(bp, "signal", w)
-        mi = marginal_spectrum(bp, "idler", w)
+        ms = marginal_spectrum(params, pump, "signal", w)
+        mi = marginal_spectrum(params, pump, "idler", w)
         rels.append(abs(ms - mi) / max(ms, mi))
     assert max(rels) > 1e-3
 
 
 def test_marginal_narrow_pump_approaches_sinc_profile():
     # nearly monochromatic pump: the marginal tracks the squared sinc profile
-    params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=-math.pi / 4, length=1e3)
+    params = PhaseMatchParams(gamma=GAMMA, theta=-math.pi / 4, length=1e3)
     omega_f = fluorescence_bandwidth(params)
-    bp = BiphotonAmplitude(params=params,
-                           pump=PumpSpectrum(omega_p=OMEGA_P, bandwidth=omega_f / 100.0))
-    profile = tb_amplitude(params).profile
-    ref0 = marginal_spectrum(bp, "signal", OMEGA_P / 2)
+    pump = PumpSpectrum(omega_p=OMEGA_P, bandwidth=omega_f / 100.0)
+    profile = tb_amplitude(params)
+    ref0 = marginal_spectrum(params, pump, "signal", OMEGA_P / 2)
     for x in (0.2 * omega_f, 0.35 * omega_f):
-        got = marginal_spectrum(bp, "signal", OMEGA_P / 2 + x) / ref0
+        got = marginal_spectrum(params, pump, "signal", OMEGA_P / 2 + x) / ref0
         want = (profile(x) / profile(0.0)) ** 2
         assert got == pytest.approx(want, abs=0.01)
 
 
 def test_marginal_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        marginal_spectrum(make_bp(0.0), "pump", 1000.0)
+        marginal_spectrum(*setting(0.0), "pump", 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +197,13 @@ def test_marginal_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 
 def test_limit_profiles():
-    params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=-math.pi / 4, length=1e3)
-    pump = PumpSpectrum(omega_p=OMEGA_P, bandwidth=40.0)
+    params, pump = setting(-math.pi / 4)
     omega_f = fluorescence_bandwidth(params)
     tb = tb_amplitude(params)
     db = db_amplitude(pump)
-    assert tb.correlation_sign == -1
-    assert db.correlation_sign == +1
     # first zero of the anti-correlated profile sits at half the bandwidth
-    assert abs(tb.profile(omega_f / 2.0)) < 1e-9 * params.length
-    assert abs(tb.profile(0.99 * omega_f / 2.0)) > 1e-3 * params.length
+    assert abs(tb(omega_f / 2.0)) < 1e-9 * params.length
+    assert abs(tb(0.99 * omega_f / 2.0)) > 1e-3 * params.length
     # correlated profile is the pump envelope at twice the detuning
     for x in (0.0, 7.0, 23.0):
-        assert db.profile(x) == pytest.approx(pump_alpha(pump, OMEGA_P + 2 * x), rel=1e-12)
+        assert db(x) == pytest.approx(pump_alpha(pump, OMEGA_P + 2 * x), rel=1e-12)

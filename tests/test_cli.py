@@ -196,11 +196,11 @@ def test_visibility_rows_are_sweep_major_closed_form_values(tmp_path, kind, swep
     for x in np.linspace(lo, hi, steps):
         for theta in thetas:
             if kind == "hom":
-                cfp = closed_form_params(PhaseMatchParams(2000.0, 8e-5, theta, 3e3),
+                cfp = closed_form_params(PhaseMatchParams(8e-5, theta, 3e3),
                                          PumpSpectrum(2000.0, float(x)))
                 v = v_hom(cfp)
             else:
-                cfp = closed_form_params(PhaseMatchParams(2000.0, 8e-5, theta, float(x)),
+                cfp = closed_form_params(PhaseMatchParams(8e-5, theta, float(x)),
                                          PumpSpectrum(2000.0, 25.0))
                 v = v_mz(cfp)
             rows.append(",".join(format(float(t), ".9g") for t in (x, theta, v)))
@@ -581,6 +581,54 @@ def test_spectrum_large_finite_grid_phase_warns_nothing(tmp_path):
     assert "nan" not in read(out)
 
 
+def test_spectrum_near_monochromatic_pump_warns_nothing(tmp_path, capsys):
+    # the pump envelope's (detuning / bandwidth)^2 overflows to inf across
+    # the grid; exp(-inf) = 0 is the exact limit (a RuntimeWarning fails the test)
+    out = tmp_path / "x.csv"
+    assert run(["spectrum", "--pump-bw", "1e-300", "--grid-steps", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in read(out)
+
+
+_BRACKETS = ["--omega-lo", "1600", "--omega-hi", "2400", "--zeta-lo", "-0.01", "--zeta-hi", "0.01"]
+_BRANCHES = "branch.p.c0 = 1\nbranch.s.c0 = 1\nbranch.i.c0 = 1\n"
+_VALIDITY = "validity.lo = 1\nvalidity.hi = 2\n"
+
+
+@pytest.mark.parametrize("args, crystal, message", [
+    (["hom", "--theta", "4"], None, "theta must lie in (-pi, pi]"),
+    (["hom", "--tau-steps", "1"], None, "tau_steps must be >= 2"),
+    (["spectrum", "--grid-steps", "1"], None, "grid_steps must be >= 2"),
+    (["visibility", "--kind", "xx", "--sweep-lo", "1", "--sweep-hi", "2"], None,
+     "kind must be hom or mz"),
+    (["hom", "--units", "xx"], None, "units must be radps or si"),
+    (["visibility", "--thetas", "nan,0.1", "--sweep-lo", "1", "--sweep-hi", "2"], None,
+     "thetas must be finite"),
+    (["match", *_BRACKETS], _BRANCHES + "bogus line\n", "{crystal}:4: expected key=value"),
+    (["match", *_BRACKETS], "branch.q.c0 = 1\n", "{crystal}: unknown crystal key 'branch.q.c0'"),
+    (["match", *_BRACKETS], _BRANCHES, "{crystal}: validity.lo and validity.hi are required"),
+    (["match", *_BRACKETS], "branch.p.c0 = 1\nbranch.s.c0 = 1\n" + _VALIDITY,
+     "{crystal}: branch.i has no coefficients"),
+    (["match", *_BRACKETS], _BRANCHES + _VALIDITY + "knob.branch = p\n",
+     "{crystal}: knob needs both knob.branch and knob.order"),
+    (["match", *_BRACKETS], None, "match needs --crystal"),
+    (["match", "--omega-lo", "1600", "--zeta-hi", "0.01"], _BRANCHES + _VALIDITY,
+     "match needs omega_hi, zeta_lo"),
+], ids=["theta", "tau-steps", "grid-steps", "kind", "units", "thetas", "crystal-no-equals",
+        "crystal-unknown-key", "crystal-no-validity", "crystal-no-coefficients",
+        "crystal-knob-no-order", "match-no-crystal", "match-missing-brackets"])
+def test_invalid_input_exits_one_with_its_line(tmp_path, capsys, args, crystal, message):
+    out = tmp_path / "x.csv"
+    if crystal is not None:
+        path = tmp_path / "crystal.txt"
+        path.write_text(crystal)
+        args = args + ["--crystal", str(path)]
+        message = message.format(crystal=path)
+    assert run(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_io_failure_exits_three(tmp_path, capsys):
     rc = run(["hom", "--tau-steps", "5", "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 3
@@ -747,3 +795,9 @@ def test_readme_cli_examples_parse():
     parser = spdcsim.cli._build_parser()
     for argv in examples:
         parser.parse_args(argv[1:])  # raises CliError on a flag the parser lacks
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})

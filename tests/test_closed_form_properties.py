@@ -30,7 +30,7 @@ bandwidths = st.floats(min_value=1.0, max_value=400.0)
 
 
 def setting(theta: float, length: float, bw: float):
-    params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=length)
+    params = PhaseMatchParams(gamma=GAMMA, theta=theta, length=length)
     return closed_form_params(params, PumpSpectrum(omega_p=OMEGA_P, bandwidth=bw))
 
 
@@ -64,7 +64,7 @@ def test_fringe_visibility_falls_below_one_third_for_a_broad_pump():
     # 0.14) over half a fringe period: the rate there exceeds the baseline
     theta, length, bw = 2.0, 74017.0, 168.0
     assert v_mz(setting(theta, length, bw)) < 1.0 / 3.0 - 1e-7
-    params = PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=length)
+    params = PhaseMatchParams(gamma=GAMMA, theta=theta, length=length)
     half_period = math.pi / OMEGA_P
     peak, trough = mz_trace_integral(params, PumpSpectrum(omega_p=OMEGA_P, bandwidth=bw),
                                      np.array([0.0, half_period]), tau_max=half_period)

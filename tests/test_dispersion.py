@@ -221,18 +221,18 @@ def test_solve_epm_no_crossing():
 # ---------------------------------------------------------------------------
 
 def test_fluorescence_bandwidth_value_and_scaling():
-    params = PhaseMatchParams(omega_p=2000.0, gamma=8e-5, theta=-math.pi / 4, length=1e3)
+    params = PhaseMatchParams(gamma=8e-5, theta=-math.pi / 4, length=1e3)
     got = fluorescence_bandwidth(params)
     want = 4.0 * math.pi / (1e3 * 8e-5 * math.sqrt(2.0))
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(111.072, abs=1e-3)
     doubled = fluorescence_bandwidth(
-        PhaseMatchParams(omega_p=2000.0, gamma=8e-5, theta=-math.pi / 4, length=2e3))
+        PhaseMatchParams(gamma=8e-5, theta=-math.pi / 4, length=2e3))
     assert doubled == pytest.approx(got / 2.0, rel=1e-12)
 
 
 def test_fluorescence_bandwidth_diverges_on_diagonal():
-    params = PhaseMatchParams(omega_p=2000.0, gamma=8e-5, theta=math.pi / 4, length=1e3)
+    params = PhaseMatchParams(gamma=8e-5, theta=math.pi / 4, length=1e3)
     with pytest.raises(InfiniteBandwidth):
         fluorescence_bandwidth(params)
 
@@ -240,7 +240,7 @@ def test_fluorescence_bandwidth_diverges_on_diagonal():
 def test_bandwidth_dip_width_identity():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        params = PhaseMatchParams(omega_p=2000.0, gamma=rng.uniform(1e-5, 1e-3),
+        params = PhaseMatchParams(gamma=rng.uniform(1e-5, 1e-3),
                                   theta=rng.uniform(-math.pi / 2, math.pi / 5),
                                   length=rng.uniform(1e2, 1e5))
         omega_f = fluorescence_bandwidth(params)
@@ -277,10 +277,10 @@ def test_validity_bound_vacuum_zero_curvature():
         validity_bound(vacuum_model(), 2000.0, 40.0)
 
 
-@pytest.mark.parametrize("field", ["omega_p", "gamma", "theta", "length"])
+@pytest.mark.parametrize("field", ["gamma", "theta", "length"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_phase_match_params_reject_non_finite(field, bad):
-    values = dict(omega_p=2000.0, gamma=8e-5, theta=0.0, length=1e3)
+    values = dict(gamma=8e-5, theta=0.0, length=1e3)
     values[field] = bad
     with pytest.raises(ValueError, match="finite"):
         PhaseMatchParams(**values)
@@ -288,10 +288,9 @@ def test_phase_match_params_reject_non_finite(field, bad):
 
 def test_phase_match_params_invariants():
     with pytest.raises(ValueError):
-        PhaseMatchParams(omega_p=2000.0, gamma=0.0, theta=0.0, length=1e3)
+        PhaseMatchParams(gamma=0.0, theta=0.0, length=1e3)
     with pytest.raises(ValueError):
-        PhaseMatchParams(omega_p=2000.0, gamma=8e-5, theta=0.0, length=0.0)
-    params = PhaseMatchParams.from_gammas(2000.0, 5.65685424949238e-5,
-                                          -5.65685424949238e-5, 1e3)
+        PhaseMatchParams(gamma=8e-5, theta=0.0, length=0.0)
+    params = PhaseMatchParams.from_gammas(5.65685424949238e-5, -5.65685424949238e-5, 1e3)
     assert params.theta == pytest.approx(-math.pi / 4, abs=1e-12)
     assert params.gamma == pytest.approx(8e-5, rel=1e-10)

@@ -1,14 +1,16 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package and the tests is used, and the
+package __init__ re-exports exactly each module's __all__.
 
-No linter ships with the project, so this check reads each file's syntax
+No linter ships with the project, so these checks read each file's syntax
 tree (stdlib ast only): a name bound by a top-level import must appear as a
-name somewhere in the file.  The package __init__ only re-exports, so it is
-skipped.
+name somewhere in the file.  The package __init__ only re-exports, so the
+first check skips it and the second reads it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,13 @@ def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+def test_package_reexports_each_module_all():
+    init = ROOT / "src" / "spdcsim" / "__init__.py"
+    relative = [node for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert relative
+    for node in relative:
+        module = importlib.import_module(f"spdcsim.{node.module}")
+        assert sorted(a.name for a in node.names) == sorted(module.__all__), node.module

@@ -41,7 +41,7 @@ PUMP = PumpSpectrum(omega_p=OMEGA_P, bandwidth=40.0)
 
 
 def make_params(theta: float, length: float = 1e3) -> PhaseMatchParams:
-    return PhaseMatchParams(omega_p=OMEGA_P, gamma=GAMMA, theta=theta, length=length)
+    return PhaseMatchParams(gamma=GAMMA, theta=theta, length=length)
 
 
 EPM = make_params(-math.pi / 4)
@@ -292,6 +292,15 @@ def test_quadrature_even_in_delay():
     got = hom_trace_integral(EPM, PUMP, taus, tau_max=0.12)
     assert got[0] == pytest.approx(got[3], abs=1e-12)
     assert got[1] == pytest.approx(got[2], abs=1e-12)
+
+
+@pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
+def test_quadrature_self_check_rejects_drift_above_tolerance(trace):
+    # the fine and coarse panels differ by ~1e-14 (hom) and ~1e-15 (mz) here,
+    # so a relative tolerance of 1e-16 cannot be met
+    spec = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
+    with pytest.raises(NonConvergence, match="panel refinement still moves the trace"):
+        trace(EPM, PUMP, np.linspace(-0.1, 0.1, 21), spec=spec)
 
 
 def test_quadrature_pump_bandwidth_insensitive_on_matched_ray():
