@@ -9,7 +9,7 @@ from .numerics import (
     derivative,
     erf,
     find_root,
-    integrate_1d,
+    gauss_legendre_panels,
 )
 from .dispersion import (
     CallableBranch,

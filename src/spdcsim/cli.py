@@ -490,7 +490,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -194,6 +194,13 @@ class PhaseMatchParams:
     def gamma_i(self) -> float:
         return self.gamma * math.sin(self.theta)
 
+    @property
+    def gammas_equal(self) -> bool:
+        """True on the gamma_s = gamma_i ray (theta = pi/4 mod pi), taken as
+        |cos theta - sin theta| < 1e-12: the phase-matching bandwidth
+        diverges and the dip has zero width."""
+        return abs(math.cos(self.theta) - math.sin(self.theta)) < 1e-12
+
     @classmethod
     def from_gammas(cls, gamma_s: float, gamma_i: float, length: float) -> "PhaseMatchParams":
         gamma, theta = polar_params(gamma_s, gamma_i)
@@ -318,10 +325,9 @@ def fluorescence_bandwidth(params: PhaseMatchParams) -> float:
     Raises:
         InfiniteBandwidth: gamma_s == gamma_i (theta = pi/4 ray).
     """
-    diff = abs(params.gamma_s - params.gamma_i)
-    if diff <= 1e-12 * params.gamma:
+    if params.gammas_equal:
         raise InfiniteBandwidth("gamma_s = gamma_i; bandwidth diverges")
-    return 4.0 * math.pi / (params.length * diff)
+    return 4.0 * math.pi / (params.length * abs(params.gamma_s - params.gamma_i))
 
 
 def validity_bound(model: DispersionModel, omega_p: float, pump_bw: float) -> ValidityReport:

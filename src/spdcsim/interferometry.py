@@ -19,7 +19,8 @@ import numpy as np
 
 from .biphoton import PumpSpectrum
 from .dispersion import PhaseMatchParams
-from .numerics import NonConvergence, QuadratureSpec, erf
+from .numerics import (PANEL_DENSITY, NonConvergence, QuadratureSpec, erf,
+                       gauss_legendre_panels, panel_width)
 
 __all__ = [
     "DegenerateDip",
@@ -39,10 +40,8 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Self-check tolerance for the panel quadrature engine (the adaptive
-# kernel's defaults are meant for smooth 1-d integrands, not for these
-# wide oscillatory domains).
-TRACE_SPEC = QuadratureSpec(rel_tol=1e-6, abs_tol=1e-7, max_subdivisions=2**15)
+# Self-check tolerance and panel budget of the quadrature traces
+TRACE_SPEC = QuadratureSpec()
 
 
 class DegenerateDip(ValueError):
@@ -75,14 +74,13 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     c, s = math.cos(params.theta), math.sin(params.theta)
     gl = params.gamma * params.length
     plus = abs(c + s)
-    minus = abs(c - s)
     width = pump.bandwidth * gl * plus
     if not math.isfinite(width) or (width == 0.0 and plus >= 1e-12):
         raise ValueError(f"pump bandwidth * gamma * length * |cos theta + sin theta| = {width}; "
                          "it must be finite, and > 0 off the gamma_s = -gamma_i ray")
     xi = math.inf if plus < 1e-12 else 4.0 / width
     # snap the degenerate ray to an exact zero width, mirroring the xi branch
-    tau_theta = 0.0 if minus < 1e-12 else 0.5 * gl * minus
+    tau_theta = 0.0 if params.gammas_equal else 0.5 * gl * abs(c - s)
     q2 = 0.0 if tau_theta == 0.0 else (
         (params.gamma_s + params.gamma_i) / (params.gamma_s - params.gamma_i)) ** 2
     return ClosedFormParams(xi, tau_theta, q2, pump.bandwidth, pump.omega_p)
@@ -195,8 +193,6 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2 cancels in the
 # normalization.  None of this touches a closed form.
 
-# panel density of the two builds the self-check compares
-_PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of all the temporaries
 # of one node chunk in _cos_sums
@@ -208,24 +204,6 @@ _V_REACH = 3000.0
 # |y| from which the kernel divides the angle-added sin(y), whose absolute
 # error is a few ulp of 1, by y: the quotient is then off by a few ulp at most
 _RIDGE = 1.0
-
-
-def _mirrored_panels(half_width: float, panel: float, budget: int,
-                     where: str) -> tuple[np.ndarray, np.ndarray]:
-    """10-point Gauss-Legendre panels on [-half_width, half_width], with
-    nodes and weights mirrored exactly from the positive half."""
-    x, w = np.polynomial.legendre.leggauss(10)
-    count = 2.0 * half_width / panel
-    if not count <= budget:  # also an infinite count, which has no integer ceiling
-        needs = math.ceil(count) if math.isfinite(count) else count
-        raise NonConvergence(f"panel quadrature on the {where} needs {needs} panels, budget {budget}")
-    n = max(1, math.ceil(count))
-    edges = np.linspace(-half_width, half_width, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()[5 * n:]
-    weights = (half[:, None] * w[None, :]).ravel()[5 * n:]
-    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
 
 
 def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
@@ -278,20 +256,19 @@ class _RateEngine:
         b = 0.5 * (gs - gi)
         L = params.length
         tau_theta = abs(b) * L
-        if abs(gs - gi) < 1e-12 * params.gamma:
+        if params.gammas_equal:
             raise DegenerateDip("gamma_s = gamma_i: dip integrand degenerates")
         bw = pump.bandwidth
-        density = _PANEL_DENSITY[grade]
-        u_half = 8.0 * bw
+        density = PANEL_DENSITY[grade]
         # the a*u/b term tracks the phase-matching ridge across the
         # pump-limited u range
         v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
         u_rate = abs(a) * L / 2.0 + tau_max
         v_rate = abs(b) * L / 2.0 + tau_max
-        panel_u = min(2.0 * math.pi / u_rate if u_rate > 0 else u_half, 0.7 * bw) / density
+        panel_u = panel_width(u_rate, bw, density)
         panel_v = (2.0 * math.pi / v_rate) / density
-        un, uw = _mirrored_panels(u_half, panel_u, budget, f"u axis ({grade} build)")
-        vn, vw = _mirrored_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
+        un, uw = gauss_legendre_panels(pump.reach, panel_u, budget, f"u axis ({grade} build)")
+        vn, vw = gauss_legendre_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
         half = len(vn) // 2
         vp, vwp = vn[half:], vw[half:]
         wu = np.exp(-((un / bw) ** 2)) * uw
@@ -389,7 +366,7 @@ def _engines(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
              budget: int) -> tuple[_RateEngine, _RateEngine]:
     """The fine and coarse engines of one setting, built once and reused by
     every later trace of either kind on the same inputs."""
-    return tuple(_RateEngine(params, pump, tau_max, grade, budget) for grade in _PANEL_DENSITY)
+    return tuple(_RateEngine(params, pump, tau_max, grade, budget) for grade in PANEL_DENSITY)
 
 
 def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spdcsim import (
     Interval,
+    NonConvergence,
     PhaseMatchParams,
     PumpSpectrum,
     amplitude,
@@ -18,6 +20,7 @@ from spdcsim import (
     phi_L,
     pump_alpha,
     tb_amplitude,
+    truncation_halfwidth,
 )
 
 OMEGA_P = 2000.0
@@ -185,6 +188,42 @@ def test_marginal_narrow_pump_approaches_sinc_profile():
         got = marginal_spectrum(params, pump, "signal", OMEGA_P / 2 + x) / ref0
         want = (profile(x) / profile(0.0)) ** 2
         assert got == pytest.approx(want, abs=0.01)
+
+
+@pytest.mark.parametrize("theta, length, narrow", [
+    (-math.pi / 4, 1e3, False), (-math.pi / 4, 2e4, False), (0.0, 2e4, False),
+    (math.pi / 5, 1e3, False), (-math.pi / 4, 1e3, True), (-math.pi / 6, 2e4, True),
+], ids=["matched", "matched_long", "conventional_long", "pi_5", "matched_narrow",
+        "minus_pi_6_narrow"])
+def test_marginal_matches_scipy_quad(theta, length, narrow):
+    from scipy.integrate import quad  # independent oracle, tests only
+
+    params, pump = setting(theta, length)
+    if narrow:
+        pump = PumpSpectrum(omega_p=OMEGA_P, bandwidth=fluorescence_bandwidth(params) / 100.0)
+    half = truncation_halfwidth(params, pump)
+    lo, hi = OMEGA_P / 2 - half, OMEGA_P / 2 + half
+    for w in (OMEGA_P / 2 - 0.3 * half, OMEGA_P / 2, OMEGA_P / 2 + 0.05 * half):
+        ridge = OMEGA_P - w
+        points = [x for x in (ridge - 8.0 * pump.bandwidth, ridge, ridge + 8.0 * pump.bandwidth)
+                  if lo < x < hi]
+        for which, f in (("signal", lambda x: amplitude(params, pump, w, x) ** 2),
+                         ("idler", lambda x: amplitude(params, pump, x, w) ** 2)):
+            want, _ = quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=5000, points=points)
+            assert marginal_spectrum(params, pump, which, w) == pytest.approx(want, rel=1e-10)
+
+
+def test_marginal_outside_the_pump_window_is_zero():
+    params, pump = setting(-math.pi / 4, bandwidth=1.0)
+    half = truncation_halfwidth(params, pump)
+    assert marginal_spectrum(params, pump, "signal", OMEGA_P / 2 + half + 9.0) == 0.0
+
+
+@pytest.mark.parametrize("which, partner", [("signal", "idler"), ("idler", "signal")])
+def test_marginal_over_the_panel_budget_names_the_axis(which, partner):
+    params, pump = setting(-math.pi / 4, length=1e7, bandwidth=100.0)
+    with pytest.raises(NonConvergence, match=re.escape(f"{partner} axis ({which} marginal)")):
+        marginal_spectrum(params, pump, which, OMEGA_P / 2)
 
 
 def test_marginal_rejects_unknown_mode():

@@ -8,6 +8,7 @@ import pytest
 
 from spdcsim import (
     DegenerateDip,
+    InfiniteBandwidth,
     NonConvergence,
     PhaseMatchParams,
     PumpSpectrum,
@@ -335,6 +336,27 @@ def test_trace_ranges():
 def test_degenerate_ray_quadrature_raises():
     with pytest.raises(DegenerateDip):
         hom_trace_integral(make_params(math.pi / 4), PUMP, np.array([0.0]))
+
+
+def _raises(exc, fn, *args) -> bool:
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("theta, equal", [
+    (math.pi / 4 + 1e-13, True), (math.pi / 4 - 1e-13, True),
+    (math.pi / 4 + 1e-11, False), (math.pi / 4 - 1e-11, False),
+    (-3 * math.pi / 4, True),
+])
+def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, equal):
+    params = make_params(theta)
+    assert params.gammas_equal is equal
+    assert (closed_form_params(params, PUMP).tau_theta == 0.0) is equal
+    assert _raises(DegenerateDip, _RateEngine, params, PUMP, 0.0, "coarse", 2**15) is equal
+    assert _raises(InfiniteBandwidth, fluorescence_bandwidth, params) is equal
 
 
 def _unfolded_profiles(eng, params):

@@ -7,13 +7,12 @@ import pytest
 
 from spdcsim import (
     Interval,
-    NonConvergence,
     NoSignChange,
     QuadratureSpec,
     derivative,
     erf,
     find_root,
-    integrate_1d,
+    gauss_legendre_panels,
 )
 
 
@@ -59,62 +58,15 @@ def test_erf_saturates():
 
 
 # ---------------------------------------------------------------------------
-# 1-d quadrature
+# Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-def test_integral_linear():
-    assert abs(integrate_1d(lambda x: x, Interval(0.0, 1.0)) - 0.5) < 1e-13
-
-
-def test_integral_gaussian():
-    got = integrate_1d(lambda x: np.exp(-x * x), Interval(-8.0, 8.0))
-    assert abs(got - math.sqrt(math.pi)) < 1e-10
-
-
-def test_integral_sinc_squared_vs_trapezoid_oracle():
-    def f(x):
-        return (2.0 * np.sinc(x / (2.0 * np.pi)))**2  # (2 sin(x/2)/x)^2
-
-    xs = np.linspace(-200.0, 200.0, 2**22 + 1)
-    ys = f(xs)
-    oracle = (0.5 * (ys[0] + ys[-1]) + ys[1:-1].sum()) * (xs[1] - xs[0])
-    got = integrate_1d(f, Interval(-200.0, 200.0))
-    assert abs(got - oracle) < 1e-6 * abs(oracle)
-
-
-def test_integral_linearity_property():
-    rng = np.random.default_rng(11)
-    iv = Interval(-3.0, 2.0)
-    for _ in range(20):
-        a, b = rng.uniform(-2, 2, 2)
-        c1, c2 = rng.uniform(0.5, 2.0, 2)
-        f = lambda x: np.exp(-c1 * x * x) * np.cos(x)
-        g = lambda x: np.sin(c2 * x) + 0.1 * x**3
-        lhs = integrate_1d(lambda x: a * f(x) + b * g(x), iv)
-        rhs = a * integrate_1d(f, iv) + b * integrate_1d(g, iv)
-        assert abs(lhs - rhs) < 1e-9
-
-
-@pytest.mark.parametrize("f, lo, hi", [
-    (lambda x: np.exp(-x * x) * np.cos(3.0 * x), -5.0, 4.0),
-    (lambda x: 1.0 / (1.0 + x * x), -50.0, 50.0),
-    (lambda x: np.sqrt(x) * np.log1p(x), 0.0, 2.0),
-], ids=["gaussian-cosine", "lorentzian", "sqrt-endpoint"])
-def test_integral_matches_scipy_quad(f, lo, hi):
-    from scipy.integrate import quad  # independent oracle, tests only
-
-    want, _ = quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-    assert integrate_1d(f, Interval(lo, hi)) == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_integral_constant_integrand_returning_a_scalar():
-    assert integrate_1d(lambda x: 2.0, Interval(-1.0, 2.5)) == pytest.approx(7.0, rel=1e-14)
-
-
-def test_integral_budget_exhaustion():
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_subdivisions=16)
-    with pytest.raises(NonConvergence):
-        integrate_1d(lambda x: np.cos(5e4 * x), Interval(0.0, 1.0), spec)
+def test_panels_are_mirrored_and_integrate_a_gaussian():
+    nodes, weights = gauss_legendre_panels(8.0, 0.5, 32, "x axis")
+    assert len(nodes) == 32 * 10
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(weights, weights[::-1])
+    assert weights @ np.exp(-nodes**2) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
