@@ -6,13 +6,10 @@ from .numerics import (
     NonConvergence,
     NoSignChange,
     QuadratureSpec,
-    derivative,
-    erf,
     find_root,
     gauss_legendre_panels,
 )
 from .dispersion import (
-    CallableBranch,
     DegenerateGammas,
     DispersionModel,
     InfiniteBandwidth,

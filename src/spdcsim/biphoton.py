@@ -169,10 +169,13 @@ def marginal_spectrum(params: PhaseMatchParams, pump: PumpSpectrum,
     trace engine's Gauss-Legendre panels at its fine density.
 
     Raises:
+        ValueError: omega is NaN (+-inf lies outside every window and gives 0).
         NonConvergence: the partner axis needs more than PANEL_BUDGET panels.
     """
     if which not in ("signal", "idler"):
         raise ValueError("which must be 'signal' or 'idler'")
+    if math.isnan(omega):
+        raise ValueError("omega must not be NaN")
     half = truncation_halfwidth(params, pump)
     ridge = pump.omega_p - omega
     lo = max(0.5 * pump.omega_p - half, ridge - pump.reach)

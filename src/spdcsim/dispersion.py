@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .numerics import Interval, NoSignChange, derivative, find_root
+from .numerics import Interval, NoSignChange, find_root
 
 __all__ = [
     "OutOfValidityRange",
@@ -20,7 +20,6 @@ __all__ = [
     "ZeroCurvature",
     "NoSolutionInBracket",
     "PolynomialBranch",
-    "CallableBranch",
     "KnobSpec",
     "DispersionModel",
     "PhaseMatchParams",
@@ -92,23 +91,6 @@ class PolynomialBranch:
         return PolynomialBranch(coeffs)
 
 
-class CallableBranch:
-    """Black-box wave-number branch; derivatives come from central
-    differences with an order-dependent step."""
-
-    def __init__(self, fn: Callable[[float], float]):
-        self.fn = fn
-
-    def __call__(self, w: float) -> float:
-        return self.fn(w)
-
-    def derivative(self, w: float, order: int) -> float:
-        # larger steps for higher orders keep round-off noise below the
-        # 1e-6 relative consistency target for smooth branches
-        h = 1e-4 * max(1.0, abs(w)) * (30.0 ** (order - 1))
-        return derivative(self.fn, w, order, h)
-
-
 @dataclass(frozen=True)
 class KnobSpec:
     """Declares which polynomial coefficient the tuning knob zeta shifts."""
@@ -128,13 +110,13 @@ class DispersionModel:
     """The three wave-number branches k_p, k_s, k_i plus a validity interval
     and an optional tuning knob (a temperature-like coefficient shift)."""
 
-    k_p: PolynomialBranch | CallableBranch
-    k_s: PolynomialBranch | CallableBranch
-    k_i: PolynomialBranch | CallableBranch
+    k_p: PolynomialBranch
+    k_s: PolynomialBranch
+    k_i: PolynomialBranch
     validity: Interval
     knob: KnobSpec | None = None
 
-    def branch(self, name: str) -> PolynomialBranch | CallableBranch:
+    def branch(self, name: str) -> PolynomialBranch:
         return {"p": self.k_p, "s": self.k_s, "i": self.k_i}[name]
 
     def check_inside(self, *freqs: float) -> None:
@@ -149,10 +131,7 @@ class DispersionModel:
         """Model with the knob coefficient shifted by zeta."""
         if self.knob is None:
             raise ValueError("model declares no tuning knob")
-        branch = self.branch(self.knob.branch)
-        if not isinstance(branch, PolynomialBranch):
-            raise ValueError("tuning knob requires a polynomial branch")
-        shifted = branch.shifted(self.knob.order, zeta)
+        shifted = self.branch(self.knob.branch).shifted(self.knob.order, zeta)
         return replace(self, **{f"k_{self.knob.branch}": shifted})
 
 

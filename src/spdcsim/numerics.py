@@ -1,8 +1,9 @@
-"""Self-contained numerical kernel: error function, Gauss-Legendre panel
-quadrature, bracketed root finding and finite-difference derivatives.
+"""Self-contained numerical kernel: Gauss-Legendre panel quadrature and
+bracketed root finding, the two primitives that math and numpy lack.
 
-Everything above this module is pure math on these primitives.  All
-functions are pure and reentrant; there is no shared mutable state.
+Everything above this module is pure math on these primitives, math and
+numpy.  All functions are pure and reentrant; there is no shared mutable
+state.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ __all__ = [
     "QuadratureSpec",
     "NonConvergence",
     "NoSignChange",
-    "erf",
     "gauss_legendre_panels",
     "find_root",
-    "derivative",
 ]
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
 # panels per 2 pi / rate of the fine and coarse trace builds; the marginal
 # spectra integrate at the fine density
@@ -77,66 +74,6 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# Error function
-# ---------------------------------------------------------------------------
-
-def _erf_series(x: float) -> float:
-    # Maclaurin series, summed until terms fall below 1e-18 relative.
-    # For |x| <= 3 the largest term is ~170, so round-off stays < 2e-14.
-    total = 0.0
-    power = x  # x^(2n+1) / n!
-    x2 = x * x
-    n = 0
-    while True:
-        term = power / (2 * n + 1)
-        total += term if n % 2 == 0 else -term
-        n += 1
-        power *= x2 / n
-        if abs(power) / (2 * n + 1) < 1e-18 * abs(total):
-            return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # Laplace continued fraction for erfc, x >= 3: modified Lentz iteration on
-    # K = x + (1/2)/(x + 1/(x + (3/2)/(x + ...))), erfc(x) = e^(-x^2)/(sqrt(pi) K).
-    # Every partial denominator is x plus a positive term, so none is 0.
-    c = 1e300
-    d = 1.0 / x
-    k = d
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = 1.0 / (x + a * d)
-        c = x + a / c
-        delta = c * d
-        k *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) * k
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-y^2) from 0 to x.
-
-    Own series / continued-fraction implementation; absolute error is below
-    1e-13 everywhere (verified against a Maclaurin oracle in the tests).  The
-    series (|x| < 3) is IEEE arithmetic only, so bit-stable across platforms;
-    the continued fraction (3 <= |x| < 6) ends in libm's exp, which may differ
-    by an ulp.  Odd in x by construction and saturates to +-1 for |x| >= 6.
-    """
-    if x != x:  # NaN in, NaN out
-        return x
-    sign = -1.0 if x < 0 else 1.0
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0
-    if ax >= 6.0:
-        return sign  # erfc(6) < 3e-17, far below the documented bound
-    if ax < 3.0:
-        return sign * _erf_series(ax)
-    return sign * (1.0 - _erfc_cf(ax))
-
-
-# ---------------------------------------------------------------------------
 # Gauss-Legendre panel rule
 # ---------------------------------------------------------------------------
 
@@ -172,7 +109,7 @@ def gauss_legendre_panels(half_width: float, panel: float, budget: int,
 
 
 # ---------------------------------------------------------------------------
-# Root finding and derivatives
+# Root finding
 # ---------------------------------------------------------------------------
 
 def find_root(f: Callable[[float], float], bracket: Interval, tol: float) -> float:
@@ -233,15 +170,3 @@ def find_root(f: Callable[[float], float], bracket: Interval, tol: float) -> flo
             c, fc = a, fa
             d = e = b - a
 
-
-def derivative(f: Callable[[float], float], x: float, order: int, h: float) -> float:
-    """Central finite-difference derivative of the requested order (1, 2 or 3)."""
-    if h <= 0:
-        raise ValueError("step h must be > 0")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if order == 2:
-        return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-    if order == 3:
-        return (f(x + 2 * h) - 2.0 * f(x + h) + 2.0 * f(x - h) - f(x - 2 * h)) / (2.0 * h**3)
-    raise ValueError("derivative order must be 1, 2 or 3")

@@ -226,6 +226,15 @@ def test_marginal_over_the_panel_budget_names_the_axis(which, partner):
         marginal_spectrum(params, pump, which, OMEGA_P / 2)
 
 
+@pytest.mark.parametrize("which", ["signal", "idler"])
+def test_marginal_rejects_nan_omega_and_is_zero_at_infinity(which):
+    params, pump = PhaseMatchParams(8e-5, 0.3, 1e3), PumpSpectrum(2000.0, 40.0)
+    with pytest.raises(ValueError, match="omega"):
+        marginal_spectrum(params, pump, which, float("nan"))
+    for omega in (math.inf, -math.inf):
+        assert marginal_spectrum(params, pump, which, omega) == 0.0
+
+
 def test_marginal_rejects_unknown_mode():
     with pytest.raises(ValueError):
         marginal_spectrum(*setting(0.0), "pump", 1000.0)

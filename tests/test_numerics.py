@@ -9,52 +9,9 @@ from spdcsim import (
     Interval,
     NoSignChange,
     QuadratureSpec,
-    derivative,
-    erf,
     find_root,
     gauss_legendre_panels,
 )
-
-
-# ---------------------------------------------------------------------------
-# erf
-# ---------------------------------------------------------------------------
-
-def erf_taylor_oracle(x: float) -> float:
-    # independent Maclaurin oracle, summed to convergence
-    total, term = 0.0, x
-    n = 0
-    while abs(term) > 1e-20 * max(1.0, abs(total)):
-        total += term / (2 * n + 1) if n % 2 == 0 else -term / (2 * n + 1)
-        n += 1
-        term *= x * x / n
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def test_erf_spec_points():
-    assert erf(0.0) == 0.0
-    assert abs(erf(6.0) - 1.0) <= 1e-13
-    assert abs(erf(1.0) - erf_taylor_oracle(1.0)) <= 1e-14
-    assert abs(erf(1.0) - 0.8427007929) <= 1e-9
-
-
-def test_erf_absolute_error_bound():
-    xs = np.linspace(-7.0, 7.0, 4001)
-    worst = max(abs(erf(float(x)) - math.erf(float(x))) for x in xs)
-    assert worst <= 1e-13
-
-
-def test_erf_odd_and_bounded():
-    rng = np.random.default_rng(7)
-    for x in rng.uniform(-5.0, 5.0, 1000):
-        assert erf(-float(x)) == -erf(float(x))
-        assert abs(erf(float(x))) <= 1.0
-
-
-def test_erf_saturates():
-    for x in (6.0, 10.0, 1e6):
-        assert erf(x) == 1.0
-        assert erf(-x) == -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -105,27 +62,6 @@ def test_root_residual_postcondition():
             continue
         root = find_root(f, Interval(lo, hi), tol)
         assert abs(f(root)) <= tol * max(1.0, abs(f(lo)), abs(f(hi))) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# derivatives
-# ---------------------------------------------------------------------------
-
-def test_derivative_orders():
-    assert abs(derivative(lambda x: x * x, 3.0, 1, 1e-5) - 6.0) < 1e-8
-    assert abs(derivative(lambda x: x * x, 1.7, 2, 1e-4) - 2.0) < 1e-6
-    h = 1e-3
-    assert abs(derivative(math.sin, 0.0, 3, h) + 1.0) < 10.0 * h * h
-
-
-def test_derivative_cubic_relative_accuracy():
-    # first derivative of a cubic to 1e-6 relative with h = 1e-4 * scale
-    f = lambda x: 0.3 * x**3 - 2.0 * x**2 + 5.0 * x - 1.0
-    df = lambda x: 0.9 * x**2 - 4.0 * x + 5.0
-    for x in (0.5, 2.0, 10.0):
-        h = 1e-4 * max(1.0, abs(x))
-        got = derivative(f, x, 1, h)
-        assert abs(got - df(x)) <= 1e-6 * abs(df(x))
 
 
 def test_interval_and_spec_validation():
