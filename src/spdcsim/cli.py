@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 invalid input, 2 numerical non-convergence, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -285,8 +286,7 @@ def _trace_columns(cfg: RunConfig, kind: TraceKind, taus: np.ndarray) -> dict[st
     columns = {}
     if cfg.method in ("closed", "both"):
         rate = hom_rate_closed if hom else mz_rate_closed
-        cfp = closed_form_params(cfg.params, cfg.pump)
-        columns["P_closed"] = np.array([rate(cfp, t) for t in taus])
+        columns["P_closed"] = rate(closed_form_params(cfg.params, cfg.pump), taus)
     if cfg.method in ("quadrature", "both"):
         run = hom_trace_integral if hom else mz_trace_integral
         columns["P_quadrature"] = run(cfg.params, cfg.pump, taus)
@@ -314,14 +314,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                {"omega_s": np.repeat(axis, axis.size), "omega_i": np.tile(axis, axis.size),
                 "abs_A": values.ravel()})
     return 0
-
-
-def cmd_hom(cfg: RunConfig) -> int:
-    return _trace_command(cfg, TraceKind.HOM)
-
-
-def cmd_mz(cfg: RunConfig) -> int:
-    return _trace_command(cfg, TraceKind.MZ)
 
 
 def cmd_visibility(cfg: RunConfig) -> int:
@@ -436,8 +428,10 @@ _TRACE_FLAGS = ("theta", "length_um", "tau_max", "tau_steps", "method")
 COMMANDS = {
     "spectrum": (cmd_spectrum, "joint spectral amplitude magnitude grid",
                  ("theta", "length_um", "grid_span", "grid_steps")),
-    "hom": (cmd_hom, "dip coincidence trace", _TRACE_FLAGS),
-    "mz": (cmd_mz, "fringe coincidence trace", _TRACE_FLAGS),
+    "hom": (functools.partial(_trace_command, kind=TraceKind.HOM), "dip coincidence trace",
+            _TRACE_FLAGS),
+    "mz": (functools.partial(_trace_command, kind=TraceKind.MZ), "fringe coincidence trace",
+           _TRACE_FLAGS),
     "visibility": (cmd_visibility, "visibility sweep curves",
                    ("length_um", "kind", "sweep_lo", "sweep_hi", "sweep_steps", "thetas")),
     "match": (cmd_match, "solve the matching conditions for a crystal file",

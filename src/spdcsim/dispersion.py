@@ -69,10 +69,7 @@ class PolynomialBranch:
         self.coeffs = tuple(float(c) for c in coeffs)
 
     def __call__(self, w: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * w + c
-        return acc
+        return self.derivative(w, 0)
 
     def derivative(self, w: float, order: int) -> float:
         acc = 0.0
@@ -242,13 +239,9 @@ def check_condition(model: DispersionModel, omega_p: float, order: int) -> float
         raise ValueError("order must be >= 0")
     model.check_inside(omega_p, omega_p / 2)
     half = omega_p / 2
-    if order == 0:
-        kp = model.k_p(omega_p)
-        ks, ki = model.k_s(half), model.k_i(half)
-    else:
-        kp = model.k_p.derivative(omega_p, order)
-        ks = model.k_s.derivative(half, order)
-        ki = model.k_i.derivative(half, order)
+    kp = model.k_p.derivative(omega_p, order)
+    ks = model.k_s.derivative(half, order)
+    ki = model.k_i.derivative(half, order)
     return kp - (ks + ki) / 2.0**order
 
 

@@ -88,34 +88,41 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     return ClosedFormParams(xi, tau_theta, q2, pump.bandwidth, pump.omega_p)
 
 
-def hom_rate_closed(cfp: ClosedFormParams, tau: float) -> float:
-    """Normalized two-detector rate of the dip arrangement at delay tau.
+def _libm(fn, x):
+    """fn per element of x, through the math library: numpy has no erf, and
+    its SIMD exp can differ from math.exp in the last bit."""
+    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
-    1 outside |tau| < tau_theta; inside, 1 - (sqrt(pi)/2) xi erf((1 - |tau|
-    / tau_theta) / xi), which degenerates to the triangle |tau| / tau_theta
-    in the xi -> inf limit.
+
+def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray:
+    """Normalized two-detector rate of the dip arrangement at delays tau
+    (an array or a scalar), shaped like tau.
+
+    1 - (sqrt(pi)/2) xi erf((1 - r) / xi) with r = |tau| / tau_theta
+    clipped at 1, where erf(0) = 0 gives exactly 1; it degenerates to the
+    triangle r in the xi -> inf limit.
 
     Raises:
         DegenerateDip: tau_theta = 0 (rate identically 1).
     """
     if cfp.tau_theta <= 0:
         raise DegenerateDip("tau_theta = 0: dip has zero width")
-    r = abs(tau) / cfp.tau_theta
-    if r >= 1.0:
-        return 1.0
+    r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     if math.isinf(cfp.xi):
         return r
-    return 1.0 - 0.5 * _SQRT_PI * cfp.xi * erf((1.0 - r) / cfp.xi)
+    return 1.0 - 0.5 * _SQRT_PI * cfp.xi * _libm(erf, (1.0 - r) / cfp.xi)
 
 
-def fringe_envelope_terms(cfp: ClosedFormParams, tau: float) -> tuple[float, float]:
-    """Fringe envelope F1 and slow residue F2 of the fringe-trace closed form.
+def fringe_envelope_terms(cfp: ClosedFormParams,
+                          tau: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Fringe envelope F1 and slow residue F2 of the fringe-trace closed form
+    at delays tau (an array or a scalar), each shaped like tau.
 
     F1(tau) = exp(-(bw tau/2)^2)/2
               + (sqrt(pi) xi / 8) [erf(1/xi - bw tau/2) + erf(1/xi + bw tau/2)]
-    F2(tau) = (1 - |tau|/tau_theta) exp(-(bw tau/2)^2 q^2) / 2
-              - (sqrt(pi) xi / 4) erf((1 - |tau|/tau_theta) / xi)
-    for |tau| < tau_theta (F2 = 0 outside), with q^2 = cfp.q2 the squared
+    F2(tau) = (1 - r) exp(-(bw tau/2)^2 q^2) / 2 - (sqrt(pi) xi / 4) erf((1 - r) / xi)
+    with r = |tau|/tau_theta clipped at 1, so F2 = 0 outside |tau| < tau_theta
+    (at tau_theta = 0, everywhere but tau = 0), and q^2 = cfp.q2 the squared
     ratio of the sum and difference projections of the group-delay
     coefficients.  At xi = inf, F1 is exactly the Gaussian envelope and F2
     vanishes identically.
@@ -125,27 +132,28 @@ def fringe_envelope_terms(cfp: ClosedFormParams, tau: float) -> tuple[float, flo
     of the raw double integral (see mz_trace_integral).
     """
     x = 0.5 * cfp.bandwidth * tau
+    gauss = _libm(math.exp, -x * x)
     if math.isinf(cfp.xi):
-        return math.exp(-x * x), 0.0
+        return gauss, np.zeros_like(gauss)
     xi = cfp.xi
-    f1 = 0.5 * math.exp(-x * x) + (_SQRT_PI * xi / 8.0) * (erf(1.0 / xi - x) + erf(1.0 / xi + x))
-    if cfp.tau_theta <= 0:
-        f2 = 0.5 - (_SQRT_PI * xi / 4.0) * erf(1.0 / xi) if tau == 0.0 else 0.0
-        return f1, f2
-    r = abs(tau) / cfp.tau_theta
-    if r >= 1.0:
-        return f1, 0.0
-    f2 = 0.5 * (1.0 - r) * math.exp(-x * x * cfp.q2) - (_SQRT_PI * xi / 4.0) * erf((1.0 - r) / xi)
+    f1 = 0.5 * gauss + (_SQRT_PI * xi / 8.0) * (_libm(erf, 1.0 / xi - x) + _libm(erf, 1.0 / xi + x))
+    if cfp.tau_theta > 0:
+        r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
+    else:
+        r = np.where(tau == 0.0, 0.0, 1.0)
+    f2 = (0.5 * (1.0 - r) * _libm(math.exp, -x * x * cfp.q2)
+          - (_SQRT_PI * xi / 4.0) * _libm(erf, (1.0 - r) / xi))
     return f1, f2
 
 
-def mz_rate_closed(cfp: ClosedFormParams, tau: float) -> float:
-    """Normalized fringe-arrangement rate 1 + cos(w_p tau) F1(tau) + F2(tau).
+def mz_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray:
+    """Normalized fringe-arrangement rate 1 + cos(w_p tau) F1(tau) + F2(tau)
+    at delays tau (an array or a scalar), shaped like tau.
 
     At xi = inf this is exactly 1 + exp(-bw^2 tau^2 / 4) cos(w_p tau).
     """
     f1, f2 = fringe_envelope_terms(cfp, tau)
-    return 1.0 + math.cos(cfp.omega_p * tau) * f1 + f2
+    return 1.0 + _libm(math.cos, cfp.omega_p * tau) * f1 + f2
 
 
 def v_hom(cfp: ClosedFormParams) -> float:
@@ -259,7 +267,8 @@ class _RateEngine:
         L = params.length
         tau_theta = abs(b) * L
         if params.gammas_equal:
-            raise DegenerateDip("gamma_s = gamma_i: dip integrand degenerates")
+            raise DegenerateDip("gamma_s = gamma_i: the quadrature route does not cover this "
+                                "ray; --method closed does for the fringe trace")
         bw = pump.bandwidth
         density = PANEL_DENSITY[grade]
         # the a*u/b term tracks the phase-matching ridge across the

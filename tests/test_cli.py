@@ -343,6 +343,19 @@ def test_quadrature_nonconvergence_exits_two(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_fringe_quadrature_on_the_equal_gamma_ray_points_to_the_closed_form(tmp_path, capsys):
+    # the closed fringe form covers gamma_s = gamma_i; the quadrature route does not
+    out = tmp_path / "x.csv"
+    rc = run(["mz", "--method", "quadrature", "--theta", "0.7853981633974483", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("error: gamma_s = gamma_i: the quadrature route does not cover this ray; "
+                   "--method closed does for the fringe trace\n")
+    assert not out.exists()
+    assert run(["mz", "--method", "closed", "--theta", "0.7853981633974483",
+                "--out", str(out)]) == 0
+
+
 def test_match_without_crossing_exits_one(tmp_path, capsys):
     crystal = tmp_path / "flat.txt"
     crystal.write_text(
@@ -681,6 +694,12 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
         before = len(calls)
         closed_form()
         assert len(calls) > before
+    # an array call evaluates erf per delay through the same binding
+    taus = np.array([-0.5, 0.1, 0.7]) * cfp.tau_theta
+    for closed_form in (hom_rate_closed, mz_rate_closed):
+        before = len(calls)
+        closed_form(cfp, taus)
+        assert len(calls) >= before + len(taus)
 
 
 @pytest.mark.parametrize("row", [0, 1, 37])

@@ -178,6 +178,16 @@ def _mz_rate_four_args(cfp, pump, params, tau):
     return 1.0 + math.cos(pump.omega_p * tau) * f1 + f2
 
 
+def _hom_rate_scalar(cfp, tau):
+    # the dip closed form as it read when it took one delay per call
+    r = abs(tau) / cfp.tau_theta
+    if r >= 1.0:
+        return 1.0
+    if math.isinf(cfp.xi):
+        return r
+    return 1.0 - 0.5 * math.sqrt(math.pi) * cfp.xi * erf((1.0 - r) / cfp.xi)
+
+
 def _v_mz_four_args(cfp, pump, params):
     f1, f2 = _fringe_terms_four_args(cfp, pump, params, math.pi / pump.omega_p)
     d = f1 - f2
@@ -203,6 +213,25 @@ def test_fringe_closed_forms_match_four_argument_arithmetic_bitwise(params, pump
         assert mz_rate_closed(cfp, tau) == _mz_rate_four_args(cfp, pump, params, tau)
     assert v_mz(cfp) == _v_mz_four_args(cfp, pump, params)
     assert branches["outside"] > 0 and (edge == 0.0 or branches["inside"] > 0)
+    # the whole delay list as one array, element by element
+    arr = np.array(taus, dtype=float)
+    f1, f2 = fringe_envelope_terms(cfp, arr)
+    mz = mz_rate_closed(cfp, arr)
+    assert f1.shape == f2.shape == mz.shape == arr.shape
+    for k, tau in enumerate(map(float, taus)):
+        assert (f1[k], f2[k]) == _fringe_terms_four_args(cfp, pump, params, tau)
+        assert mz[k] == _mz_rate_four_args(cfp, pump, params, tau)
+    if edge > 0.0:
+        hom = hom_rate_closed(cfp, arr)
+        assert hom.shape == arr.shape
+        assert [float(h) for h in hom] == [_hom_rate_scalar(cfp, tau) for tau in map(float, taus)]
+    # a scalar delay still gives one float, equal to the scalar arithmetic's
+    tau = 0.3 * edge
+    got = mz_rate_closed(cfp, tau)
+    assert isinstance(got, float) and got == _mz_rate_four_args(cfp, pump, params, tau)
+    if edge > 0.0:
+        got = hom_rate_closed(cfp, tau)
+        assert isinstance(got, float) and got == _hom_rate_scalar(cfp, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +295,7 @@ def test_quadrature_matches_closed_dip():
     taus = np.linspace(-0.12, 0.12, 25)
     got = hom_trace_integral(EPM, PUMP, taus, tau_max=0.12)
     cfp = closed_form_params(EPM, PUMP)
-    want = np.array([hom_rate_closed(cfp, t) for t in taus])
+    want = hom_rate_closed(cfp, taus)
     assert np.max(np.abs(got - want)) <= 1e-3
 
 
@@ -274,7 +303,7 @@ def test_quadrature_matches_closed_fringe():
     taus = np.linspace(-0.12, 0.12, 25)
     got = mz_trace_integral(EPM, PUMP, taus, tau_max=0.12)
     cfp = closed_form_params(EPM, PUMP)
-    want = np.array([mz_rate_closed(cfp, t) for t in taus])
+    want = mz_rate_closed(cfp, taus)
     assert np.max(np.abs(got - want)) <= 1e-10  # exact cancellation on this ray
 
 
@@ -319,7 +348,7 @@ def test_mz_closed_crystal_independent_on_matched_ray():
     for length in (1e3, 1e4, 5e4):
         params = make_params(-math.pi / 4, length=length)
         cfp = closed_form_params(params, PUMP)
-        values.append(np.array([mz_rate_closed(cfp, t) for t in taus]))
+        values.append(mz_rate_closed(cfp, taus))
     assert np.max(np.abs(values[0] - values[1])) <= 1e-6
     assert np.max(np.abs(values[1] - values[2])) <= 1e-6
 
