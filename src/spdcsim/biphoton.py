@@ -17,7 +17,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .dispersion import PhaseMatchParams
-from .numerics import PANEL_BUDGET, PANEL_DENSITY, Interval, gauss_legendre_panels, panel_width
+from .numerics import PANEL_BUDGET, Interval, gauss_legendre_panels, panel_width
 
 __all__ = [
     "PumpSpectrum",
@@ -31,6 +31,8 @@ __all__ = [
     "db_amplitude",
     "truncation_halfwidth",
 ]
+
+_MARGINAL_DENSITY = 1.5  # panels per 2 pi / rate on the marginal's partner axis
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,13 @@ def pump_alpha(pump: PumpSpectrum, omega_sum) -> float | np.ndarray:
 def phi_L(delta, length: float):
     """Phase-matching function sin(x L / 2) / (x / 2) for mismatch x.
 
-    Equals length at x = 0; a short series branch below |x L| = 1e-6 avoids
-    the 0/0 at the removable singularity.
+    Equals length exactly at x = 0, where the division is skipped; near it
+    the quotient is within 2 ulp of the series length (1 - y^2 / 6).
     """
     if length <= 0:
         raise ValueError("length must be > 0")
     y = 0.5 * length * np.asarray(delta, dtype=float)
-    small = np.abs(y) < 5e-7
-    safe = np.where(small, 1.0, y)
-    out = np.asarray(length * np.sin(safe) / safe)
-    # the series only on the entries it replaces: the square of the others may overflow
-    out[small] = length * (1.0 - y[small] ** 2 / 6.0)
+    out = np.divide(length * np.sin(y), y, out=np.full_like(y, length), where=y != 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -110,11 +108,11 @@ def truncation_halfwidth(params: PhaseMatchParams, pump: PumpSpectrum,
 
     max(sigmas * pump bandwidth, lobes * one phase-matching lobe); the lobe
     scale uses the smaller of the two axis projections |cos theta|,
-    |sin theta| (near-zero projections are skipped: that axis is bounded by
-    the pump alone).
+    |sin theta| (a near-zero projection is skipped: that axis is bounded by
+    the pump alone, and the two are never both near zero).
     """
     scales = [abs(math.cos(params.theta)), abs(math.sin(params.theta))]
-    scales = [s for s in scales if s > 1e-9] or [1.0]
+    scales = [s for s in scales if s > 1e-9]
     lobe = 2.0 * math.pi / (params.gamma * params.length * min(scales))
     return max(sigmas * pump.bandwidth, lobes * lobe)
 
@@ -165,8 +163,8 @@ def marginal_spectrum(params: PhaseMatchParams, pump: PumpSpectrum,
 
     The infinite domain is truncated to the standard half-width around the
     degenerate frequency, intersected with the pump window around
-    omega_p - omega (0 where they do not overlap), and integrated on the
-    trace engine's Gauss-Legendre panels at its fine density.
+    omega_p - omega (0 where they do not overlap), and integrated on
+    Gauss-Legendre panels at its own density, not the trace builds'.
 
     Raises:
         ValueError: omega is NaN (+-inf lies outside every window and gives 0).
@@ -183,7 +181,7 @@ def marginal_spectrum(params: PhaseMatchParams, pump: PumpSpectrum,
     if not lo < hi:
         return 0.0
     partner, gamma = ("idler", params.gamma_i) if which == "signal" else ("signal", params.gamma_s)
-    panel = panel_width(0.5 * abs(gamma) * params.length, pump.bandwidth, PANEL_DENSITY["fine"])
+    panel = panel_width(0.5 * abs(gamma) * params.length, pump.bandwidth, _MARGINAL_DENSITY)
     nodes, weights = gauss_legendre_panels(0.5 * (hi - lo), panel, PANEL_BUDGET,
                                            f"{partner} axis ({which} marginal)")
     w = 0.5 * (lo + hi) + nodes

@@ -262,6 +262,8 @@ def _write_csv(cfg: RunConfig, command: str, extra_meta: dict | None,
 
 def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
     tau_max = cfg.tau_max if cfg.tau_max is not None else delay_span(cfg.params, cfg.pump)
+    if kind is TraceKind.MZ and not math.isfinite(cfg.omega_p * tau_max):
+        raise CliError(f"fringe phase omega_p * tau_max = {cfg.omega_p} * {tau_max} is not finite")
     steps = cfg.tau_steps
     if steps is None:
         steps = 201
@@ -309,6 +311,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     span = cfg.grid_span if cfg.grid_span is not None else truncation_halfwidth(
         params, pump, lobes=3.0, sigmas=3.0)
     center = 0.5 * pump.omega_p
+    if not center - span < center + span:
+        raise CliError(f"grid_span = {span} around omega_p / 2 = {center} rounds to one point")
     axis, values = grid(params, pump, Interval(center - span, center + span), cfg.grid_steps)
     _write_csv(cfg, "spectrum", {"grid_span_effective": span},
                {"omega_s": np.repeat(axis, axis.size), "omega_i": np.tile(axis, axis.size),

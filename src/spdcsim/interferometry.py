@@ -21,8 +21,7 @@ import numpy as np
 
 from .biphoton import PumpSpectrum
 from .dispersion import PhaseMatchParams
-from .numerics import (PANEL_DENSITY, NonConvergence, QuadratureSpec,
-                       gauss_legendre_panels, panel_width)
+from .numerics import NonConvergence, QuadratureSpec, gauss_legendre_panels, panel_width
 
 __all__ = [
     "DegenerateDip",
@@ -44,6 +43,8 @@ _SQRT_PI = math.sqrt(math.pi)
 
 # Self-check tolerance and panel budget of the quadrature traces
 TRACE_SPEC = QuadratureSpec()
+# panels per 2 pi / rate on both node axes of the fine and coarse builds
+PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
 
 
 class DegenerateDip(ValueError):
@@ -131,8 +132,13 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
     Gaussian reduction, and cross-validated against brute-force quadrature
     of the raw double integral (see mz_trace_integral).
     """
-    x = 0.5 * cfp.bandwidth * tau
-    gauss = _libm(math.exp, -x * x)
+    # far out x * x overflows, and exp(-inf) = 0 is exact; the cap at the largest
+    # float keeps q2 = 0 (gamma_s = gamma_i) from making exp(-inf * 0) = nan
+    with np.errstate(over="ignore"):
+        x = 0.5 * cfp.bandwidth * tau
+        xx = np.minimum(x * x, np.finfo(float).max)
+        q_decay = -xx * cfp.q2
+    gauss = _libm(math.exp, -xx)
     if math.isinf(cfp.xi):
         return gauss, np.zeros_like(gauss)
     xi = cfp.xi
@@ -141,7 +147,7 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
         r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     else:
         r = np.where(tau == 0.0, 0.0, 1.0)
-    f2 = (0.5 * (1.0 - r) * _libm(math.exp, -x * x * cfp.q2)
+    f2 = (0.5 * (1.0 - r) * _libm(math.exp, q_decay)
           - (_SQRT_PI * xi / 4.0) * _libm(erf, (1.0 - r) / xi))
     return f1, f2
 
@@ -277,7 +283,7 @@ class _RateEngine:
         u_rate = abs(a) * L / 2.0 + tau_max
         v_rate = abs(b) * L / 2.0 + tau_max
         panel_u = panel_width(u_rate, bw, density)
-        panel_v = (2.0 * math.pi / v_rate) / density
+        panel_v = panel_width(v_rate, math.inf, density)
         un, uw = gauss_legendre_panels(pump.reach, panel_u, budget, f"u axis ({grade} build)")
         vn, vw = gauss_legendre_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
         half = len(vn) // 2
@@ -394,12 +400,16 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
                       taus: np.ndarray, spec: QuadratureSpec,
                       tau_max: float | None) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
-    reach = max(float(np.max(np.abs(taus))) if taus.size else 0.0, float(tau_max or 0.0))
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("quadrature delays taus must be finite")
+    if tau_max is not None and not math.isfinite(tau_max):
+        raise ValueError(f"quadrature tau_max = {tau_max} must be finite")
+    reach = max(float(np.max(np.abs(taus), initial=0.0)), float(tau_max or 0.0))
     fine, coarse = _engines(params, pump, reach, spec.max_subdivisions)
     run = (lambda e: e.hom(taus)) if kind is TraceKind.HOM else (lambda e: e.mz(taus))
     values = run(fine)
-    drift = float(np.max(np.abs(values - run(coarse)))) if taus.size else 0.0
-    scale = float(np.max(np.abs(values))) if taus.size else 1.0
+    drift = float(np.max(np.abs(values - run(coarse)), initial=0.0))
+    scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(
             f"panel refinement still moves the trace by {drift:.2e}"

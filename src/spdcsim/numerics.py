@@ -23,10 +23,7 @@ __all__ = [
     "find_root",
 ]
 
-# panels per 2 pi / rate of the fine and coarse trace builds; the marginal
-# spectra integrate at the fine density
-PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
-# panels one axis may take before the rule gives up
+# panels one axis may take before the rule gives up (each caller sets its density)
 PANEL_BUDGET = 2**15
 
 

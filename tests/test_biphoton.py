@@ -22,6 +22,8 @@ from spdcsim import (
     tb_amplitude,
     truncation_halfwidth,
 )
+from spdcsim import interferometry
+from spdcsim.numerics import PANEL_BUDGET
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -69,14 +71,23 @@ def test_pump_alpha_rejects_monochromatic():
 def test_phi_profile_points():
     length = 1e4
     assert phi_L(0.0, length) == length
+    assert phi_L(-0.0, length) == length
+    assert np.array_equal(phi_L(np.array([-0.0, 0.0]), length), [length, length])
     assert abs(phi_L(2.0 * math.pi / length, length)) < 1e-9 * length
     assert phi_L(math.pi / length, length) == pytest.approx(2.0 * length / math.pi, rel=1e-12)
 
 
 def test_phi_series_branch_continuity():
+    # phi_L once switched to the series length (1 - y^2 / 6) below |y| =
+    # 5e-7, y = x L / 2, i.e. |x| = 1e-10 here; its one path must agree
+    # with the series on both sides of that switch, for either sign
     length = 1e4
     for x in (1e-12, 9.9e-11, 1.01e-10, 1e-8):
-        assert phi_L(x, length) == pytest.approx(length * math.sin(x * length / 2) / (x * length / 2), rel=1e-12)
+        for signed in (x, -x):
+            y = signed * length / 2
+            got = phi_L(signed, length)
+            assert got == pytest.approx(length * math.sin(y) / y, rel=1e-12)
+            assert abs(got - length * (1.0 - y * y / 6.0)) <= 2 * np.spacing(length)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +244,24 @@ def test_marginal_rejects_nan_omega_and_is_zero_at_infinity(which):
         marginal_spectrum(params, pump, which, float("nan"))
     for omega in (math.inf, -math.inf):
         assert marginal_spectrum(params, pump, which, omega) == 0.0
+
+
+def test_marginal_keeps_its_density_when_the_trace_densities_change(monkeypatch):
+    # the trace builds' densities belong to interferometry alone: thinning
+    # them must thin a fresh fine engine and leave every marginal bit alone
+    params, pump = setting(0.0, length=2e4)
+    omegas = (OMEGA_P / 2 - 20.0, OMEGA_P / 2, OMEGA_P / 2 + 7.0)
+    before = [marginal_spectrum(params, pump, which, w)
+              for which in ("signal", "idler") for w in omegas]
+    dense = interferometry._RateEngine(params, pump, 0.1, "fine", PANEL_BUDGET)
+    # halved in place, so a density dict shared with the marginal would change too
+    for grade, density in list(interferometry.PANEL_DENSITY.items()):
+        monkeypatch.setitem(interferometry.PANEL_DENSITY, grade, 0.5 * density)
+    sparse = interferometry._RateEngine(params, pump, 0.1, "fine", PANEL_BUDGET)
+    assert len(sparse.un) < len(dense.un) and len(sparse.vn) < len(dense.vn)
+    after = [marginal_spectrum(params, pump, which, w)
+             for which in ("signal", "idler") for w in omegas]
+    assert after == before
 
 
 def test_marginal_rejects_unknown_mode():

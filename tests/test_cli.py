@@ -563,11 +563,21 @@ def test_si_units_half_sweep_exits_one(tmp_path, capsys):
       "--sweep-hi", "200", "--sweep-steps", "2"], "pump bandwidth * gamma * length"),
     (["hom", "--pump-bw", "1e-320", "--gamma", "1e-10", "--theta", "0", "--tau-max", "1",
       "--tau-steps", "3"], "pump bandwidth * gamma * length"),
+    (["mz", "--omega-p", "1e300", "--tau-max", "1e10", "--tau-steps", "3"],
+     "fringe phase omega_p * tau_max = 1e+300 * 10000000000.0 is not finite\n"),
+    (["mz", "--omega-p", "1e300", "--tau-max", "1e10", "--tau-steps", "3", "--method", "both"],
+     "fringe phase omega_p * tau_max = 1e+300 * 10000000000.0 is not finite\n"),
+    (["spectrum", "--omega-p", "1e300", "--grid-steps", "3"],
+     "grid_span = 333.2162203618775 around omega_p / 2 = 5e+299 rounds to one point\n"),
+    (["spectrum", "--grid-span", "1e-300", "--grid-steps", "3"],
+     "grid_span = 1e-300 around omega_p / 2 = 1000.0 rounds to one point\n"),
 ], ids=["hom-span-inf", "hom-window-inf", "mz-span", "mz-span-steps", "validate-span",
-        "hom-gl", "hom-quadrature-gl", "mz-width", "visibility-width", "hom-width-zero"])
+        "hom-gl", "hom-quadrature-gl", "mz-width", "visibility-width", "hom-width-zero",
+        "mz-phase", "mz-phase-both", "spectrum-center-point", "spectrum-span-point"])
 def test_overflowing_derived_scale_exits_one(tmp_path, capsys, args, message):
     # each setting is finite and positive, but a scale derived from it is
-    # inf or 0: a CSV of nan, or a division by zero, without the guards
+    # inf or 0, or a window rounds to one point: a CSV of nan, a division by
+    # zero, a math domain error or an unnamed interval error without the guards
     out = tmp_path / "x.csv"
     assert run(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -587,8 +597,8 @@ def test_spectrum_infinite_grid_phase_exits_one(tmp_path, capsys):
 
 
 def test_spectrum_large_finite_grid_phase_warns_nothing(tmp_path):
-    # the phases reach ~5e307: finite, but squaring them for the series
-    # branch of phi_L would overflow (a RuntimeWarning fails the test)
+    # the phases reach ~5e307: finite, and phi_L must take their sine and
+    # divide by them without a RuntimeWarning (which fails the test)
     out = tmp_path / "x.csv"
     assert run(["spectrum", "--gamma", "1e299", "--length-um", "1e7", "--grid-steps", "3",
                 "--out", str(out)]) == 0
@@ -600,6 +610,22 @@ def test_spectrum_near_monochromatic_pump_warns_nothing(tmp_path, capsys):
     # the grid; exp(-inf) = 0 is the exact limit (a RuntimeWarning fails the test)
     out = tmp_path / "x.csv"
     assert run(["spectrum", "--pump-bw", "1e-300", "--grid-steps", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in read(out)
+
+
+@pytest.mark.parametrize("args", [
+    ["mz", "--pump-bw", "1e300"],
+    ["mz", "--tau-max", "1e300", "--tau-steps", "5"],
+    ["mz", "--pump-bw", "1e300", "--tau-max", "1e10", "--tau-steps", "3"],
+    ["mz", "--theta", repr(math.pi / 4), "--tau-max", "1e300", "--tau-steps", "5"],
+], ids=["wide-pump", "far-delays", "wide-pump-far-delays", "equal-gamma-far-delays"])
+def test_closed_fringe_far_out_warns_nothing(tmp_path, capsys, args):
+    # (bw tau / 2)^2 overflows to inf, and exp(-inf) = 0 is the exact limit;
+    # on the gamma_s = gamma_i ray q2 = 0 must not turn it into inf * 0 = nan
+    # (a RuntimeWarning fails the test)
+    out = tmp_path / "x.csv"
+    assert run(args + ["--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert "nan" not in read(out)
 

@@ -333,6 +333,28 @@ def test_quadrature_self_check_rejects_drift_above_tolerance(trace):
         trace(EPM, PUMP, np.linspace(-0.1, 0.1, 21), spec=spec)
 
 
+@pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)],
+                         ids=["default", "strict"])
+@pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
+def test_quadrature_of_no_delays_is_empty(trace, spec):
+    # no delay, no drift: even a tolerance no trace can meet passes
+    got = trace(EPM, PUMP, np.array([]), spec=spec)
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+@pytest.mark.parametrize("taus, tau_max, message", [
+    ([0.0, math.inf], None, "delays taus must be finite"),
+    ([-math.inf], None, "delays taus must be finite"),
+    ([math.nan], None, "delays taus must be finite"),
+    ([0.0, 0.05], math.nan, "tau_max = nan must be finite"),
+    ([0.0, 0.05], math.inf, "tau_max = inf must be finite"),
+], ids=["inf-delay", "minus-inf-delay", "nan-delay", "nan-tau-max", "inf-tau-max"])
+@pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
+def test_quadrature_rejects_non_finite_delays(trace, taus, tau_max, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trace(EPM, PUMP, np.array(taus), tau_max=tau_max)
+
+
 def test_quadrature_pump_bandwidth_insensitive_on_matched_ray():
     taus = np.linspace(-0.1, 0.1, 11)
     traces = [hom_trace_integral(EPM, PumpSpectrum(omega_p=OMEGA_P, bandwidth=bw),
