@@ -110,10 +110,17 @@ def truncation_halfwidth(params: PhaseMatchParams, pump: PumpSpectrum,
     scale uses the smaller of the two axis projections |cos theta|,
     |sin theta| (a near-zero projection is skipped: that axis is bounded by
     the pump alone, and the two are never both near zero).
+
+    Raises:
+        ValueError: gamma * length is so small that the lobe is not finite.
     """
     scales = [abs(math.cos(params.theta)), abs(math.sin(params.theta))]
     scales = [s for s in scales if s > 1e-9]
-    lobe = 2.0 * math.pi / (params.gamma * params.length * min(scales))
+    width = params.gamma * params.length * min(scales)
+    lobe = 2.0 * math.pi / width if width > 0 else math.inf
+    if not math.isfinite(lobes * lobe):
+        raise ValueError(f"gamma = {params.gamma} and length_um = {params.length} give a "
+                         "phase-matching lobe 2 pi / (gamma * length_um) that is not finite")
     return max(sigmas * pump.bandwidth, lobes * lobe)
 
 

@@ -44,7 +44,7 @@ _SQRT_PI = math.sqrt(math.pi)
 # Self-check tolerance and panel budget of the quadrature traces
 TRACE_SPEC = QuadratureSpec()
 # panels per 2 pi / rate on both node axes of the fine and coarse builds
-PANEL_DENSITY = {"fine": 1.5, "coarse": 1.0}
+PANEL_DENSITY = {"fine": 0.75, "coarse": 0.6}
 
 
 class DegenerateDip(ValueError):
@@ -211,8 +211,13 @@ def v_mz(cfp: ClosedFormParams) -> float:
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of all the temporaries
-# of one node chunk in _cos_sums
-_BLOCK_BYTES = 16 << 20
+# of one node chunk in _cos_sums.  4 MiB costs little time; at 16 MiB a
+# trace's peak RSS took one of two modes ~10 MiB apart, by where huge pages fell
+_BLOCK_BYTES = 4 << 20
+# Gaussian gridding half-width of _nufft_cos_sums, in points of its grid:
+# the truncated kernel and the aliased modes then stay near 1e-15 of the
+# summed |weights|
+_MSP = 16
 # difference-axis reach in units of 1 / tau_theta: the squared sinc tails
 # thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
 # v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
@@ -320,9 +325,9 @@ class _RateEngine:
         self._w3 = 2.0 * vwp * self.g3_v
 
     # every cosine sum goes through _cos_sums, which evaluates a uniform
-    # delay grid by blocked angle addition: a delay's value then depends on
-    # the grid it came with, at the level of the rounding in its phases
-    # (~1e-13), but never on the order of the calls or on the cache
+    # delay grid by a non-uniform FFT: a delay's value then depends on the
+    # grid it came with, at about 1e-13 of the summed |weights|, but never on
+    # the order of the calls or on the cache
 
     def hom(self, taus: np.ndarray) -> np.ndarray:
         (cross,) = _cos_sums(self._vp, self._w3[None, :], taus)
@@ -336,46 +341,74 @@ class _RateEngine:
         return raw / (0.25 * self.mass)
 
 
-def _delay_blocks(taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Anchors and offsets with taus[b K + j] = anchors[b] + offsets[j].
-
-    On a uniform grid (every tau within 2 ulp of max |tau| of tau_0 + k d,
-    as np.linspace gives) K = ceil(sqrt(n)) minimizes the 2 (K + n / K)
-    cosines and sines per node; any other grid, or n <= 2, gets K = 1,
-    anchors = taus and offsets = [0]: plain direct evaluation.
-    """
-    n = len(taus)
-    if n > 2:
-        d = (taus[-1] - taus[0]) / (n - 1)
-        steps = np.arange(n)
-        if np.max(np.abs(taus - (taus[0] + d * steps))) <= 2.0 * np.spacing(np.max(np.abs(taus))):
-            k = math.isqrt(n - 1) + 1
-            return taus[::k], d * steps[:k]
-    return taus, np.zeros(1)
-
-
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """sum_i weights[r, i] cos(freq[i] tau) for every weight row r and delay
     tau, as a (rows, len(taus)) array.
 
-    cos(f (t_b + s_j)) = cos(f t_b) cos(f s_j) - sin(f t_b) sin(f s_j) over
-    the anchors t_b and offsets s_j of _delay_blocks, so each node chunk
-    costs cosines and sines at the anchors and offsets and two matrix
-    products; the chunk's temporaries together stay within _BLOCK_BYTES.
+    On a uniform grid tau_k = tau_0 + k d (every tau within 2 ulp of max |tau|
+    of it, as np.linspace gives) of n > 2 delays the sums are
+    Re sum_i c_i e^{i k' x_i}, with k' = k - n // 2, x_i = freq_i d mod 2 pi
+    and c_i = w_i e^{i freq_i tau_mid} at the middle delay tau_mid: a type-1
+    non-uniform FFT (_nufft_cos_sums).  Any other grid takes the direct sum,
+    one cosine per node per delay, in node chunks within _BLOCK_BYTES.
     """
-    anchors, offsets = _delay_blocks(taus)
-    rows, n_a, n_o = len(weights), len(anchors), len(offsets)
-    acc = np.zeros((rows * n_a, n_o))
-    chunk = max(1, _BLOCK_BYTES // (8 * (2 * (rows + 1) * n_a + 3 * n_o)))
+    n = len(taus)
+    if n > 2:
+        d = (taus[-1] - taus[0]) / (n - 1)
+        gap = np.abs(taus - (taus[0] + d * np.arange(n)))
+        if np.max(gap) <= 2.0 * np.spacing(np.max(np.abs(taus))):
+            return _nufft_cos_sums(freq, weights, d, taus[n // 2], n)
+    out = np.zeros((len(weights), n))
+    chunk = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     for lo in range(0, len(freq), chunk):
-        f, w = freq[lo:lo + chunk], weights[:, None, lo:lo + chunk]
-        phase = np.multiply.outer(anchors, f)
-        cos_a = np.cos(phase)
-        sin_a = np.sin(phase, out=phase)
-        phase_o = np.multiply.outer(f, offsets)
-        acc += (w * cos_a).reshape(rows * n_a, len(f)) @ np.cos(phase_o)
-        acc -= (w * sin_a).reshape(rows * n_a, len(f)) @ np.sin(phase_o, out=phase_o)
-    return acc.reshape(rows, n_a * n_o)[:, :len(taus)]
+        phase = np.multiply.outer(freq[lo:lo + chunk], taus)
+        out += weights[:, lo:lo + chunk] @ np.cos(phase, out=phase)
+    return out
+
+
+def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: float,
+                    n: int) -> np.ndarray:
+    """Re sum_i c_i e^{i k' x_i} for k' = -(n // 2) ... n - 1 - n // 2, with
+    x_i = freq_i d mod 2 pi and c_i = weights[r, i] e^{i freq_i tau_mid}.
+
+    Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368;
+    Greengard & Lee, SIAM Rev. 46 (2004) 443): each c_i is spread onto the
+    2 _MSP nearest points of a grid of 2n points on [0, 2 pi) through the
+    Gaussian exp(-(x - x_i)^2 / (4 t)), t = pi _MSP / (3 n^2); one inverse
+    FFT takes that grid's Fourier coefficients, which are the sums times
+    the kernel's transform sqrt(t / pi) e^{-k'^2 t}, and dividing by it
+    leaves the sums.  The spreading runs over node chunks whose
+    temporaries stay within _BLOCK_BYTES, and np.bincount accumulates
+    each row's real and imaginary parts on the grid's float views.
+    """
+    size = 2 * n
+    t = math.pi * _MSP / (3.0 * n * n)
+    step = 2.0 * math.pi / size
+    x = np.mod(freq * d, 2.0 * math.pi)
+    phase = freq * tau_mid
+    grid = np.zeros((len(weights), size), dtype=complex)
+    parts = [(grid.real, weights * np.cos(phase)), (grid.imag, weights * np.sin(phase))]
+    taps = np.arange(1 - _MSP, _MSP + 1)
+    # at most four (chunk, 2 _MSP) arrays of 8 bytes at once: the grid
+    # points, the kernel, the products and one temporary
+    chunk = max(1, _BLOCK_BYTES // (4 * 8 * len(taps)))
+    for lo in range(0, len(freq), chunk):
+        xs = x[lo:lo + chunk, None]
+        points = np.floor(xs / step).astype(np.intp) + taps
+        kernel = np.subtract(xs, points * step)
+        kernel *= kernel
+        kernel *= -0.25 / t
+        np.exp(kernel, out=kernel)
+        points %= size
+        index = points.ravel()
+        spread = np.empty_like(kernel)
+        for acc, coef in parts:
+            for row, c in zip(acc, coef[:, lo:lo + chunk, None]):
+                row += np.bincount(index, np.multiply(kernel, c, out=spread).ravel(),
+                                   minlength=size)
+    k = np.arange(-(n // 2), n - n // 2)
+    modes = np.fft.ifft(grid, axis=1).real[:, k % size]
+    return modes * (math.sqrt(math.pi / t) * np.exp(k * k * t))
 
 
 @functools.lru_cache(maxsize=8)

@@ -211,15 +211,18 @@ def test_visibility_rows_are_sweep_major_closed_form_values(tmp_path, kind, swep
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
-    values = np.array([-0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 123456789012.0, 1e-5])
-    columns = {"a": values, "b": values[::-1], "c": np.arange(len(values), dtype=float)}
-    out = tmp_path / "w.csv"
-    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "hom", {"extra": 1}, columns)
-    expected = ["a,b,c"] + [",".join(format(float(x), ".9g") for x in row)
-                            for row in zip(*columns.values())]
-    text = read(out)
-    assert text.endswith("\n") and "# extra=1" in text.splitlines()
-    assert data_section(text) == "\n".join(expected)
+    specials = [-0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 123456789012.0, 1e-5]
+    # 8 rows, and 8 * 257 rows: two full 1024-row blocks and a partial one
+    for repeats in (1, 257):
+        values = np.tile(specials, repeats)
+        columns = {"a": values, "b": values[::-1], "c": np.arange(len(values), dtype=float)}
+        out = tmp_path / "w.csv"
+        spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "hom", {"extra": 1}, columns)
+        expected = ["a,b,c"] + [",".join(format(float(x), ".9g") for x in row)
+                                for row in zip(*columns.values())]
+        text = read(out)
+        assert text.endswith("\n") and "# extra=1" in text.splitlines()
+        assert data_section(text) == "\n".join(expected)
 
 
 def test_visibility_mz_bound(tmp_path):
@@ -389,6 +392,18 @@ def test_non_finite_input_exits_one(tmp_path, capsys, flag, value):
     assert run(["hom", flag, value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "must be finite" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tiny", ["1e-300", "1e-160"])
+def test_spectrum_with_a_lobe_that_is_not_finite_exits_one(tmp_path, capsys, tiny):
+    # gamma * length underflows to 0 (1e-300) or to a subnormal whose lobe overflows (1e-160)
+    out = tmp_path / "s.csv"
+    assert run(["spectrum", "--gamma", tiny, "--length-um", tiny, "--grid-steps", "3",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "gamma" in err and "length_um" in err
     assert not out.exists()
 
 

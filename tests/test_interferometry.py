@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from math import erf
 
 import numpy as np
@@ -27,9 +28,11 @@ from spdcsim import (
     v_hom,
     v_mz,
 )
+from spdcsim import interferometry
 from spdcsim.interferometry import (
+    _BLOCK_BYTES,
     _RIDGE,
-    _delay_blocks,
+    _cos_sums,
     _engines,
     _RateEngine,
     _sinc_blocks,
@@ -546,12 +549,25 @@ def coarse_engine(request):
     return _RateEngine(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
 
 
-def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_engine):
+def _nufft_grids(monkeypatch):
+    """Delay counts of every _nufft_cos_sums call from here on."""
+    calls, nufft = [], interferometry._nufft_cos_sums
+
+    def counted(freq, weights, d, tau_mid, n):
+        calls.append(n)
+        return nufft(freq, weights, d, tau_mid, n)
+
+    monkeypatch.setattr(interferometry, "_nufft_cos_sums", counted)
+    return calls
+
+
+def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_engine, monkeypatch):
     taus = np.linspace(-0.05, 0.05, 2001)
-    assert len(_delay_blocks(taus)[1]) == 45  # the blocked path, not K = 1
+    calls = _nufft_grids(monkeypatch)
     for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
                          _direct_traces(coarse_engine, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == [2001] * 3  # hom's v sums, mz's u and v sums: the NUFFT path
 
 
 def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
@@ -567,13 +583,105 @@ def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
     np.array([0.013]),
     np.array([-0.01, 0.03]),
 ], ids=["one_delay_off_a_linspace", "irregular", "n0", "n1", "n2"])
-def test_direct_evaluation_off_uniform_grids(coarse_engine, taus):
-    assert len(_delay_blocks(taus)[1]) == 1
+def test_direct_evaluation_off_uniform_grids(coarse_engine, taus, monkeypatch):
+    calls = _nufft_grids(monkeypatch)
     for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
                          _direct_traces(coarse_engine, taus)):
         assert got.shape == want.shape
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert calls == []
+
+
+def _direct_cos_sums(freq, weights, taus):
+    """Reference: one np.cos per node per delay, summed over node chunks."""
+    out = np.zeros((len(weights), len(taus)))
+    for lo in range(0, len(freq), 512):
+        out += weights[:, lo:lo + 512] @ np.cos(np.multiply.outer(freq[lo:lo + 512], taus))
+    return out
+
+
+@pytest.fixture(scope="module")
+def fine_engines():
+    """Fine engines of the dip-trace settings with the fewest and the most
+    u nodes, each with its delay span."""
+    settings = [make_params(-math.pi / 4), make_params(-math.pi / 6, 2e4)]
+    return [(_RateEngine(p, PUMP, delay_span(p, PUMP), "fine", 2**15), delay_span(p, PUMP))
+            for p in settings]
+
+
+def _worst_nufft_error(fine_engines, n):
+    """Largest |_cos_sums - direct sum| / sum_i |w_i| over both frequency
+    sets of each engine and over a symmetric and two one-sided n-point
+    grids, checked at up to ~130 delays that include both ends."""
+    worst = 0.0
+    for eng, span in fine_engines:
+        sets = [(eng._vp, np.stack((eng._w2, eng._w3))),
+                (eng.un + eng.omega_p, np.stack((eng.wu * eng.q_u, eng.wu * eng.r_u)))]
+        for lo, hi in [(-span, span), (0.3 * span, span), (-span, -0.3 * span)]:
+            taus = np.linspace(lo, hi, n)
+            at = np.unique(np.r_[np.arange(0, n, max(1, n // 128)), n - 1])
+            for freq, weights in sets:
+                err = np.abs(_cos_sums(freq, weights, taus)[:, at]
+                             - _direct_cos_sums(freq, weights, taus[at]))
+                worst = max(worst, float(np.max(err.max(axis=1) / np.abs(weights).sum(axis=1))))
+    return worst
+
+
+# On one-sided grids the sums cancel to ~1e-7 of the weight mass, so the
+# error is bounded against sum |w|, not max |sum|.  It is ~1e-13 there:
+# the NUFFT sums on the exact grid tau_0 + k d, and the linspace delays sit
+# within ~1 ulp of it, which moves each phase by up to ~eps max |freq tau|.
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 200, 201, 2000, 7975, 60751])
+def test_nufft_cos_sums_match_a_direct_sum(fine_engines, n, monkeypatch):
+    calls = _nufft_grids(monkeypatch)
+    assert _worst_nufft_error(fine_engines, n) <= 1e-12
+    assert calls and set(calls) == {n}
+
+
+def test_nufft_cos_sums_fail_with_a_narrow_kernel(fine_engines, monkeypatch):
+    # the bound above is tight enough to see a kernel of 8 points, not 32
+    monkeypatch.setattr(interferometry, "_MSP", 4)
+    assert _worst_nufft_error(fine_engines, 201) > 1e-9
+
+
+@pytest.mark.parametrize("theta, length, bandwidth, span", [
+    (-math.pi / 4, 1e3, 40.0, None), (math.pi / 5, 2e4, 40.0, None),
+    (-math.pi / 6, 2e4, 40.0, None), (2.0, 74017.0, 168.0, math.pi / OMEGA_P),
+], ids=["epm", "conv_pos", "conv_neg", "broad_pump"])
+def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidth, span,
+                                                         monkeypatch):
+    # the validate grids, and half a fringe period of the broad-pump case,
+    # where the coarse build comes closest to its drift gate: a density cut
+    # that goes too far fails here
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    span = span or delay_span(params, pump)
+    taus = np.linspace(-span, span, 201)
+    fine = _RateEngine(params, pump, span, "fine", 2**15)
+    monkeypatch.setitem(interferometry.PANEL_DENSITY, "fine",
+                        2.0 * interferometry.PANEL_DENSITY["fine"])
+    dense = _RateEngine(params, pump, span, "fine", 2**15)
+    assert len(dense.un) > len(fine.un) and len(dense.vn) > len(fine.vn)
+    for got, want in ((fine.hom(taus), dense.hom(taus)), (fine.mz(taus), dense.mz(taus))):
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_fringe_evaluation_memory_stays_within_the_block_budget():
+    # the CLI's default fringe grid at this setting: 40 delays per fringe period
+    params = make_params(-math.pi / 6, 2e4)
+    span = delay_span(params, PUMP)
+    taus = np.linspace(-span, span, 60751)
+    eng = _RateEngine(params, PUMP, span, "fine", 2**15)
+    tracemalloc.start()
+    try:
+        eng.mz(taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # past _BLOCK_BYTES of node-chunk temporaries, each weight row's
+    # oversampled grid and its transform hold 2n complex points each (64 n
+    # bytes), and mz's n-point sums and their combination fewer than 64 n more
+    assert peak <= _BLOCK_BYTES + (2 * 64 + 64) * len(taus)
 
 
 @pytest.mark.parametrize("budget, axis", [(4, "u axis (fine build)"), (60, "v axis (fine build)")])
