@@ -163,25 +163,21 @@ def mz_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray
 
 
 def v_hom(cfp: ClosedFormParams) -> float:
-    """Dip visibility (depth contrast); exactly 1 on the xi = inf ray.
+    """Dip visibility (1 - P(0)) / (1 + P(0)) of the closed dip trace P;
+    exactly 1 on the xi = inf ray.
 
     Raises:
         DegenerateDip: tau_theta = 0.
     """
-    if cfp.tau_theta <= 0:
-        raise DegenerateDip("tau_theta = 0: no dip to grade")
-    if math.isinf(cfp.xi):
-        return 1.0
-    g = 0.5 * _SQRT_PI * cfp.xi * erf(1.0 / cfp.xi)
-    return g / (2.0 - g)
+    p = float(hom_rate_closed(cfp, 0.0))
+    return (1.0 - p) / (1.0 + p)
 
 
 def v_mz(cfp: ClosedFormParams) -> float:
-    """Fringe visibility from the rates at zero delay and half a fringe
-    period: (1 + [F1 - F2]) / (3 - [F1 - F2]) evaluated at pi / w_p."""
-    f1, f2 = fringe_envelope_terms(cfp, math.pi / cfp.omega_p)
-    d = f1 - f2
-    return (1.0 + d) / (3.0 - d)
+    """Fringe visibility (2 - P) / (2 + P) from the closed fringe trace P at
+    half a fringe period, pi / w_p, where P(0) = 2."""
+    p = float(mz_rate_closed(cfp, math.pi / cfp.omega_p))
+    return (2.0 - p) / (2.0 + p)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +191,11 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # sum/difference of the group-delay coefficients, and every delay-dependent
 # factor reduces to cos(v tau), cos((u + w_p) tau) or
 # cos((u + w_p) tau / 2) cos(v tau / 2).  The last family is odd in v and
-# integrates to zero; the rest separate, so the double integral collapses
-# onto four tau-independent node profiles and each delay is a weighted sum
-# of cosines over them (_cos_sums).  The constant Jacobian cancels in the
-# normalization.
+# integrates to zero; the rest separate, so each normalized trace collapses
+# onto one tau-independent line spectrum, 1 + sum_i w_i cos(f_i tau): the
+# dip's lines sit at the v nodes, the fringe's at the v nodes and at the
+# u nodes shifted by w_p, and one non-uniform FFT sums them over a delay
+# grid (_cos_sums).  The constant Jacobian cancels in the normalization.
 #
 # Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
 # node axes are built as exact mirror images of their positive halves (the
@@ -264,10 +261,9 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
 
 
 class _RateEngine:
-    """Tau-independent node profiles for one (crystal, pump) setting.
-
-    un, vn (with weights wu, pump-weighted, and vw) are the full mirrored
-    node axes; q_u and r_u live on un, g2_v and g3_v on the v > 0 half.
+    """One line spectrum per trace kind for one (crystal, pump) setting:
+    spectra[kind] = (freq, weights), and the trace of that kind at a delay
+    tau is 1 + sum_i weights[i] cos(freq[i] tau).
     """
 
     def __init__(self, params: PhaseMatchParams, pump: PumpSpectrum,
@@ -311,39 +307,31 @@ class _RateEngine:
             c_u += cross @ vwp[lo:hi]
             s_v[lo:hi] = wu @ sq
             c_v[lo:hi] = wu @ cross
-        self.un, self.wu, self.vn, self.vw = un, wu, vn, vw
-        # sums over all v of (p1^2 + p2^2) and p1 * p2, and pump-weighted
-        # sums over u of the same (wu is even, so the p2^2 sum equals s_v)
-        self.q_u = 2.0 * (s_u + s_u[::-1])
-        self.r_u = 2.0 * c_u
-        self.g2_v = 2.0 * s_v
-        self.g3_v = c_v
-        self.mass = float(wu @ self.q_u)
-        self.omega_p = pump.omega_p
-        self._vp = vp
-        self._w2 = 2.0 * vwp * self.g2_v
-        self._w3 = 2.0 * vwp * self.g3_v
+        # sums over all v of p1^2 + p2^2 and of p1 p2, and over u the
+        # pump-weighted sums of the same, each v > 0 weight doubled for its
+        # mirror (wu is even, so the p2^2 sum equals s_v)
+        q_u = 2.0 * (s_u + s_u[::-1])
+        r_u = 2.0 * c_u
+        w2 = 4.0 * vwp * s_v
+        w3 = 2.0 * vwp * c_v
+        mass = float(wu @ q_u)
+        self.spectra = {
+            TraceKind.HOM: (vp, -2.0 * w3 / mass),
+            TraceKind.MZ: (np.concatenate((un + pump.omega_p, vp)),
+                           np.concatenate((wu * (0.5 * q_u + r_u), 0.5 * w2 - w3)) / mass),
+        }
 
     # every cosine sum goes through _cos_sums, which evaluates a uniform
     # delay grid by a non-uniform FFT: a delay's value then depends on the
     # grid it came with, at about 1e-13 of the summed |weights|, but never on
     # the order of the calls or on the cache
-
-    def hom(self, taus: np.ndarray) -> np.ndarray:
-        (cross,) = _cos_sums(self._vp, self._w3[None, :], taus)
-        return 1.0 - 2.0 * cross / self.mass
-
-    def mz(self, taus: np.ndarray) -> np.ndarray:
-        a1, b1 = _cos_sums(self.un + self.omega_p,
-                           np.stack((self.wu * self.q_u, self.wu * self.r_u)), taus)
-        a2, b2 = _cos_sums(self._vp, np.stack((self._w2, self._w3)), taus)
-        raw = 0.25 * self.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)
-        return raw / (0.25 * self.mass)
+    def trace(self, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
+        return 1.0 + _cos_sums(*self.spectra[kind], taus)
 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """sum_i weights[r, i] cos(freq[i] tau) for every weight row r and delay
-    tau, as a (rows, len(taus)) array.
+    """sum_i weights[i] cos(freq[i] tau) for every delay tau, shaped like
+    taus.
 
     On a uniform grid tau_k = tau_0 + k d (every tau within 2 ulp of max |tau|
     of it, as np.linspace gives) of n > 2 delays the sums are
@@ -358,18 +346,18 @@ def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.nda
         gap = np.abs(taus - (taus[0] + d * np.arange(n)))
         if np.max(gap) <= 2.0 * np.spacing(np.max(np.abs(taus))):
             return _nufft_cos_sums(freq, weights, d, taus[n // 2], n)
-    out = np.zeros((len(weights), n))
+    out = np.zeros(n)
     chunk = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     for lo in range(0, len(freq), chunk):
         phase = np.multiply.outer(freq[lo:lo + chunk], taus)
-        out += weights[:, lo:lo + chunk] @ np.cos(phase, out=phase)
+        out += weights[lo:lo + chunk] @ np.cos(phase, out=phase)
     return out
 
 
 def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: float,
                     n: int) -> np.ndarray:
     """Re sum_i c_i e^{i k' x_i} for k' = -(n // 2) ... n - 1 - n // 2, with
-    x_i = freq_i d mod 2 pi and c_i = weights[r, i] e^{i freq_i tau_mid}.
+    x_i = freq_i d mod 2 pi and c_i = weights[i] e^{i freq_i tau_mid}.
 
     Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368;
     Greengard & Lee, SIAM Rev. 46 (2004) 443): each c_i is spread onto the
@@ -378,15 +366,15 @@ def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: fl
     FFT takes that grid's Fourier coefficients, which are the sums times
     the kernel's transform sqrt(t / pi) e^{-k'^2 t}, and dividing by it
     leaves the sums.  The spreading runs over node chunks whose
-    temporaries stay within _BLOCK_BYTES, and np.bincount accumulates
-    each row's real and imaginary parts on the grid's float views.
+    temporaries stay within _BLOCK_BYTES, and np.bincount accumulates the
+    real and imaginary parts on the grid's float views.
     """
     size = 2 * n
     t = math.pi * _MSP / (3.0 * n * n)
     step = 2.0 * math.pi / size
     x = np.mod(freq * d, 2.0 * math.pi)
     phase = freq * tau_mid
-    grid = np.zeros((len(weights), size), dtype=complex)
+    grid = np.zeros(size, dtype=complex)
     parts = [(grid.real, weights * np.cos(phase)), (grid.imag, weights * np.sin(phase))]
     taps = np.arange(1 - _MSP, _MSP + 1)
     # at most four (chunk, 2 _MSP) arrays of 8 bytes at once: the grid
@@ -403,11 +391,10 @@ def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: fl
         index = points.ravel()
         spread = np.empty_like(kernel)
         for acc, coef in parts:
-            for row, c in zip(acc, coef[:, lo:lo + chunk, None]):
-                row += np.bincount(index, np.multiply(kernel, c, out=spread).ravel(),
-                                   minlength=size)
+            acc += np.bincount(index, np.multiply(kernel, coef[lo:lo + chunk, None],
+                                                  out=spread).ravel(), minlength=size)
     k = np.arange(-(n // 2), n - n // 2)
-    modes = np.fft.ifft(grid, axis=1).real[:, k % size]
+    modes = np.fft.ifft(grid).real[k % size]
     return modes * (math.sqrt(math.pi / t) * np.exp(k * k * t))
 
 
@@ -439,15 +426,16 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
         raise ValueError(f"quadrature tau_max = {tau_max} must be finite")
     reach = max(float(np.max(np.abs(taus), initial=0.0)), float(tau_max or 0.0))
     fine, coarse = _engines(params, pump, reach, spec.max_subdivisions)
-    run = (lambda e: e.hom(taus)) if kind is TraceKind.HOM else (lambda e: e.mz(taus))
-    values = run(fine)
-    drift = float(np.max(np.abs(values - run(coarse)), initial=0.0))
+    values = fine.trace(kind, taus)
+    drift = float(np.max(np.abs(values - coarse.trace(kind, taus)), initial=0.0))
     scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(
             f"panel refinement still moves the trace by {drift:.2e}"
         )
-    return values
+    # both raw integrands are sums of |amplitude|^2 with positive weights, so
+    # a value below 0 is rounding
+    return np.maximum(values, 0.0)
 
 
 def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,

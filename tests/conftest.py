@@ -1,11 +1,25 @@
 """Shared test helpers: planted dispersion models with a known joint
-matching point, used by both the unit tests and the acceptance gate."""
+matching point, used by both the unit tests and the acceptance gate; the
+node counts of a quadrature engine; and the example settings of the
+property tests."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
-from spdcsim import DispersionModel, Interval, KnobSpec, PolynomialBranch
+from spdcsim import DispersionModel, Interval, KnobSpec, PolynomialBranch, TraceKind
+
+# fixed examples, no example database: the same settings on every run, and
+# nothing written to .hypothesis/
+EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+def node_counts(engine) -> tuple[int, int]:
+    """(u, v > 0) node counts of a quadrature engine: the dip spectrum has
+    one line per v > 0 node, the fringe spectrum one more per u node."""
+    v = len(engine.spectra[TraceKind.HOM][0])
+    return len(engine.spectra[TraceKind.MZ][0]) - v, v
 
 
 def planted_joint_model(omega_star: float, zeta_star: float, seed: int,

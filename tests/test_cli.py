@@ -153,6 +153,16 @@ def test_mz_both_methods_agree(tmp_path):
     assert body[len(body) // 2][1] == 2.0
 
 
+def test_hom_both_methods_write_no_negative_rate(tmp_path):
+    # at the defaults the quadrature dip cancels to rounding at zero delay
+    out = tmp_path / "h.csv"
+    assert run(["hom", "--method", "both", "--out", str(out)]) == 0
+    lines = data_section(read(out)).splitlines()
+    assert lines[0] == "tau_ps,P_closed,P_quadrature"
+    body = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
+    assert np.all(body[:, 2] >= 0.0)
+
+
 def test_mz_default_grid_samples_fringes(tmp_path):
     out = tmp_path / "mf.csv"
     assert run(["mz", "--tau-max", "0.01", "--out", str(out)]) == 0

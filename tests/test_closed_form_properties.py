@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spdcsim import (
@@ -17,12 +17,10 @@ from spdcsim import (
     v_hom,
     v_mz,
 )
+from conftest import EXAMPLES
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
-
-# fixed examples, no example database: the same 300 settings on every run
-EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 thetas = st.floats(min_value=-math.pi, max_value=math.pi)
 lengths = st.floats(min_value=1e2, max_value=1e5)

@@ -29,6 +29,7 @@ from spdcsim import (
     v_mz,
 )
 from spdcsim import interferometry
+from spdcsim.cli import VALIDATION_SETS
 from spdcsim.interferometry import (
     _BLOCK_BYTES,
     _RIDGE,
@@ -38,6 +39,7 @@ from spdcsim.interferometry import (
     _sinc_blocks,
     delay_span,
 )
+from conftest import node_counts
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -387,6 +389,17 @@ def test_trace_ranges():
     assert np.all(mz >= -1e-9) and np.all(mz <= 2.0 + 1e-9)
 
 
+@pytest.mark.parametrize("name, kind, theta, length", VALIDATION_SETS,
+                         ids=[row[0] for row in VALIDATION_SETS])
+def test_quadrature_traces_on_the_validate_grids_are_not_negative(name, kind, theta, length):
+    # both raw integrands are sums of |amplitude|^2; the epm dip cancels to
+    # rounding at zero delay
+    params = make_params(theta, length)
+    taus = np.linspace(-1, 1, 201) * delay_span(params, PUMP)
+    trace = hom_trace_integral if kind is TraceKind.HOM else mz_trace_integral
+    assert np.all(trace(params, PUMP, taus) >= 0.0)
+
+
 def test_degenerate_ray_quadrature_raises():
     with pytest.raises(DegenerateDip):
         hom_trace_integral(make_params(math.pi / 4), PUMP, np.array([0.0]))
@@ -413,36 +426,91 @@ def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, eq
     assert _raises(InfiniteBandwidth, fluorescence_bandwidth, params) is equal
 
 
-def _unfolded_profiles(eng, params):
+def _engine_and_axes(params, pump, tau_max, grade):
+    """A fresh engine and its node axes (un, wu, vn, vw), recorded as the
+    build asks for them; wu carries the pump weight."""
+    axes, panels = [], interferometry.gauss_legendre_panels
+
+    def recorded(*args):
+        axes.append(panels(*args))
+        return axes[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interferometry, "gauss_legendre_panels", recorded)
+        eng = _RateEngine(params, pump, tau_max, grade, 2**15)
+    (un, uw), (vn, vw) = axes
+    return eng, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn, vw)
+
+
+def _spectra_from_profiles(axes, profiles, omega_p):
+    """The line spectra of the u profiles q_u, r_u and the v profiles g2_v,
+    g3_v over every v node: each v line's weight folds in its mirror's, and
+    every weight is divided by the mass sum_u wu q_u."""
+    un, wu, vn, vw = axes
+    q_u, r_u, g2_v, g3_v = profiles
+    half = len(vn) // 2
+    mass = wu @ q_u
+
+    def fold(g):
+        return (vw * g)[half:] + (vw * g)[:half][::-1]
+
+    return {TraceKind.HOM: (vn[half:], -2.0 * fold(g3_v) / mass),
+            TraceKind.MZ: (np.concatenate((un + omega_p, vn[half:])),
+                           np.concatenate((wu * (0.5 * q_u + r_u), fold(0.5 * g2_v - g3_v)))
+                           / mass)}
+
+
+def _assert_spectra_match(eng, axes, profiles):
+    """The engine's lines are those of the reference profiles, and on each
+    node axis its weights lie within 1e-12 of the largest weight that the
+    profiles' magnitudes give there, with g3_v's negated so that no term
+    cancels: the fringe's v weights are a difference of two profiles, which
+    cancels exactly at a = 0."""
+    want = _spectra_from_profiles(axes, profiles, PUMP.omega_p)
+    q_u, r_u, g2_v, g3_v = map(np.abs, profiles)
+    size = _spectra_from_profiles(axes, (q_u, r_u, g2_v, -g3_v), PUMP.omega_p)
+    n_v = len(want[TraceKind.HOM][0])
+    for kind, (freq, weights) in want.items():
+        got_freq, got_weights = eng.spectra[kind]
+        assert np.array_equal(got_freq, freq)
+        for axis in (slice(0, len(freq) - n_v), slice(len(freq) - n_v, None)):
+            if weights[axis].size:
+                err = np.max(np.abs(got_weights[axis] - weights[axis]))
+                assert err <= 1e-12 * np.max(np.abs(size[kind][1][axis]))
+
+
+def _unfolded_profiles(axes, params):
     """Reference reduction without the reflection fold: phi_L at a u + b v
     and a u - b v over every v node, in v chunks, divided by L so the
     profiles share the engine's normalization."""
+    un, wu, vn, vw = axes
     a = 0.5 * (params.gamma_s + params.gamma_i)
     b = 0.5 * (params.gamma_s - params.gamma_i)
     L = params.length
-    q_u, r_u = np.zeros_like(eng.un), np.zeros_like(eng.un)
-    g2_v, g3_v = np.empty_like(eng.vn), np.empty_like(eng.vn)
-    for lo in range(0, len(eng.vn), 2000):
-        v, vw = eng.vn[lo:lo + 2000], eng.vw[lo:lo + 2000]
-        p1 = phi_L(a * eng.un[:, None] + b * v[None, :], L) / L
-        p2 = phi_L(a * eng.un[:, None] - b * v[None, :], L) / L
+    q_u, r_u = np.zeros_like(un), np.zeros_like(un)
+    g2_v, g3_v = np.empty_like(vn), np.empty_like(vn)
+    for lo in range(0, len(vn), 2000):
+        v, w = vn[lo:lo + 2000], vw[lo:lo + 2000]
+        p1 = phi_L(a * un[:, None] + b * v[None, :], L) / L
+        p2 = phi_L(a * un[:, None] - b * v[None, :], L) / L
         ssq, cross = p1 * p1 + p2 * p2, p1 * p2
-        q_u += ssq @ vw
-        r_u += cross @ vw
-        g2_v[lo:lo + 2000] = eng.wu @ ssq
-        g3_v[lo:lo + 2000] = eng.wu @ cross
+        q_u += ssq @ w
+        r_u += cross @ w
+        g2_v[lo:lo + 2000] = wu @ ssq
+        g3_v[lo:lo + 2000] = wu @ cross
     return q_u, r_u, g2_v, g3_v
 
 
-def _unfolded_traces(eng, profiles, omega_p, taus):
+def _unfolded_traces(axes, profiles, omega_p, taus):
+    un, wu, vn, vw = axes
     q_u, r_u, g2_v, g3_v = profiles
-    mass = eng.wu @ q_u
+    mass = wu @ q_u
     hom, mz = [], []
     for tau in taus:
-        cos_u = np.cos((eng.un + omega_p) * tau)
-        cos_v = np.cos(eng.vn * tau)
-        a1, b1 = (eng.wu * q_u) @ cos_u, (eng.wu * r_u) @ cos_u
-        a2, b2 = (eng.vw * g2_v) @ cos_v, (eng.vw * g3_v) @ cos_v
+        cos_u = np.cos((un + omega_p) * tau)
+        cos_v = np.cos(vn * tau)
+        a1, b1 = (wu * q_u) @ cos_u, (wu * r_u) @ cos_u
+        a2, b2 = (vw * g2_v) @ cos_v, (vw * g3_v) @ cos_v
         hom.append(1.0 - 2.0 * b2 / mass)
         mz.append((0.25 * mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)) / (0.25 * mass))
     return np.array(hom), np.array(mz)
@@ -451,15 +519,13 @@ def _unfolded_traces(eng, profiles, omega_p, taus):
 def test_reflection_fold_matches_unfolded_reduction():
     params = make_params(math.pi / 5)  # short crystal, off both special rays
     taus = np.linspace(-0.02, 0.02, 9)
-    eng = _RateEngine(params, PUMP, 0.02, "fine", 2**15)
-    assert np.array_equal(eng.un, -eng.un[::-1]) and np.array_equal(eng.wu, eng.wu[::-1])
-    assert np.array_equal(eng.vn, -eng.vn[::-1]) and np.array_equal(eng.vw, eng.vw[::-1])
-    ref = _unfolded_profiles(eng, params)
-    half = len(eng.vn) // 2
-    pairs = [(eng.q_u, ref[0]), (eng.r_u, ref[1]),
-             (eng.g2_v, ref[2][half:]), (eng.g3_v, ref[3][half:])]
-    pairs += zip((eng.hom(taus), eng.mz(taus)), _unfolded_traces(eng, ref, PUMP.omega_p, taus))
-    for got, want in pairs:
+    eng, axes = _engine_and_axes(params, PUMP, 0.02, "fine")
+    un, wu, vn, vw = axes
+    assert np.array_equal(un, -un[::-1]) and np.array_equal(wu, wu[::-1])
+    assert np.array_equal(vn, -vn[::-1]) and np.array_equal(vw, vw[::-1])
+    ref = _unfolded_profiles(axes, params)
+    _assert_spectra_match(eng, axes, ref)
+    for got, want in zip(_traces(eng, taus), _unfolded_traces(axes, ref, PUMP.omega_p, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -497,26 +563,31 @@ def test_sinc_kernel_matches_np_sinc_on_dense_axes():
     assert np.max(np.abs(_kernel(au, bv, 64) - want)) <= 1e-15
 
 
-def _sinc_reference_profiles(eng, params):
+def _sinc_reference_profiles(axes, params):
     """Reference build: one np.sinc per node pair on the engine's own nodes,
-    folded like the engine (p2 is p1's row reversal, v < 0 by symmetry)."""
+    folded like the engine (p2 is p1's row reversal, v < 0 by symmetry),
+    as profiles over every v node."""
+    un, wu, vn, vw = axes
     a = 0.5 * (params.gamma_s + params.gamma_i)
     b = 0.5 * (params.gamma_s - params.gamma_i)
     L = params.length
-    au = (a * L / (2.0 * math.pi)) * eng.un
-    vp, vwp = eng._vp, eng.vw[len(eng.vn) // 2:]
-    s_u, c_u = np.zeros_like(eng.un), np.zeros_like(eng.un)
+    au = (a * L / (2.0 * math.pi)) * un
+    half = len(vn) // 2
+    vp, vwp = vn[half:], vw[half:]
+    s_u, c_u = np.zeros_like(un), np.zeros_like(un)
     s_v, c_v = np.empty_like(vp), np.empty_like(vp)
-    step = max(1, 2**20 // len(eng.un))
+    step = max(1, 2**20 // len(un))
     for lo in range(0, len(vp), step):
         p1 = np.sinc(au[:, None] + (b * L / (2.0 * math.pi)) * vp[None, lo:lo + step])
         sq, cross = p1 * p1, p1 * p1[::-1]
         s_u += sq @ vwp[lo:lo + step]
         c_u += cross @ vwp[lo:lo + step]
-        s_v[lo:lo + step] = eng.wu @ sq
-        c_v[lo:lo + step] = eng.wu @ cross
-    q_u = 2.0 * (s_u + s_u[::-1])
-    return q_u, 2.0 * c_u, 2.0 * s_v, c_v, eng.wu @ q_u
+        s_v[lo:lo + step] = wu @ sq
+        c_v[lo:lo + step] = wu @ cross
+
+    def mirrored(g):
+        return np.concatenate((g[::-1], g))
+    return 2.0 * (s_u + s_u[::-1]), 2.0 * c_u, mirrored(2.0 * s_v), mirrored(c_v)
 
 
 @pytest.mark.parametrize("theta, length", [
@@ -524,24 +595,20 @@ def _sinc_reference_profiles(eng, params):
 ], ids=["epm", "conv_pos", "conv_neg", "b_negative"])
 def test_engine_profiles_match_np_sinc_build(theta, length):
     params = make_params(theta, length)
-    eng = _RateEngine(params, PUMP, delay_span(params, PUMP), "coarse", 2**15)
-    ref = _sinc_reference_profiles(eng, params)
-    for got, want in zip((eng.q_u, eng.r_u, eng.g2_v, eng.g3_v, eng.mass), ref):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    eng, axes = _engine_and_axes(params, PUMP, delay_span(params, PUMP), "coarse")
+    ref = _sinc_reference_profiles(axes, params)
+    _assert_spectra_match(eng, axes, ref)
 
 
 def _direct_traces(eng, taus):
-    """Reference evaluation: one np.cos per node per delay, reduced with
-    plain dot products on the engine's own profiles."""
-    hom, mz = [], []
-    for tau in taus:
-        cos_u = np.cos((eng.un + eng.omega_p) * tau)
-        cos_v = np.cos(eng._vp * tau)
-        a1, b1 = (eng.wu * eng.q_u) @ cos_u, (eng.wu * eng.r_u) @ cos_u
-        a2, b2 = eng._w2 @ cos_v, eng._w3 @ cos_v
-        hom.append(1.0 - 2.0 * b2 / eng.mass)
-        mz.append((0.25 * eng.mass + 0.125 * (a1 + a2) + 0.25 * (b1 - b2)) / (0.25 * eng.mass))
-    return np.array(hom), np.array(mz)
+    """Reference evaluation: one np.cos per line per delay, reduced with
+    plain dot products on the engine's own spectra."""
+    return tuple(np.array([1.0 + weights @ np.cos(freq * tau) for tau in taus])
+                 for freq, weights in (eng.spectra[TraceKind.HOM], eng.spectra[TraceKind.MZ]))
+
+
+def _traces(eng, taus):
+    return eng.trace(TraceKind.HOM, taus), eng.trace(TraceKind.MZ, taus)
 
 
 @pytest.fixture(scope="module", params=[-math.pi / 4, math.pi / 5], ids=["epm", "pi_5"])
@@ -564,15 +631,14 @@ def _nufft_grids(monkeypatch):
 def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_engine, monkeypatch):
     taus = np.linspace(-0.05, 0.05, 2001)
     calls = _nufft_grids(monkeypatch)
-    for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
-                         _direct_traces(coarse_engine, taus)):
+    for got, want in zip(_traces(coarse_engine, taus), _direct_traces(coarse_engine, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert calls == [2001] * 3  # hom's v sums, mz's u and v sums: the NUFFT path
+    assert calls == [2001] * 2  # one sum per trace: the NUFFT path
 
 
 def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
     taus = np.linspace(-0.05, 0.05, 2001)
-    for got in (coarse_engine.hom(taus), coarse_engine.mz(taus)):
+    for got in _traces(coarse_engine, taus):
         assert np.max(np.abs(got - got[::-1])) <= 1e-12
 
 
@@ -585,8 +651,7 @@ def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
 ], ids=["one_delay_off_a_linspace", "irregular", "n0", "n1", "n2"])
 def test_direct_evaluation_off_uniform_grids(coarse_engine, taus, monkeypatch):
     calls = _nufft_grids(monkeypatch)
-    for got, want in zip((coarse_engine.hom(taus), coarse_engine.mz(taus)),
-                         _direct_traces(coarse_engine, taus)):
+    for got, want in zip(_traces(coarse_engine, taus), _direct_traces(coarse_engine, taus)):
         assert got.shape == want.shape
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -595,9 +660,9 @@ def test_direct_evaluation_off_uniform_grids(coarse_engine, taus, monkeypatch):
 
 def _direct_cos_sums(freq, weights, taus):
     """Reference: one np.cos per node per delay, summed over node chunks."""
-    out = np.zeros((len(weights), len(taus)))
+    out = np.zeros(len(taus))
     for lo in range(0, len(freq), 512):
-        out += weights[:, lo:lo + 512] @ np.cos(np.multiply.outer(freq[lo:lo + 512], taus))
+        out += weights[lo:lo + 512] @ np.cos(np.multiply.outer(freq[lo:lo + 512], taus))
     return out
 
 
@@ -611,20 +676,18 @@ def fine_engines():
 
 
 def _worst_nufft_error(fine_engines, n):
-    """Largest |_cos_sums - direct sum| / sum_i |w_i| over both frequency
-    sets of each engine and over a symmetric and two one-sided n-point
-    grids, checked at up to ~130 delays that include both ends."""
+    """Largest |_cos_sums - direct sum| / sum_i |w_i| over both spectra of
+    each engine and over a symmetric and two one-sided n-point grids,
+    checked at up to ~130 delays that include both ends."""
     worst = 0.0
     for eng, span in fine_engines:
-        sets = [(eng._vp, np.stack((eng._w2, eng._w3))),
-                (eng.un + eng.omega_p, np.stack((eng.wu * eng.q_u, eng.wu * eng.r_u)))]
         for lo, hi in [(-span, span), (0.3 * span, span), (-span, -0.3 * span)]:
             taus = np.linspace(lo, hi, n)
             at = np.unique(np.r_[np.arange(0, n, max(1, n // 128)), n - 1])
-            for freq, weights in sets:
-                err = np.abs(_cos_sums(freq, weights, taus)[:, at]
+            for freq, weights in eng.spectra.values():
+                err = np.abs(_cos_sums(freq, weights, taus)[at]
                              - _direct_cos_sums(freq, weights, taus[at]))
-                worst = max(worst, float(np.max(err.max(axis=1) / np.abs(weights).sum(axis=1))))
+                worst = max(worst, float(err.max() / np.abs(weights).sum()))
     return worst
 
 
@@ -661,8 +724,8 @@ def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidt
     monkeypatch.setitem(interferometry.PANEL_DENSITY, "fine",
                         2.0 * interferometry.PANEL_DENSITY["fine"])
     dense = _RateEngine(params, pump, span, "fine", 2**15)
-    assert len(dense.un) > len(fine.un) and len(dense.vn) > len(fine.vn)
-    for got, want in ((fine.hom(taus), dense.hom(taus)), (fine.mz(taus), dense.mz(taus))):
+    assert all(d > f for d, f in zip(node_counts(dense), node_counts(fine)))
+    for got, want in zip(_traces(fine, taus), _traces(dense, taus)):
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
@@ -674,13 +737,14 @@ def test_fringe_evaluation_memory_stays_within_the_block_budget():
     eng = _RateEngine(params, PUMP, span, "fine", 2**15)
     tracemalloc.start()
     try:
-        eng.mz(taus)
+        eng.trace(TraceKind.MZ, taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # past _BLOCK_BYTES of node-chunk temporaries, each weight row's
-    # oversampled grid and its transform hold 2n complex points each (64 n
-    # bytes), and mz's n-point sums and their combination fewer than 64 n more
+    # past _BLOCK_BYTES of node-chunk temporaries, the oversampled grid and
+    # its transform hold 2n complex points each (64 n bytes), and the n-point
+    # sums and the trace fewer than 64 n more; the bound has room for a
+    # second grid and transform
     assert peak <= _BLOCK_BYTES + (2 * 64 + 64) * len(taus)
 
 
