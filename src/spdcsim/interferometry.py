@@ -201,15 +201,16 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # node axes are built as exact mirror images of their positive halves (the
 # 10-point rule has no node at 0), so the build evaluates one kernel block
 # p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
-# analytically; the two v profiles come out even in v, so each delay sums
+# analytically; p1 p2 is even in u, so its sums take the first half of the u
+# rows; the two v profiles come out even in v, so each delay sums
 # cos(v tau) over v > 0 with doubled weights.  The kernel is
 # phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2 cancels in the
 # normalization.  None of this touches a closed form.
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of all the temporaries
-# of one node chunk in _cos_sums.  4 MiB costs little time; at 16 MiB a
-# trace's peak RSS took one of two modes ~10 MiB apart, by where huge pages fell
+# of one node chunk in _cos_sums.  4 MiB costs little time; at 16 MiB the
+# validate run's peak RSS took one of two modes, 80 or 90 MiB
 _BLOCK_BYTES = 4 << 20
 # Gaussian gridding half-width of _nufft_cos_sums, in points of its grid:
 # the truncated kernel and the aliased modes then stay near 1e-15 of the
@@ -232,12 +233,13 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
 
     sin(y) = sin(au) cos(bv) + cos(au) sin(bv) is one (len(au) x 2) @
     (2 x columns) matrix product, so the build takes len(au) + len(bv)
-    sines and cosines instead of one sine per node pair.  Within _RIDGE of
-    the ridge y = 0 that product's rounding would grow by 1 / |y|, so there
-    p1 is sin(y) / y evaluated directly.
+    sines and cosines instead of one sine per node pair; y = au 1 + 1 bv, a
+    second such product, is bitwise au + bv (exact products, one rounding).
+    Within _RIDGE of the ridge y = 0 the sine's rounding would grow by
+    1 / |y|, so there p1 is sin(y) / y evaluated directly.
     """
-    rows = np.stack((np.sin(au), np.cos(au)), axis=1)
-    cols = np.stack((np.cos(bv), np.sin(bv)), axis=1)
+    rows = np.stack((np.sin(au), np.cos(au), au, np.ones_like(au)), axis=1)
+    cols = np.stack((np.cos(bv), np.sin(bv), np.ones_like(bv), bv), axis=1)
     # the (i, j) with |y| < _RIDGE: each row's is one range of the sorted bv
     first = np.searchsorted(bv, -au - _RIDGE, side="right")
     count = np.searchsorted(bv, -au + _RIDGE, side="left") - first
@@ -248,8 +250,8 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
     for lo in range(0, len(bv), chunk):
         hi = min(lo + chunk, len(bv))
         shape, size = (len(au), hi - lo), len(au) * (hi - lo)
-        y = np.add(au[:, None], bv[None, lo:hi], out=y_buf[:size].reshape(shape))
-        p1 = np.matmul(rows, cols[lo:hi].T, out=p_buf[:size].reshape(shape))
+        y = np.matmul(rows[:, 2:], cols[lo:hi, 2:].T, out=y_buf[:size].reshape(shape))
+        p1 = np.matmul(rows[:, :2], cols[lo:hi, :2].T, out=p_buf[:size].reshape(shape))
         at = (ridge_j >= lo) & (ridge_j < hi)
         i, j = ridge_i[at], ridge_j[at] - lo
         y_ridge = y[i, j]
@@ -299,14 +301,16 @@ class _RateEngine:
         s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
         c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
         chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
+        h = len(un) // 2  # p1 * p1[::-1] repeats its first h rows, mirrored, and wu is even
         for lo, p1, spare in _sinc_blocks(au, bv, chunk):
             hi = lo + p1.shape[1]
-            cross = np.multiply(p1, p1[::-1], out=spare)
+            cross = np.multiply(p1[:h], p1[::-1][:h], out=spare[:h])
             sq = np.multiply(p1, p1, out=p1)
             s_u += sq @ vwp[lo:hi]
-            c_u += cross @ vwp[lo:hi]
+            c_u[:h] += cross @ vwp[lo:hi]
             s_v[lo:hi] = wu @ sq
-            c_v[lo:hi] = wu @ cross
+            c_v[lo:hi] = 2.0 * (wu[:h] @ cross)
+        c_u[h:] = c_u[:h][::-1]
         # sums over all v of p1^2 + p2^2 and of p1 p2, and over u the
         # pump-weighted sums of the same, each v > 0 weight doubled for its
         # mirror (wu is even, so the p2^2 sum equals s_v)

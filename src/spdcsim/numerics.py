@@ -93,8 +93,8 @@ def gauss_legendre_panels(half_width: float, panel: float, budget: int,
     """
     x, w = np.polynomial.legendre.leggauss(10)
     count = 2.0 * half_width / panel
-    if not count <= budget:  # also an infinite count, which has no integer ceiling
-        needs = math.ceil(count) if math.isfinite(count) else count
+    if not count <= budget:  # also inf; counts past 1e9 print as .3g, not as 300 digits
+        needs = math.ceil(count) if count <= 1e9 else f"{count:.3g}"
         raise NonConvergence(f"panel quadrature on the {where} needs {needs} panels, budget {budget}")
     n = max(1, math.ceil(count))
     edges = np.linspace(-half_width, half_width, n + 1)

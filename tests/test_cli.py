@@ -345,14 +345,19 @@ def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source)
      "--tau-max", "1", "--tau-steps", "3"],
     ["mz", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",
      "--tau-max", "1", "--tau-steps", "3"],
-], ids=["long-crystal", "hom-infinite-count", "mz-infinite-count"])
+    # the v axis needs about 1e300 panels: finite, but 300 digits as an integer
+    ["hom", "--method", "quadrature", "--pump-bw", "1e-300"],
+    ["mz", "--method", "quadrature", "--gamma", "1e-300"],
+    ["hom", "--method", "quadrature", "--length-um", "1e-300"],
+], ids=["long-crystal", "hom-infinite-count", "mz-infinite-count", "hom-huge-count-bw",
+        "mz-huge-count-gamma", "hom-huge-count-length"])
 def test_quadrature_nonconvergence_exits_two(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
     rc = run(args + ["--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err
-    assert err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err) < 160
     assert not out.exists()
 
 

@@ -539,14 +539,28 @@ def _kernel(au, bv, chunk):
 _SPREAD_BV = np.array([-999.75, -310.5, -17.25, -3.0, 0.0, 2.5, 41.125, 640.0, 998.5])
 
 
-@pytest.mark.parametrize("chunk", [1, 2, len(_SPREAD_BV)])
-def test_sinc_kernel_matches_np_sinc_on_and_near_the_ridge(chunk):
+def _ridge_rows():
+    """Rows on the ridge of every _SPREAD_BV node, at each offset from it,
+    plus far rows of both signs."""
     t = _RIDGE
     offsets = [0.0, t, -t, t * (1 + 1e-12), t * (1 - 1e-12), -t * (1 + 1e-12),
                -t * (1 - 1e-12), 1e-9, -1e-9]
-    # rows on the ridge of every node, at each offset from it, plus far rows of both signs
-    au = np.concatenate(([-b + d for b in _SPREAD_BV for d in offsets],
-                         np.linspace(-1e3, 1e3, 41)))
+    return np.concatenate(([-b + d for b in _SPREAD_BV for d in offsets],
+                           np.linspace(-1e3, 1e3, 41)))
+
+
+def _dense_axes():
+    """Random rows and an ascending random axis that holds the negatives of
+    the last 50 rows, so those rows cross the ridge exactly."""
+    rng = np.random.default_rng(7)
+    au = np.concatenate((rng.uniform(-1e3, 1e3, 300), -rng.uniform(0, 1e3, 50)))
+    bv = np.sort(np.concatenate((rng.uniform(-1e3, 1e3, 700), -au[-50:])))
+    return au, bv
+
+
+@pytest.mark.parametrize("chunk", [1, 2, len(_SPREAD_BV)])
+def test_sinc_kernel_matches_np_sinc_on_and_near_the_ridge(chunk):
+    au = _ridge_rows()
     y = au[:, None] + _SPREAD_BV[None, :]
     assert np.count_nonzero(y == 0.0) >= len(_SPREAD_BV)
     want = np.sinc(y / np.pi)
@@ -556,11 +570,23 @@ def test_sinc_kernel_matches_np_sinc_on_and_near_the_ridge(chunk):
 
 
 def test_sinc_kernel_matches_np_sinc_on_dense_axes():
-    rng = np.random.default_rng(7)
-    au = np.concatenate((rng.uniform(-1e3, 1e3, 300), -rng.uniform(0, 1e3, 50)))
-    bv = np.sort(np.concatenate((rng.uniform(-1e3, 1e3, 700), -au[-50:])))
+    au, bv = _dense_axes()
     want = np.sinc(np.add.outer(au, bv) / np.pi)
     assert np.max(np.abs(_kernel(au, bv, 64) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("dense, chunk", [
+    (False, 1), (False, 2), (False, len(_SPREAD_BV)), (True, 64),
+], ids=["spread_1", "spread_2", "spread_all", "dense_64"])
+def test_sinc_kernel_y_is_the_exact_sum_off_the_ridge(dense, chunk):
+    # the ridge cells, |y| < _RIDGE, rest on y = 0 being exact; the kernel
+    # sets them to 1 before dividing and evaluates them directly
+    au, bv = _dense_axes() if dense else (_ridge_rows(), _SPREAD_BV)
+    y = np.concatenate([y.copy() for _, _, y in _sinc_blocks(au, bv, chunk)], axis=1)
+    ridge = (bv > (-au - _RIDGE)[:, None]) & (bv < (-au + _RIDGE)[:, None])
+    assert ridge.any() and not ridge.all()
+    assert np.all(y[ridge] == 1.0)
+    assert np.array_equal(y[~ridge], np.add.outer(au, bv)[~ridge])
 
 
 def _sinc_reference_profiles(axes, params):
@@ -708,10 +734,14 @@ def test_nufft_cos_sums_fail_with_a_narrow_kernel(fine_engines, monkeypatch):
     assert _worst_nufft_error(fine_engines, 201) > 1e-9
 
 
-@pytest.mark.parametrize("theta, length, bandwidth, span", [
+# the three validate settings and the broad-pump case, with their delay spans
+_FINE_CASES = pytest.mark.parametrize("theta, length, bandwidth, span", [
     (-math.pi / 4, 1e3, 40.0, None), (math.pi / 5, 2e4, 40.0, None),
     (-math.pi / 6, 2e4, 40.0, None), (2.0, 74017.0, 168.0, math.pi / OMEGA_P),
 ], ids=["epm", "conv_pos", "conv_neg", "broad_pump"])
+
+
+@_FINE_CASES
 def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidth, span,
                                                          monkeypatch):
     # the validate grids, and half a fringe period of the broad-pump case,
@@ -727,6 +757,34 @@ def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidt
     assert all(d > f for d, f in zip(node_counts(dense), node_counts(fine)))
     for got, want in zip(_traces(fine, taus), _traces(dense, taus)):
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@_FINE_CASES
+def test_fringe_u_weights_are_mirror_symmetric(theta, length, bandwidth, span):
+    # un is an exact mirror and wu exactly even, so the u profiles q_u and
+    # r_u, and with them the fringe's u weights, must be exactly even
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    eng = _RateEngine(params, pump, span or delay_span(params, pump), "fine", 2**15)
+    weights = eng.spectra[TraceKind.MZ][1][:node_counts(eng)[0]]
+    assert np.array_equal(weights, weights[::-1])
+
+
+@pytest.mark.parametrize("theta, length", [
+    (-math.pi / 4, 1e3), (math.pi / 5, 2e4), (-math.pi / 6, 2e4),
+], ids=["epm", "conv_pos", "conv_neg"])
+def test_build_memory_stays_within_two_blocks(theta, length):
+    params = make_params(theta, length)
+    span = delay_span(params, PUMP)
+    tracemalloc.start()
+    try:
+        eng = _RateEngine(params, PUMP, span, "fine", 2**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the loop holds two kernel blocks (y and p1) at once; the node axes,
+    # their sines and cosines, the profiles and the spectra take ~150 bytes
+    # per node more
+    assert peak <= 2 * _BLOCK_BYTES + 192 * sum(node_counts(eng))
 
 
 def test_fringe_evaluation_memory_stays_within_the_block_budget():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from spdcsim import (
     Interval,
     NoSignChange,
+    NonConvergence,
     QuadratureSpec,
     find_root,
     gauss_legendre_panels,
@@ -24,6 +26,15 @@ def test_panels_are_mirrored_and_integrate_a_gaussian():
     assert np.array_equal(nodes, -nodes[::-1])
     assert np.array_equal(weights, weights[::-1])
     assert weights @ np.exp(-nodes**2) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+@pytest.mark.parametrize("half_width, needs", [
+    (23180.5, "46361"), (5e8, "1000000000"), (5e8 + 1, "1e+09"), (1e300, "2e+300"),
+    (math.inf, "inf"),
+], ids=["exact", "1e9_exact", "past_1e9", "huge", "infinite"])
+def test_panel_budget_error_prints_counts_past_1e9_in_short_form(half_width, needs):
+    with pytest.raises(NonConvergence, match=f"needs {re.escape(needs)} panels, budget 32$"):
+        gauss_legendre_panels(half_width, 1.0, 32, "x axis")
 
 
 # ---------------------------------------------------------------------------
