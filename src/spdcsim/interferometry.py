@@ -95,6 +95,14 @@ def _libm(fn, x):
     return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
 
 
+def _require_finite(tau: np.ndarray | float, what: str) -> None:
+    """Raises ValueError naming the values of tau that are not finite."""
+    bad = np.asarray(tau)[~np.isfinite(tau)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got "
+                         + ", ".join(map(str, np.unique(bad).tolist())))
+
+
 def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray:
     """Normalized two-detector rate of the dip arrangement at delays tau
     (an array or a scalar), shaped like tau.
@@ -104,8 +112,10 @@ def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarra
     triangle r in the xi -> inf limit.
 
     Raises:
+        ValueError: a delay is not finite.
         DegenerateDip: tau_theta = 0 (rate identically 1).
     """
+    _require_finite(tau, "closed-form delays tau")
     if cfp.tau_theta <= 0:
         raise DegenerateDip("tau_theta = 0: dip has zero width")
     r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
@@ -131,7 +141,11 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
     Pinned by two exact anchors, F1(0) + F2(0) = 1 and the xi -> inf
     Gaussian reduction, and cross-validated against brute-force quadrature
     of the raw double integral (see mz_trace_integral).
+
+    Raises:
+        ValueError: a delay is not finite.
     """
+    _require_finite(tau, "closed-form delays tau")
     # far out x * x overflows, and exp(-inf) = 0 is exact; the cap at the largest
     # float keeps q2 = 0 (gamma_s = gamma_i) from making exp(-inf * 0) = nan
     with np.errstate(over="ignore"):
@@ -262,80 +276,69 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
         yield lo, p1, y
 
 
-class _RateEngine:
-    """One line spectrum per trace kind for one (crystal, pump) setting:
-    spectra[kind] = (freq, weights), and the trace of that kind at a delay
-    tau is 1 + sum_i weights[i] cos(freq[i] tau).
-    """
-
-    def __init__(self, params: PhaseMatchParams, pump: PumpSpectrum,
-                 tau_max: float, grade: str, budget: int):
-        gs, gi = params.gamma_s, params.gamma_i
-        a = 0.5 * (gs + gi)
-        b = 0.5 * (gs - gi)
-        L = params.length
-        tau_theta = abs(b) * L
-        if params.gammas_equal:
-            raise DegenerateDip("gamma_s = gamma_i: the quadrature route does not cover this "
-                                "ray; --method closed does for the fringe trace")
-        bw = pump.bandwidth
-        density = PANEL_DENSITY[grade]
-        # the a*u/b term tracks the phase-matching ridge across the
-        # pump-limited u range
-        v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
-        u_rate = abs(a) * L / 2.0 + tau_max
-        v_rate = abs(b) * L / 2.0 + tau_max
-        panel_u = panel_width(u_rate, bw, density)
-        panel_v = panel_width(v_rate, math.inf, density)
-        un, uw = gauss_legendre_panels(pump.reach, panel_u, budget, f"u axis ({grade} build)")
-        vn, vw = gauss_legendre_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
-        half = len(vn) // 2
-        vp, vwp = vn[half:], vw[half:]
-        wu = np.exp(-((un / bw) ** 2)) * uw
-        # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
-        # p1 and leaves bv ascending, as _sinc_blocks needs
-        au = (math.copysign(0.5, b) * a * L) * un
-        bv = (0.5 * abs(b) * L) * vp
-        s_u = np.zeros_like(un)   # sum over v > 0 of p1^2
-        c_u = np.zeros_like(un)   # sum over v > 0 of p1 * p2
-        s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
-        c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
-        chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
-        h = len(un) // 2  # p1 * p1[::-1] repeats its first h rows, mirrored, and wu is even
-        for lo, p1, spare in _sinc_blocks(au, bv, chunk):
-            hi = lo + p1.shape[1]
-            cross = np.multiply(p1[:h], p1[::-1][:h], out=spare[:h])
-            sq = np.multiply(p1, p1, out=p1)
-            s_u += sq @ vwp[lo:hi]
-            c_u[:h] += cross @ vwp[lo:hi]
-            s_v[lo:hi] = wu @ sq
-            c_v[lo:hi] = 2.0 * (wu[:h] @ cross)
-        c_u[h:] = c_u[:h][::-1]
-        # sums over all v of p1^2 + p2^2 and of p1 p2, and over u the
-        # pump-weighted sums of the same, each v > 0 weight doubled for its
-        # mirror (wu is even, so the p2^2 sum equals s_v)
-        q_u = 2.0 * (s_u + s_u[::-1])
-        r_u = 2.0 * c_u
-        w2 = 4.0 * vwp * s_v
-        w3 = 2.0 * vwp * c_v
-        mass = float(wu @ q_u)
-        self.spectra = {
-            TraceKind.HOM: (vp, -2.0 * w3 / mass),
-            TraceKind.MZ: (np.concatenate((un + pump.omega_p, vp)),
-                           np.concatenate((wu * (0.5 * q_u + r_u), 0.5 * w2 - w3)) / mass),
-        }
-
-    # every cosine sum goes through _cos_sums, which evaluates a uniform
-    # delay grid by a non-uniform FFT: a delay's value then depends on the
-    # grid it came with, at about 1e-13 of the summed |weights|, but never on
-    # the order of the calls or on the cache
-    def trace(self, kind: TraceKind, taus: np.ndarray) -> np.ndarray:
-        return 1.0 + _cos_sums(*self.spectra[kind], taus)
+def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, grade: str,
+                  budget: int) -> dict[TraceKind, tuple[np.ndarray, np.ndarray]]:
+    """{kind: (freq, weights)} for one (crystal, pump) setting: the trace of
+    that kind at a delay tau is 1 + sum_i weights[i] cos(freq[i] tau)."""
+    gs, gi = params.gamma_s, params.gamma_i
+    a = 0.5 * (gs + gi)
+    b = 0.5 * (gs - gi)
+    L = params.length
+    tau_theta = abs(b) * L
+    if params.gammas_equal:
+        raise DegenerateDip("gamma_s = gamma_i: the quadrature route does not cover this "
+                            "ray; --method closed does for the fringe trace")
+    bw = pump.bandwidth
+    density = PANEL_DENSITY[grade]
+    # the a*u/b term tracks the phase-matching ridge across the
+    # pump-limited u range
+    v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
+    u_rate = abs(a) * L / 2.0 + tau_max
+    v_rate = abs(b) * L / 2.0 + tau_max
+    panel_u = panel_width(u_rate, bw, density)
+    panel_v = panel_width(v_rate, math.inf, density)
+    un, uw = gauss_legendre_panels(pump.reach, panel_u, budget, f"u axis ({grade} build)")
+    vn, vw = gauss_legendre_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
+    half = len(vn) // 2
+    vp, vwp = vn[half:], vw[half:]
+    wu = np.exp(-((un / bw) ** 2)) * uw
+    # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
+    # p1 and leaves bv ascending, as _sinc_blocks needs
+    au = (math.copysign(0.5, b) * a * L) * un
+    bv = (0.5 * abs(b) * L) * vp
+    s_u = np.zeros_like(un)   # sum over v > 0 of p1^2
+    c_u = np.zeros_like(un)   # sum over v > 0 of p1 * p2
+    s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
+    c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
+    chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
+    h = len(un) // 2  # p1 * p1[::-1] repeats its first h rows, mirrored, and wu is even
+    for lo, p1, spare in _sinc_blocks(au, bv, chunk):
+        hi = lo + p1.shape[1]
+        cross = np.multiply(p1[:h], p1[::-1][:h], out=spare[:h])
+        sq = np.multiply(p1, p1, out=p1)
+        s_u += sq @ vwp[lo:hi]
+        c_u[:h] += cross @ vwp[lo:hi]
+        s_v[lo:hi] = wu @ sq
+        c_v[lo:hi] = 2.0 * (wu[:h] @ cross)
+    c_u[h:] = c_u[:h][::-1]
+    # sums over all v of p1^2 + p2^2 and of p1 p2, and over u the
+    # pump-weighted sums of the same, each v > 0 weight doubled for its
+    # mirror (wu is even, so the p2^2 sum equals s_v)
+    q_u = 2.0 * (s_u + s_u[::-1])
+    r_u = 2.0 * c_u
+    w2 = 4.0 * vwp * s_v
+    w3 = 2.0 * vwp * c_v
+    mass = float(wu @ q_u)
+    return {
+        TraceKind.HOM: (vp, -2.0 * w3 / mass),
+        TraceKind.MZ: (np.concatenate((un + pump.omega_p, vp)),
+                       np.concatenate((wu * (0.5 * q_u + r_u), 0.5 * w2 - w3)) / mass),
+    }
 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] cos(freq[i] tau) for every delay tau, shaped like
-    taus.
+    """sum_i weights[i] cos(freq[i] tau) for every delay tau of the 1-D
+    array taus.
 
     On a uniform grid tau_k = tau_0 + k d (every tau within 2 ulp of max |tau|
     of it, as np.linspace gives) of n > 2 delays the sums are
@@ -403,11 +406,11 @@ def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: fl
 
 
 @functools.lru_cache(maxsize=8)
-def _engines(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
-             budget: int) -> tuple[_RateEngine, _RateEngine]:
-    """The fine and coarse engines of one setting, built once and reused by
-    every later trace of either kind on the same inputs."""
-    return tuple(_RateEngine(params, pump, tau_max, grade, budget) for grade in PANEL_DENSITY)
+def _spectra_pair(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
+                  budget: int) -> tuple[dict, dict]:
+    """The fine and coarse line spectra of one setting, built once and
+    reused by every later trace of either kind on the same inputs."""
+    return tuple(_line_spectra(params, pump, tau_max, grade, budget) for grade in PANEL_DENSITY)
 
 
 def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
@@ -424,14 +427,18 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
                       taus: np.ndarray, spec: QuadratureSpec,
                       tau_max: float | None) -> np.ndarray:
     taus = np.asarray(taus, dtype=float)
-    if not np.all(np.isfinite(taus)):
-        raise ValueError("quadrature delays taus must be finite")
+    _require_finite(taus, "quadrature delays taus")
     if tau_max is not None and not math.isfinite(tau_max):
         raise ValueError(f"quadrature tau_max = {tau_max} must be finite")
     reach = max(float(np.max(np.abs(taus), initial=0.0)), float(tau_max or 0.0))
-    fine, coarse = _engines(params, pump, reach, spec.max_subdivisions)
-    values = fine.trace(kind, taus)
-    drift = float(np.max(np.abs(values - coarse.trace(kind, taus)), initial=0.0))
+    fine, coarse = _spectra_pair(params, pump, reach, spec.max_subdivisions)
+    # every cosine sum goes through _cos_sums, which evaluates a uniform
+    # delay grid by a non-uniform FFT: a delay's value then depends on the
+    # grid it came with, at about 1e-13 of the summed |weights|, but never on
+    # the order of the calls or on the cache
+    flat = taus.ravel()
+    values = 1.0 + _cos_sums(*fine[kind], flat)
+    drift = float(np.max(np.abs(values - (1.0 + _cos_sums(*coarse[kind], flat))), initial=0.0))
     scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(
@@ -439,14 +446,15 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
         )
     # both raw integrands are sums of |amplitude|^2 with positive weights, so
     # a value below 0 is rounding
-    return np.maximum(values, 0.0)
+    return np.maximum(values, 0.0).reshape(taus.shape)
 
 
 def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
                        taus: np.ndarray, spec: QuadratureSpec = TRACE_SPEC,
                        tau_max: float | None = None) -> np.ndarray:
-    """Dip trace by quadrature of the raw rate integral, normalized to its
-    large-delay baseline.  Self-checked by panel refinement.
+    """Dip trace by quadrature of the raw rate integral at delays taus (an
+    array or a scalar), shaped like taus and normalized to its large-delay
+    baseline.  Self-checked by panel refinement.
 
     The panels resolve the oscillations up to the larger of max |taus| and
     tau_max, so a tau_max below the delays changes nothing.
@@ -457,8 +465,9 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
 def mz_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
                       taus: np.ndarray, spec: QuadratureSpec = TRACE_SPEC,
                       tau_max: float | None = None) -> np.ndarray:
-    """Fringe trace by quadrature of the raw rate integral, normalized so
-    the fringe-averaged large-delay value is 1."""
+    """Fringe trace by quadrature of the raw rate integral at delays taus
+    (an array or a scalar), shaped like taus and normalized so the
+    fringe-averaged large-delay value is 1."""
     return _trace_quadrature(TraceKind.MZ, params, pump, taus, spec, tau_max)
 
 

@@ -1,6 +1,6 @@
 """Shared test helpers: planted dispersion models with a known joint
 matching point, used by both the unit tests and the acceptance gate; the
-node counts of a quadrature engine; and the example settings of the
+node counts of a quadrature build; and the example settings of the
 property tests."""
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from spdcsim import DispersionModel, Interval, KnobSpec, PolynomialBranch, Trace
 EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
-def node_counts(engine) -> tuple[int, int]:
-    """(u, v > 0) node counts of a quadrature engine: the dip spectrum has
-    one line per v > 0 node, the fringe spectrum one more per u node."""
-    v = len(engine.spectra[TraceKind.HOM][0])
-    return len(engine.spectra[TraceKind.MZ][0]) - v, v
+def node_counts(spectra) -> tuple[int, int]:
+    """(u, v > 0) node counts of the line spectra of one quadrature build:
+    the dip spectrum has one line per v > 0 node, the fringe spectrum one
+    more per u node."""
+    v = len(spectra[TraceKind.HOM][0])
+    return len(spectra[TraceKind.MZ][0]) - v, v
 
 
 def planted_joint_model(omega_star: float, zeta_star: float, seed: int,

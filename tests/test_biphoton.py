@@ -249,16 +249,16 @@ def test_marginal_rejects_nan_omega_and_is_zero_at_infinity(which):
 
 def test_marginal_keeps_its_density_when_the_trace_densities_change(monkeypatch):
     # the trace builds' densities belong to interferometry alone: thinning
-    # them must thin a fresh fine engine and leave every marginal bit alone
+    # them must thin a fresh fine build and leave every marginal bit alone
     params, pump = setting(0.0, length=2e4)
     omegas = (OMEGA_P / 2 - 20.0, OMEGA_P / 2, OMEGA_P / 2 + 7.0)
     before = [marginal_spectrum(params, pump, which, w)
               for which in ("signal", "idler") for w in omegas]
-    dense = interferometry._RateEngine(params, pump, 0.1, "fine", PANEL_BUDGET)
+    dense = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
     # halved in place, so a density dict shared with the marginal would change too
     for grade, density in list(interferometry.PANEL_DENSITY.items()):
         monkeypatch.setitem(interferometry.PANEL_DENSITY, grade, 0.5 * density)
-    sparse = interferometry._RateEngine(params, pump, 0.1, "fine", PANEL_BUDGET)
+    sparse = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
     assert all(s < d for s, d in zip(node_counts(sparse), node_counts(dense)))
     after = [marginal_spectrum(params, pump, which, w)
              for which in ("signal", "idler") for w in omegas]

@@ -338,7 +338,7 @@ def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source)
 
 
 @pytest.mark.parametrize("args", [
-    # the u axis of a 1 m crystal needs 17,286,104 panels, far over the budget
+    # the u axis of a 1 m crystal needs millions of panels, far over the budget
     ["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9"],
     # gamma * length = 1e307 is finite, but the u axis panel count is not
     ["hom", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",

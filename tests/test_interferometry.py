@@ -34,9 +34,9 @@ from spdcsim.interferometry import (
     _BLOCK_BYTES,
     _RIDGE,
     _cos_sums,
-    _engines,
-    _RateEngine,
+    _line_spectra,
     _sinc_blocks,
+    _spectra_pair,
     delay_span,
 )
 from conftest import node_counts
@@ -348,9 +348,9 @@ def test_quadrature_of_no_delays_is_empty(trace, spec):
 
 
 @pytest.mark.parametrize("taus, tau_max, message", [
-    ([0.0, math.inf], None, "delays taus must be finite"),
-    ([-math.inf], None, "delays taus must be finite"),
-    ([math.nan], None, "delays taus must be finite"),
+    ([0.0, math.inf], None, "delays taus must be finite, got inf"),
+    ([-math.inf], None, "delays taus must be finite, got -inf"),
+    ([math.nan], None, "delays taus must be finite, got nan"),
     ([0.0, 0.05], math.nan, "tau_max = nan must be finite"),
     ([0.0, 0.05], math.inf, "tau_max = inf must be finite"),
 ], ids=["inf-delay", "minus-inf-delay", "nan-delay", "nan-tau-max", "inf-tau-max"])
@@ -358,6 +358,30 @@ def test_quadrature_of_no_delays_is_empty(trace, spec):
 def test_quadrature_rejects_non_finite_delays(trace, taus, tau_max, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         trace(EPM, PUMP, np.array(taus), tau_max=tau_max)
+
+
+@pytest.mark.parametrize("tau, named", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (np.array([[0.0, math.nan], [0.01, -math.inf]]), "-inf, nan"),
+], ids=["inf", "minus-inf", "nan", "array"])
+@pytest.mark.parametrize("trace", [hom_rate_closed, mz_rate_closed], ids=["hom", "mz"])
+def test_closed_traces_reject_non_finite_delays(trace, tau, named):
+    # the same delays the quadrature rejects, named in the message
+    with pytest.raises(ValueError, match=re.escape(f"delays tau must be finite, got {named}")):
+        trace(closed_form_params(CONV, PUMP), tau)
+
+
+@pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
+def test_quadrature_takes_delays_of_any_shape(trace):
+    # a validate grid, whole and as a (3, 67) array, and one delay alone
+    params = make_params(-math.pi / 4)
+    taus = np.linspace(-1, 1, 201) * delay_span(params, PUMP)
+    grid = trace(params, PUMP, taus.reshape(3, 67))
+    assert grid.shape == (3, 67)
+    assert np.array_equal(grid, trace(params, PUMP, taus).reshape(3, 67))
+    one = trace(params, PUMP, 0.02)
+    assert one.shape == ()
+    assert np.array_equal(one, trace(params, PUMP, np.array([0.02]))[0])
 
 
 def test_quadrature_pump_bandwidth_insensitive_on_matched_ray():
@@ -422,13 +446,13 @@ def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, eq
     params = make_params(theta)
     assert params.gammas_equal is equal
     assert (closed_form_params(params, PUMP).tau_theta == 0.0) is equal
-    assert _raises(DegenerateDip, _RateEngine, params, PUMP, 0.0, "coarse", 2**15) is equal
+    assert _raises(DegenerateDip, _line_spectra, params, PUMP, 0.0, "coarse", 2**15) is equal
     assert _raises(InfiniteBandwidth, fluorescence_bandwidth, params) is equal
 
 
-def _engine_and_axes(params, pump, tau_max, grade):
-    """A fresh engine and its node axes (un, wu, vn, vw), recorded as the
-    build asks for them; wu carries the pump weight."""
+def _spectra_and_axes(params, pump, tau_max, grade):
+    """Freshly built line spectra and their node axes (un, wu, vn, vw),
+    recorded as the build asks for them; wu carries the pump weight."""
     axes, panels = [], interferometry.gauss_legendre_panels
 
     def recorded(*args):
@@ -437,9 +461,9 @@ def _engine_and_axes(params, pump, tau_max, grade):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interferometry, "gauss_legendre_panels", recorded)
-        eng = _RateEngine(params, pump, tau_max, grade, 2**15)
+        spectra = _line_spectra(params, pump, tau_max, grade, 2**15)
     (un, uw), (vn, vw) = axes
-    return eng, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn, vw)
+    return spectra, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn, vw)
 
 
 def _spectra_from_profiles(axes, profiles, omega_p):
@@ -460,8 +484,8 @@ def _spectra_from_profiles(axes, profiles, omega_p):
                            / mass)}
 
 
-def _assert_spectra_match(eng, axes, profiles):
-    """The engine's lines are those of the reference profiles, and on each
+def _assert_spectra_match(spectra, axes, profiles):
+    """The built lines are those of the reference profiles, and on each
     node axis its weights lie within 1e-12 of the largest weight that the
     profiles' magnitudes give there, with g3_v's negated so that no term
     cancels: the fringe's v weights are a difference of two profiles, which
@@ -471,7 +495,7 @@ def _assert_spectra_match(eng, axes, profiles):
     size = _spectra_from_profiles(axes, (q_u, r_u, g2_v, -g3_v), PUMP.omega_p)
     n_v = len(want[TraceKind.HOM][0])
     for kind, (freq, weights) in want.items():
-        got_freq, got_weights = eng.spectra[kind]
+        got_freq, got_weights = spectra[kind]
         assert np.array_equal(got_freq, freq)
         for axis in (slice(0, len(freq) - n_v), slice(len(freq) - n_v, None)):
             if weights[axis].size:
@@ -482,7 +506,7 @@ def _assert_spectra_match(eng, axes, profiles):
 def _unfolded_profiles(axes, params):
     """Reference reduction without the reflection fold: phi_L at a u + b v
     and a u - b v over every v node, in v chunks, divided by L so the
-    profiles share the engine's normalization."""
+    profiles share the build's normalization."""
     un, wu, vn, vw = axes
     a = 0.5 * (params.gamma_s + params.gamma_i)
     b = 0.5 * (params.gamma_s - params.gamma_i)
@@ -519,13 +543,13 @@ def _unfolded_traces(axes, profiles, omega_p, taus):
 def test_reflection_fold_matches_unfolded_reduction():
     params = make_params(math.pi / 5)  # short crystal, off both special rays
     taus = np.linspace(-0.02, 0.02, 9)
-    eng, axes = _engine_and_axes(params, PUMP, 0.02, "fine")
+    spectra, axes = _spectra_and_axes(params, PUMP, 0.02, "fine")
     un, wu, vn, vw = axes
     assert np.array_equal(un, -un[::-1]) and np.array_equal(wu, wu[::-1])
     assert np.array_equal(vn, -vn[::-1]) and np.array_equal(vw, vw[::-1])
     ref = _unfolded_profiles(axes, params)
-    _assert_spectra_match(eng, axes, ref)
-    for got, want in zip(_traces(eng, taus), _unfolded_traces(axes, ref, PUMP.omega_p, taus)):
+    _assert_spectra_match(spectra, axes, ref)
+    for got, want in zip(_traces(spectra, taus), _unfolded_traces(axes, ref, PUMP.omega_p, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -590,8 +614,8 @@ def test_sinc_kernel_y_is_the_exact_sum_off_the_ridge(dense, chunk):
 
 
 def _sinc_reference_profiles(axes, params):
-    """Reference build: one np.sinc per node pair on the engine's own nodes,
-    folded like the engine (p2 is p1's row reversal, v < 0 by symmetry),
+    """Reference build: one np.sinc per node pair on the build's own nodes,
+    folded like the build (p2 is p1's row reversal, v < 0 by symmetry),
     as profiles over every v node."""
     un, wu, vn, vw = axes
     a = 0.5 * (params.gamma_s + params.gamma_i)
@@ -621,25 +645,25 @@ def _sinc_reference_profiles(axes, params):
 ], ids=["epm", "conv_pos", "conv_neg", "b_negative"])
 def test_engine_profiles_match_np_sinc_build(theta, length):
     params = make_params(theta, length)
-    eng, axes = _engine_and_axes(params, PUMP, delay_span(params, PUMP), "coarse")
+    spectra, axes = _spectra_and_axes(params, PUMP, delay_span(params, PUMP), "coarse")
     ref = _sinc_reference_profiles(axes, params)
-    _assert_spectra_match(eng, axes, ref)
+    _assert_spectra_match(spectra, axes, ref)
 
 
-def _direct_traces(eng, taus):
+def _direct_traces(spectra, taus):
     """Reference evaluation: one np.cos per line per delay, reduced with
-    plain dot products on the engine's own spectra."""
+    plain dot products on the same spectra."""
     return tuple(np.array([1.0 + weights @ np.cos(freq * tau) for tau in taus])
-                 for freq, weights in (eng.spectra[TraceKind.HOM], eng.spectra[TraceKind.MZ]))
+                 for freq, weights in (spectra[TraceKind.HOM], spectra[TraceKind.MZ]))
 
 
-def _traces(eng, taus):
-    return eng.trace(TraceKind.HOM, taus), eng.trace(TraceKind.MZ, taus)
+def _traces(spectra, taus):
+    return tuple(1.0 + _cos_sums(*spectra[kind], taus) for kind in (TraceKind.HOM, TraceKind.MZ))
 
 
 @pytest.fixture(scope="module", params=[-math.pi / 4, math.pi / 5], ids=["epm", "pi_5"])
-def coarse_engine(request):
-    return _RateEngine(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
+def coarse_spectra(request):
+    return _line_spectra(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
 
 
 def _nufft_grids(monkeypatch):
@@ -654,17 +678,17 @@ def _nufft_grids(monkeypatch):
     return calls
 
 
-def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_engine, monkeypatch):
+def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_spectra, monkeypatch):
     taus = np.linspace(-0.05, 0.05, 2001)
     calls = _nufft_grids(monkeypatch)
-    for got, want in zip(_traces(coarse_engine, taus), _direct_traces(coarse_engine, taus)):
+    for got, want in zip(_traces(coarse_spectra, taus), _direct_traces(coarse_spectra, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert calls == [2001] * 2  # one sum per trace: the NUFFT path
 
 
-def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
+def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_spectra):
     taus = np.linspace(-0.05, 0.05, 2001)
-    for got in _traces(coarse_engine, taus):
+    for got in _traces(coarse_spectra, taus):
         assert np.max(np.abs(got - got[::-1])) <= 1e-12
 
 
@@ -675,9 +699,9 @@ def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_engine):
     np.array([0.013]),
     np.array([-0.01, 0.03]),
 ], ids=["one_delay_off_a_linspace", "irregular", "n0", "n1", "n2"])
-def test_direct_evaluation_off_uniform_grids(coarse_engine, taus, monkeypatch):
+def test_direct_evaluation_off_uniform_grids(coarse_spectra, taus, monkeypatch):
     calls = _nufft_grids(monkeypatch)
-    for got, want in zip(_traces(coarse_engine, taus), _direct_traces(coarse_engine, taus)):
+    for got, want in zip(_traces(coarse_spectra, taus), _direct_traces(coarse_spectra, taus)):
         assert got.shape == want.shape
         if want.size:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -693,24 +717,24 @@ def _direct_cos_sums(freq, weights, taus):
 
 
 @pytest.fixture(scope="module")
-def fine_engines():
-    """Fine engines of the dip-trace settings with the fewest and the most
+def fine_spectra():
+    """Fine spectra of the dip-trace settings with the fewest and the most
     u nodes, each with its delay span."""
     settings = [make_params(-math.pi / 4), make_params(-math.pi / 6, 2e4)]
-    return [(_RateEngine(p, PUMP, delay_span(p, PUMP), "fine", 2**15), delay_span(p, PUMP))
+    return [(_line_spectra(p, PUMP, delay_span(p, PUMP), "fine", 2**15), delay_span(p, PUMP))
             for p in settings]
 
 
-def _worst_nufft_error(fine_engines, n):
+def _worst_nufft_error(fine_spectra, n):
     """Largest |_cos_sums - direct sum| / sum_i |w_i| over both spectra of
-    each engine and over a symmetric and two one-sided n-point grids,
+    each setting and over a symmetric and two one-sided n-point grids,
     checked at up to ~130 delays that include both ends."""
     worst = 0.0
-    for eng, span in fine_engines:
+    for spectra, span in fine_spectra:
         for lo, hi in [(-span, span), (0.3 * span, span), (-span, -0.3 * span)]:
             taus = np.linspace(lo, hi, n)
             at = np.unique(np.r_[np.arange(0, n, max(1, n // 128)), n - 1])
-            for freq, weights in eng.spectra.values():
+            for freq, weights in spectra.values():
                 err = np.abs(_cos_sums(freq, weights, taus)[at]
                              - _direct_cos_sums(freq, weights, taus[at]))
                 worst = max(worst, float(err.max() / np.abs(weights).sum()))
@@ -722,16 +746,16 @@ def _worst_nufft_error(fine_engines, n):
 # the NUFFT sums on the exact grid tau_0 + k d, and the linspace delays sit
 # within ~1 ulp of it, which moves each phase by up to ~eps max |freq tau|.
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 200, 201, 2000, 7975, 60751])
-def test_nufft_cos_sums_match_a_direct_sum(fine_engines, n, monkeypatch):
+def test_nufft_cos_sums_match_a_direct_sum(fine_spectra, n, monkeypatch):
     calls = _nufft_grids(monkeypatch)
-    assert _worst_nufft_error(fine_engines, n) <= 1e-12
+    assert _worst_nufft_error(fine_spectra, n) <= 1e-12
     assert calls and set(calls) == {n}
 
 
-def test_nufft_cos_sums_fail_with_a_narrow_kernel(fine_engines, monkeypatch):
+def test_nufft_cos_sums_fail_with_a_narrow_kernel(fine_spectra, monkeypatch):
     # the bound above is tight enough to see a kernel of 8 points, not 32
     monkeypatch.setattr(interferometry, "_MSP", 4)
-    assert _worst_nufft_error(fine_engines, 201) > 1e-9
+    assert _worst_nufft_error(fine_spectra, 201) > 1e-9
 
 
 # the three validate settings and the broad-pump case, with their delay spans
@@ -750,10 +774,10 @@ def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidt
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     span = span or delay_span(params, pump)
     taus = np.linspace(-span, span, 201)
-    fine = _RateEngine(params, pump, span, "fine", 2**15)
+    fine = _line_spectra(params, pump, span, "fine", 2**15)
     monkeypatch.setitem(interferometry.PANEL_DENSITY, "fine",
                         2.0 * interferometry.PANEL_DENSITY["fine"])
-    dense = _RateEngine(params, pump, span, "fine", 2**15)
+    dense = _line_spectra(params, pump, span, "fine", 2**15)
     assert all(d > f for d, f in zip(node_counts(dense), node_counts(fine)))
     for got, want in zip(_traces(fine, taus), _traces(dense, taus)):
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -764,9 +788,29 @@ def test_fringe_u_weights_are_mirror_symmetric(theta, length, bandwidth, span):
     # un is an exact mirror and wu exactly even, so the u profiles q_u and
     # r_u, and with them the fringe's u weights, must be exactly even
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
-    eng = _RateEngine(params, pump, span or delay_span(params, pump), "fine", 2**15)
-    weights = eng.spectra[TraceKind.MZ][1][:node_counts(eng)[0]]
+    spectra = _line_spectra(params, pump, span or delay_span(params, pump), "fine", 2**15)
+    weights = spectra[TraceKind.MZ][1][:node_counts(spectra)[0]]
     assert np.array_equal(weights, weights[::-1])
+
+
+@_FINE_CASES
+@pytest.mark.parametrize("grade", ["fine", "coarse"])
+def test_fringe_u_lines_follow_parseval(theta, length, bandwidth, span, grade):
+    # with sinc(y) = sin(y) / y, A = a L / 2 and B = |b| L / 2, Parseval
+    # gives, over all v, pi / B for sinc^2(A u + B v) and (pi / B) sinc(2 A u)
+    # for sinc(A u + B v) sinc(A u - B v), so the fringe's u lines carry
+    # wu (1 + sinc(2 A u)) / (2 sum wu) whatever the closed forms say.  The
+    # v axis ends at v_half, just past its last node, which drops about
+    # 2 / (pi tau_theta v_half) of each v integral; the bound is twice that
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    spectra, (un, wu, vn, _) = _spectra_and_axes(params, pump,
+                                                  span or delay_span(params, pump), grade)
+    a = 0.5 * (params.gamma_s + params.gamma_i)
+    tau_theta = 0.5 * abs(params.gamma_s - params.gamma_i) * length
+    want = wu * (1.0 + np.sinc(a * length * un / math.pi)) / (2.0 * wu.sum())
+    got = spectra[TraceKind.MZ][1][:len(un)]
+    bound = 4.0 / (math.pi * tau_theta * vn[-1]) * np.max(want)
+    assert np.max(np.abs(got - want)) <= bound
 
 
 @pytest.mark.parametrize("theta, length", [
@@ -777,14 +821,14 @@ def test_build_memory_stays_within_two_blocks(theta, length):
     span = delay_span(params, PUMP)
     tracemalloc.start()
     try:
-        eng = _RateEngine(params, PUMP, span, "fine", 2**15)
+        spectra = _line_spectra(params, PUMP, span, "fine", 2**15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the loop holds two kernel blocks (y and p1) at once; the node axes,
     # their sines and cosines, the profiles and the spectra take ~150 bytes
     # per node more
-    assert peak <= 2 * _BLOCK_BYTES + 192 * sum(node_counts(eng))
+    assert peak <= 2 * _BLOCK_BYTES + 192 * sum(node_counts(spectra))
 
 
 def test_fringe_evaluation_memory_stays_within_the_block_budget():
@@ -792,10 +836,10 @@ def test_fringe_evaluation_memory_stays_within_the_block_budget():
     params = make_params(-math.pi / 6, 2e4)
     span = delay_span(params, PUMP)
     taus = np.linspace(-span, span, 60751)
-    eng = _RateEngine(params, PUMP, span, "fine", 2**15)
+    spectra = _line_spectra(params, PUMP, span, "fine", 2**15)
     tracemalloc.start()
     try:
-        eng.trace(TraceKind.MZ, taus)
+        1.0 + _cos_sums(*spectra[TraceKind.MZ], taus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -815,14 +859,14 @@ def test_panel_budget_error_names_axis(budget, axis):
 def test_hom_and_mz_traces_share_one_engine_build():
     params = make_params(math.pi / 5)
     taus = np.linspace(-0.02, 0.02, 5)
-    _engines.cache_clear()
+    _spectra_pair.cache_clear()
     hom = hom_trace_integral(params, PUMP, taus, tau_max=0.02)
-    hits = _engines.cache_info().hits
+    hits = _spectra_pair.cache_info().hits
     mz = mz_trace_integral(params, PUMP, taus, tau_max=0.02)
-    assert _engines.cache_info().hits == hits + 1
-    assert _engines.cache_info().misses == 1
-    # a cold build gives bitwise the values the warm engine gave
-    _engines.cache_clear()
+    assert _spectra_pair.cache_info().hits == hits + 1
+    assert _spectra_pair.cache_info().misses == 1
+    # a cold build gives bitwise the values the cached spectra gave
+    _spectra_pair.cache_clear()
     assert np.array_equal(mz_trace_integral(params, PUMP, taus, tau_max=0.02), mz)
     assert np.array_equal(hom_trace_integral(params, PUMP, taus, tau_max=0.02), hom)
 
