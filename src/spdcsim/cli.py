@@ -369,7 +369,10 @@ def _parse_crystal_file(path: str) -> DispersionModel:
     if knob:
         if "branch" not in knob or "order" not in knob:
             raise CliError(f"{path}: knob needs both knob.branch and knob.order")
-        spec = KnobSpec(branch=knob["branch"], order=knob["order"])
+        try:
+            spec = KnobSpec(branch=knob["branch"], order=knob["order"])
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from exc
     return DispersionModel(k_p=branches["p"], k_s=branches["s"], k_i=branches["i"],
                            validity=Interval(validity["lo"], validity["hi"]), knob=spec)
 
@@ -384,7 +387,7 @@ def cmd_match(cfg: RunConfig) -> int:
     model = _parse_crystal_file(cfg.crystal)
     omega_p, zeta = solve_epm(model, Interval(cfg.omega_lo, cfg.omega_hi),
                               Interval(cfg.zeta_lo, cfg.zeta_hi))
-    solved = model.with_zeta(zeta) if model.knob is not None else model
+    solved = model.with_zeta(zeta)
     lines = [f"omega_p = {_fmt(omega_p)} rad/ps", f"zeta = {_fmt(zeta)}"]
     for order in range(4):
         lines.append(f"residual_order{order} = {_fmt(check_condition(solved, omega_p, order))}")

@@ -125,9 +125,10 @@ class DispersionModel:
                 )
 
     def with_zeta(self, zeta: float) -> "DispersionModel":
-        """Model with the knob coefficient shifted by zeta."""
+        """Model with the knob coefficient shifted by zeta; a model that
+        declares no knob has nothing to shift and comes back unchanged."""
         if self.knob is None:
-            raise ValueError("model declares no tuning knob")
+            return self
         shifted = self.branch(self.knob.branch).shifted(self.knob.order, zeta)
         return replace(self, **{f"k_{self.knob.branch}": shifted})
 
@@ -266,11 +267,8 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
     t_omega = 4.0 * eps * max(abs(omega_bracket.lo), abs(omega_bracket.hi), 1.0)
     t_zeta = 4.0 * eps * max(abs(zeta_bracket.lo), abs(zeta_bracket.hi))
 
-    def at_zeta(zeta: float) -> DispersionModel:
-        return model.with_zeta(zeta) if model.knob is not None else model
-
     def omega_at(zeta: float) -> float:
-        m = at_zeta(zeta)
+        m = model.with_zeta(zeta)
         f = lambda w: check_condition(m, w, 1)
         try:
             return find_root(f, omega_bracket, t_omega)
@@ -280,7 +278,7 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
             ) from exc
 
     def mismatch_at_crossing(zeta: float) -> float:
-        return check_condition(at_zeta(zeta), omega_at(zeta), 0)
+        return check_condition(model.with_zeta(zeta), omega_at(zeta), 0)
 
     try:
         zeta = find_root(mismatch_at_crossing, zeta_bracket, t_zeta)

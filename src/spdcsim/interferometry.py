@@ -189,8 +189,16 @@ def v_hom(cfp: ClosedFormParams) -> float:
 
 def v_mz(cfp: ClosedFormParams) -> float:
     """Fringe visibility (2 - P) / (2 + P) from the closed fringe trace P at
-    half a fringe period, pi / w_p, where P(0) = 2."""
-    p = float(mz_rate_closed(cfp, math.pi / cfp.omega_p))
+    half a fringe period, pi / w_p, where P(0) = 2.
+
+    Raises:
+        ValueError: pi / w_p is not finite (a subnormal w_p).
+    """
+    half_period = math.pi / cfp.omega_p
+    if not math.isfinite(half_period):
+        raise ValueError(f"omega_p = {cfp.omega_p} gives half a fringe period pi / omega_p "
+                         "that is not finite")
+    p = float(mz_rate_closed(cfp, half_period))
     return (2.0 - p) / (2.0 + p)
 
 
@@ -215,11 +223,11 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # node axes are built as exact mirror images of their positive halves (the
 # 10-point rule has no node at 0), so the build evaluates one kernel block
 # p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
-# analytically; p1 p2 is even in u, so its sums take the first half of the u
-# rows; the two v profiles come out even in v, so each delay sums
-# cos(v tau) over v > 0 with doubled weights.  The kernel is
-# phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2 cancels in the
-# normalization.  None of this touches a closed form.
+# analytically.  Signal-idler exchange (u -> -u) keeps plus = p1 + p2 and
+# negates minus = p1 - p2, so their squares' sums take half the u rows; the
+# line weights are even in v, so each delay sums cos(v tau) over v > 0 with
+# doubled weights.  The kernel is phi_L(x, L) / L = sin(y) / y with
+# y = x L / 2: the L^2 cancels in the normalization, and no closed form enters.
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of all the temporaries
@@ -306,33 +314,25 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     # p1 and leaves bv ascending, as _sinc_blocks needs
     au = (math.copysign(0.5, b) * a * L) * un
     bv = (0.5 * abs(b) * L) * vp
-    s_u = np.zeros_like(un)   # sum over v > 0 of p1^2
-    c_u = np.zeros_like(un)   # sum over v > 0 of p1 * p2
-    s_v = np.empty_like(vp)   # pump-weighted sum over u of p1^2
-    c_v = np.empty_like(vp)   # pump-weighted sum over u of p1 * p2
+    h = len(un) // 2  # row h + k is row h - 1 - k mirrored, and wu is even
+    t_u = np.zeros(h)              # sum over v > 0 of plus^2
+    vsum = np.empty((2, len(vp)))  # pump-weighted sums over u < h of plus^2, minus^2
     chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
-    h = len(un) // 2  # p1 * p1[::-1] repeats its first h rows, mirrored, and wu is even
     for lo, p1, spare in _sinc_blocks(au, bv, chunk):
         hi = lo + p1.shape[1]
-        cross = np.multiply(p1[:h], p1[::-1][:h], out=spare[:h])
-        sq = np.multiply(p1, p1, out=p1)
-        s_u += sq @ vwp[lo:hi]
-        c_u[:h] += cross @ vwp[lo:hi]
-        s_v[lo:hi] = wu @ sq
-        c_v[lo:hi] = 2.0 * (wu[:h] @ cross)
-    c_u[h:] = c_u[:h][::-1]
-    # sums over all v of p1^2 + p2^2 and of p1 p2, and over u the
-    # pump-weighted sums of the same, each v > 0 weight doubled for its
-    # mirror (wu is even, so the p2^2 sum equals s_v)
-    q_u = 2.0 * (s_u + s_u[::-1])
-    r_u = 2.0 * c_u
-    w2 = 4.0 * vwp * s_v
-    w3 = 2.0 * vwp * c_v
-    mass = float(wu @ q_u)
+        minus = np.subtract(p1[:h], p1[::-1][:h], out=spare[:h])
+        plus = np.add(p1[:h], p1[::-1][:h], out=p1[:h])
+        minus *= minus
+        plus *= plus
+        t_u += plus @ vwp[lo:hi]
+        vsum[:, lo:hi] = wu[:h] @ plus, wu[:h] @ minus
+    # per v line, half the plane's sums of plus^2 and minus^2: the mass sums p1^2 + p2^2
+    P, M = 2.0 * vwp * vsum
+    mass = float(np.sum(P + M))
     return {
-        TraceKind.HOM: (vp, -2.0 * w3 / mass),
+        TraceKind.HOM: (vp, (M - P) / mass),
         TraceKind.MZ: (np.concatenate((un + pump.omega_p, vp)),
-                       np.concatenate((wu * (0.5 * q_u + r_u), 0.5 * w2 - w3)) / mass),
+                       np.concatenate((wu * np.concatenate((t_u, t_u[::-1])), M)) / mass),
     }
 
 

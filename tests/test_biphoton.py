@@ -64,6 +64,12 @@ def test_pump_spectrum_rejects_non_positive_bandwidth(bandwidth):
         PumpSpectrum(omega_p=OMEGA_P, bandwidth=bandwidth)
 
 
+@pytest.mark.parametrize("omega_p", [0.0, -1.0])
+def test_pump_spectrum_rejects_non_positive_center(omega_p):
+    with pytest.raises(ValueError, match="omega_p must be > 0"):
+        PumpSpectrum(omega_p=omega_p, bandwidth=40.0)
+
+
 def test_pump_alpha_rejects_monochromatic():
     with pytest.raises(ValueError):
         pump_alpha(PumpSpectrum(omega_p=OMEGA_P, bandwidth=0.0), OMEGA_P)
@@ -76,6 +82,8 @@ def test_phi_profile_points():
     assert np.array_equal(phi_L(np.array([-0.0, 0.0]), length), [length, length])
     assert abs(phi_L(2.0 * math.pi / length, length)) < 1e-9 * length
     assert phi_L(math.pi / length, length) == pytest.approx(2.0 * length / math.pi, rel=1e-12)
+    with pytest.raises(ValueError, match="length must be > 0"):
+        phi_L(1.0, 0.0)
 
 
 def test_phi_series_branch_continuity():

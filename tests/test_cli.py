@@ -3,7 +3,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -601,9 +604,13 @@ def test_si_units_half_sweep_exits_one(tmp_path, capsys):
      "grid_span = 333.2162203618775 around omega_p / 2 = 5e+299 rounds to one point\n"),
     (["spectrum", "--grid-span", "1e-300", "--grid-steps", "3"],
      "grid_span = 1e-300 around omega_p / 2 = 1000.0 rounds to one point\n"),
+    (["visibility", "--kind", "mz", "--omega-p", "1e-310", "--sweep-lo", "1e3", "--sweep-hi", "2e3",
+      "--sweep-steps", "2"],
+     "omega_p = 1e-310 gives half a fringe period pi / omega_p that is not finite\n"),
 ], ids=["hom-span-inf", "hom-window-inf", "mz-span", "mz-span-steps", "validate-span",
         "hom-gl", "hom-quadrature-gl", "mz-width", "visibility-width", "hom-width-zero",
-        "mz-phase", "mz-phase-both", "spectrum-center-point", "spectrum-span-point"])
+        "mz-phase", "mz-phase-both", "spectrum-center-point", "spectrum-span-point",
+        "visibility-half-period"])
 def test_overflowing_derived_scale_exits_one(tmp_path, capsys, args, message):
     # each setting is finite and positive, but a scale derived from it is
     # inf or 0, or a window rounds to one point: a CSV of nan, a division by
@@ -681,12 +688,17 @@ _VALIDITY = "validity.lo = 1\nvalidity.hi = 2\n"
      "{crystal}: branch.i has no coefficients"),
     (["match", *_BRACKETS], _BRANCHES + _VALIDITY + "knob.branch = p\n",
      "{crystal}: knob needs both knob.branch and knob.order"),
+    (["match", *_BRACKETS], _BRANCHES + _VALIDITY + "knob.branch = x\nknob.order = 0\n",
+     "{crystal}: knob branch must be one of p, s, i"),
+    (["match", *_BRACKETS], _BRANCHES + _VALIDITY + "knob.branch = p\nknob.order = -1\n",
+     "{crystal}: knob order must be >= 0"),
     (["match", *_BRACKETS], None, "match needs --crystal"),
     (["match", "--omega-lo", "1600", "--zeta-hi", "0.01"], _BRANCHES + _VALIDITY,
      "match needs omega_hi, zeta_lo"),
 ], ids=["theta", "tau-steps", "grid-steps", "kind", "units", "thetas", "crystal-no-equals",
         "crystal-unknown-key", "crystal-no-validity", "crystal-no-coefficients",
-        "crystal-knob-no-order", "match-no-crystal", "match-missing-brackets"])
+        "crystal-knob-no-order", "crystal-knob-branch", "crystal-knob-order",
+        "match-no-crystal", "match-missing-brackets"])
 def test_invalid_input_exits_one_with_its_line(tmp_path, capsys, args, crystal, message):
     out = tmp_path / "x.csv"
     if crystal is not None:
@@ -705,12 +717,29 @@ def test_io_failure_exits_three(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_metadata_embeds_effective_config(tmp_path):
-    out = tmp_path / "meta.csv"
-    assert run(["hom", "--tau-steps", "5", "--theta", "0.1", "--out", str(out)]) == 0
-    text = read(out)
-    for key in ("# gamma=", "# theta=0.1", "# pump_bw=", "# method=", "# tau_steps=5",
-                "# tau_max_effective="):
+@pytest.mark.parametrize("args, status", [
+    (["hom", "--tau-steps", "3"], 0),
+    (["hom", "--theta", "4"], 1),
+    (["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9"], 2),
+    (["hom", "--tau-steps", "3", "--out", "."], 3),
+], ids=["ok", "bad-input", "nonconvergence", "io"])
+def test_process_exit_status_is_mains_return_code(tmp_path, args, status):
+    # every other test calls main(); this one runs the module as a program,
+    # so the status goes through SystemExit to the operating system
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-m", "spdcsim.cli", *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == status
+    assert done.stderr == "" if status == 0 else done.stderr.startswith("error: ")
+
+
+def test_metadata_embeds_effective_config(tmp_path, monkeypatch):
+    # without --out the CSV goes to out.csv in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert run(["hom", "--tau-steps", "5", "--theta", "0.1"]) == 0
+    text = read(Path("out.csv"))
+    for key in ("# out='out.csv'\n", "# gamma=", "# theta=0.1", "# pump_bw=", "# method=",
+                "# tau_steps=5", "# tau_max_effective="):
         assert key in text
     assert "# threads=" not in text
 

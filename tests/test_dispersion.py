@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spdcsim import (
     DispersionModel,
     InfiniteBandwidth,
     Interval,
+    KnobSpec,
     NoSolutionInBracket,
     OutOfValidityRange,
     PhaseMatchParams,
@@ -128,6 +130,8 @@ def test_conditions_vacuum_all_orders():
     model = vacuum_model()
     for order in range(4):
         assert check_condition(model, 2000.0, order) == 0.0
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        check_condition(model, 2000.0, -1)
 
 
 def test_condition_orders_independent():
@@ -201,8 +205,22 @@ def test_solve_epm_vacuum_degenerate_bracket():
 
 def test_solve_epm_no_crossing():
     model = quadratic_model((1.0, 6e-3), (1.0, 5e-3), (1.0, 5e-3))
-    with pytest.raises(NoSolutionInBracket):
+    with pytest.raises(NoSolutionInBracket, match="order-1 residual has no root"):
         solve_epm(model, Interval(1500.0, 2500.0), Interval(-1.0, 1.0))
+    # the knob shifts k_p's constant, so every zeta has its order-1 root at
+    # omega*, and a zeta bracket above zeta* holds no order-0 sign change
+    model, _, zeta_star, omega_bracket, _ = planted_cases(2)[1]
+    with pytest.raises(NoSolutionInBracket, match="no sign change over the zeta bracket"):
+        solve_epm(model, omega_bracket, Interval(zeta_star + 1e-3, zeta_star + 2e-3))
+
+
+def test_with_zeta_shifts_only_a_declared_knob():
+    model = vacuum_model()
+    assert model.with_zeta(0.3) is model  # no knob, nothing to shift
+    # a knob past the branch's degree pads the branch with zeros
+    shifted = replace(model, knob=KnobSpec(branch="s", order=3)).with_zeta(0.5)
+    assert shifted.k_s.coeffs == model.k_s.coeffs + (0.0, 0.5)
+    assert shifted.k_p is model.k_p and shifted.k_i is model.k_i
 
 
 # ---------------------------------------------------------------------------

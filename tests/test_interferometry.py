@@ -785,8 +785,8 @@ def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidt
 
 @_FINE_CASES
 def test_fringe_u_weights_are_mirror_symmetric(theta, length, bandwidth, span):
-    # un is an exact mirror and wu exactly even, so the u profiles q_u and
-    # r_u, and with them the fringe's u weights, must be exactly even
+    # un is an exact mirror, wu exactly even and the u sums of (p1 + p2)^2
+    # mirrored from the first half, so the fringe's u weights must be exactly even
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     spectra = _line_spectra(params, pump, span or delay_span(params, pump), "fine", 2**15)
     weights = spectra[TraceKind.MZ][1][:node_counts(spectra)[0]]

@@ -43,6 +43,9 @@ def test_panel_budget_error_prints_counts_past_1e9_in_short_form(half_width, nee
 
 def test_root_linear():
     assert abs(find_root(lambda x: x - 3.0, Interval(0.0, 10.0), 1e-12) - 3.0) < 1e-10
+    # a root on either end is returned as it is
+    assert find_root(lambda x: x, Interval(0.0, 10.0), 1e-12) == 0.0
+    assert find_root(lambda x: x - 10.0, Interval(0.0, 10.0), 1e-12) == 10.0
 
 
 def test_root_cosine():
@@ -82,5 +85,7 @@ def test_interval_and_spec_validation():
         Interval(0.0, math.inf)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+    with pytest.raises(ValueError, match="abs_tol must be >= 0"):
+        QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)

@@ -93,3 +93,5 @@ def test_non_bell_cross_port_state_is_rejected():
 def test_state_norm_validated():
     with pytest.raises(ValueError):
         TwoPhotonPathState(amps=np.zeros((2, 2, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="shape"):
+        TwoPhotonPathState(amps=np.ones((2, 2, 2), dtype=complex) / math.sqrt(8.0))
