@@ -22,18 +22,15 @@ from .dispersion import (
     ZeroCurvature,
     check_condition,
     fluorescence_bandwidth,
-    phase_mismatch,
     polar_params,
     solve_epm,
     taylor_gammas,
-    vacuum_model,
     validity_bound,
 )
 from .biphoton import (
     PumpSpectrum,
     amplitude,
     db_amplitude,
-    factorization_check,
     grid,
     marginal_spectrum,
     phi_L,

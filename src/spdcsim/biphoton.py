@@ -24,7 +24,6 @@ __all__ = [
     "pump_alpha",
     "phi_L",
     "amplitude",
-    "factorization_check",
     "grid",
     "marginal_spectrum",
     "tb_amplitude",
@@ -122,26 +121,6 @@ def truncation_halfwidth(params: PhaseMatchParams, pump: PumpSpectrum,
         raise ValueError(f"gamma = {params.gamma} and length_um = {params.length} give a "
                          "phase-matching lobe 2 pi / (gamma * length_um) that is not finite")
     return max(sigmas * pump.bandwidth, lobes * lobe)
-
-
-def factorization_check(params: PhaseMatchParams, pump: PumpSpectrum, n_samples: int) -> float:
-    """Largest sampled defect |A - S(sum) D(diff)| of the sum/difference
-    split, with S the pump envelope and D the phase-matching profile along
-    the difference frequency.
-
-    The split is exact (defect at round-off level, <= 1e-12 * length) on
-    the gamma_s = -gamma_i ray and fails measurably elsewhere.
-    """
-    rng = np.random.default_rng(0)  # fixed seed: the check is deterministic
-    half = truncation_halfwidth(params, pump, lobes=3.0, sigmas=4.0)
-    ds = rng.uniform(-half, half, n_samples)
-    di = rng.uniform(-half, half, n_samples)
-    ws = 0.5 * pump.omega_p + ds
-    wi = 0.5 * pump.omega_p + di
-    a = amplitude(params, pump, ws, wi)
-    s = pump_alpha(pump, ws + wi)
-    d = phi_L((params.gamma / math.sqrt(2.0)) * (ds - di), params.length)
-    return float(np.max(np.abs(a - s * d)))
 
 
 def grid(params: PhaseMatchParams, pump: PumpSpectrum, span: Interval,

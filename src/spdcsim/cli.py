@@ -105,8 +105,9 @@ class RunConfig:
             raise CliError("thetas must not be empty")
         if self.omega_p <= 0 or self.pump_bw <= 0 or self.gamma <= 0 or self.length_um <= 0:
             raise CliError("omega_p, pump_bw, gamma and length_um must all be > 0")
-        if not (-math.pi < self.theta <= math.pi):
-            raise CliError("theta must lie in (-pi, pi]")
+        for key, angles in (("theta", (self.theta,)), ("thetas", self.thetas)):
+            if not all(-math.pi < t <= math.pi for t in angles):
+                raise CliError(f"{key} must lie in (-pi, pi]")
         if self.tau_max is not None and self.tau_max <= 0:
             raise CliError("tau_max must be > 0")
         if self.grid_span is not None and self.grid_span <= 0:
@@ -129,8 +130,10 @@ class RunConfig:
             raise CliError("sweep_steps must be >= 2")
         if self.sweep_lo is not None and self.sweep_lo <= 0:
             raise CliError("sweep_lo must be > 0")
-        if None not in (self.sweep_lo, self.sweep_hi) and self.sweep_lo >= self.sweep_hi:
-            raise CliError("sweep_lo must be < sweep_hi")
+        for lo, hi in (("sweep_lo", "sweep_hi"), ("omega_lo", "omega_hi"), ("zeta_lo", "zeta_hi")):
+            bounds = getattr(self, lo), getattr(self, hi)
+            if None not in bounds and bounds[0] >= bounds[1]:
+                raise CliError(f"{lo} must be < {hi}")
         for key, points in (("tau_steps", self.tau_steps or 0),
                             ("grid_steps", self.grid_steps ** 2),
                             ("sweep_steps", self.sweep_steps * len(self.thetas))):
@@ -161,7 +164,7 @@ def _text_parser(hint):
 
 # RunConfig field -> parser of its text, shared by the flag and the config key
 _PARSERS = {name: _text_parser(hint) for name, hint in get_type_hints(RunConfig).items()}
-_ANGULAR_FREQ_KEYS = ("omega_p", "pump_bw", "omega_lo", "omega_hi")
+_ANGULAR_FREQ_KEYS = ("omega_p", "pump_bw", "grid_span", "omega_lo", "omega_hi")
 
 
 def _parse_kv_file(path: str, what: str) -> dict[str, str]:

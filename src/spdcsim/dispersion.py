@@ -24,8 +24,6 @@ __all__ = [
     "DispersionModel",
     "PhaseMatchParams",
     "ValidityReport",
-    "vacuum_model",
-    "phase_mismatch",
     "taylor_gammas",
     "polar_params",
     "check_condition",
@@ -33,9 +31,6 @@ __all__ = [
     "fluorescence_bandwidth",
     "validity_bound",
 ]
-
-SPEED_OF_LIGHT_UM_PER_PS = 299.792458
-
 
 class OutOfValidityRange(ValueError):
     """Frequency lies outside the model's declared validity interval."""
@@ -133,12 +128,6 @@ class DispersionModel:
         return replace(self, **{f"k_{self.knob.branch}": shifted})
 
 
-def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:
-    """All three branches k = w/c: zero mismatch at every order."""
-    b = PolynomialBranch([0.0, 1.0 / SPEED_OF_LIGHT_UM_PER_PS])
-    return DispersionModel(k_p=b, k_s=b, k_i=b, validity=span)
-
-
 # ---------------------------------------------------------------------------
 # First-order description of a matched crystal
 # ---------------------------------------------------------------------------
@@ -178,11 +167,6 @@ class PhaseMatchParams:
         diverges and the dip has zero width."""
         return abs(math.cos(self.theta) - math.sin(self.theta)) < 1e-12
 
-    @classmethod
-    def from_gammas(cls, gamma_s: float, gamma_i: float, length: float) -> "PhaseMatchParams":
-        gamma, theta = polar_params(gamma_s, gamma_i)
-        return cls(gamma=gamma, theta=theta, length=length)
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -197,12 +181,6 @@ class ValidityReport:
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def phase_mismatch(model: DispersionModel, omega_s: float, omega_i: float) -> float:
-    """Wave-number mismatch k_p(w_s + w_i) - k_s(w_s) - k_i(w_i) in 1/um."""
-    model.check_inside(omega_s, omega_i, omega_s + omega_i)
-    return model.k_p(omega_s + omega_i) - model.k_s(omega_s) - model.k_i(omega_i)
-
 
 def taylor_gammas(model: DispersionModel, omega_p: float) -> tuple[float, float]:
     """First-order mismatch coefficients (group-delay differences, ps/um):
@@ -230,8 +208,11 @@ def polar_params(gamma_s: float, gamma_i: float) -> tuple[float, float]:
 def check_condition(model: DispersionModel, omega_p: float, order: int) -> float:
     """Signed residual of the order-n matching condition
 
-        d^n k_p/dw^n (w_p) - 2^(-n) [d^n k_s/dw^n + d^n k_i/dw^n](w_p / 2).
+        d^n k_p/dw^n (w_p) - 2^(-n) [d^n k_s/dw^n + d^n k_i/dw^n](w_p / 2),
 
+    the n-th w-derivative at the pump center w = w_p of the mismatch
+    Dk(w/2, w/2) along the degenerate line, where
+    Dk(w_s, w_i) = k_p(w_s + w_i) - k_s(w_s) - k_i(w_i) in 1/um.
     Order 0 is the conventional condition (zero mismatch at degeneracy),
     order 1 the group-velocity condition.  The residual itself is returned
     so callers can grade near-misses.

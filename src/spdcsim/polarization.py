@@ -57,9 +57,9 @@ class TwoPhotonPathState:
     idler pol).
 
     Fresh from the beam splitter the support is the four canonical terms
-    (c V, b H), (b V, c H), (b V, b H), (c V, c H), each with weight 1/2
-    (see the weights property); arm transforms may rotate polarizations and
-    populate other components.  Norm stays 1 throughout.
+    (c V, b H), (b V, c H), (b V, b H), (c V, c H), each with weight 1/2;
+    arm transforms may rotate polarizations and populate other
+    components.  Norm stays 1 throughout.
     """
 
     amps: np.ndarray  # complex, shape (2, 2, 2, 2)
@@ -70,15 +70,6 @@ class TwoPhotonPathState:
         norm = float(np.sum(np.abs(self.amps) ** 2))
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state norm^2 = {norm}, expected 1")
-
-    @property
-    def weights(self) -> tuple[complex, complex, complex, complex]:
-        """The four canonical-term weights: (cV,bH), (bV,cH), (bV,bH), (cV,cH)."""
-        a = self.amps
-        b, c = Port.B.value, Port.C.value
-        v, h = Polarization.V.value, Polarization.H.value
-        return (complex(a[c, v, b, h]), complex(a[b, v, c, h]),
-                complex(a[b, v, b, h]), complex(a[c, v, c, h]))
 
 
 def beamsplitter_output() -> TwoPhotonPathState:

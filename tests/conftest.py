@@ -1,7 +1,7 @@
-"""Shared test helpers: planted dispersion models with a known joint
-matching point, used by both the unit tests and the acceptance gate; the
-node counts of a quadrature build; and the example settings of the
-property tests."""
+"""Shared test helpers: the vacuum model, and planted dispersion models with
+a known joint matching point, used by both the unit tests and the
+acceptance gate; the node counts of a quadrature build; and the example
+settings of the property tests."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from spdcsim import DispersionModel, Interval, KnobSpec, PolynomialBranch, Trace
 # nothing written to .hypothesis/
 EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
+SPEED_OF_LIGHT_UM_PER_PS = 299.792458
+
 
 def node_counts(spectra) -> tuple[int, int]:
     """(u, v > 0) node counts of the line spectra of one quadrature build:
@@ -21,6 +23,12 @@ def node_counts(spectra) -> tuple[int, int]:
     more per u node."""
     v = len(spectra[TraceKind.HOM][0])
     return len(spectra[TraceKind.MZ][0]) - v, v
+
+
+def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:
+    """All three branches k = w/c: zero mismatch at every order."""
+    b = PolynomialBranch([0.0, 1.0 / SPEED_OF_LIGHT_UM_PER_PS])
+    return DispersionModel(k_p=b, k_s=b, k_i=b, validity=span)
 
 
 def planted_joint_model(omega_star: float, zeta_star: float, seed: int,

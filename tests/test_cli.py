@@ -76,11 +76,15 @@ def test_flag_overrides_config_overrides_default(tmp_path):
 
 def test_si_units_match_radps_inputs(tmp_path):
     a, b = tmp_path / "radps.csv", tmp_path / "si.csv"
-    assert run(["hom", "--tau-steps", "7", "--omega-p", "2000", "--pump-bw", "40",
-                "--out", str(a)]) == 0
-    assert run(["hom", "--tau-steps", "7", "--units", "si", "--omega-p", "2e15",
-                "--pump-bw", "4e13", "--out", str(b)]) == 0
-    assert data_section(read(a)) == data_section(read(b))
+    # grid_span is an angular frequency too
+    for command, radps, si in ((["hom", "--tau-steps", "7"], [], []),
+                               (["spectrum", "--grid-steps", "3"], ["--grid-span", "60"],
+                                ["--grid-span", "6e13"])):
+        assert run(command + ["--omega-p", "2000", "--pump-bw", "40", *radps,
+                              "--out", str(a)]) == 0
+        assert run(command + ["--units", "si", "--omega-p", "2e15", "--pump-bw", "4e13", *si,
+                              "--out", str(b)]) == 0
+        assert data_section(read(a)) == data_section(read(b))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +323,21 @@ def test_match_vacuum_like_crystal(tmp_path, capsys):
         line = next(l for l in out.splitlines() if l.startswith(f"residual_order{order}"))
         assert abs(float(line.split(" = ")[1])) < 1e-12
     assert "l_max = inf (zero curvature)" in out
+
+
+def test_match_identical_signal_and_idler_branches(tmp_path, capsys):
+    # gamma_s and gamma_i are equal by construction, and the order-1 root
+    # leaves both at rounding level, not exactly zero: the bandwidth is infinite
+    crystal = tmp_path / "twin.txt"
+    crystal.write_text(
+        "branch.p.c0 = 20\nbranch.p.c1 = 0.0101\nbranch.p.c2 = 2e-9\n"
+        "branch.s.c0 = 10\nbranch.s.c1 = 5e-3\nbranch.s.c2 = 1.3e-6\n"
+        "branch.i.c0 = 10\nbranch.i.c1 = 5e-3\nbranch.i.c2 = 1.3e-6\n"
+        "validity.lo = 10\nvalidity.hi = 8000\nknob.branch = p\nknob.order = 0\n")
+    rc = run(["match", "--crystal", str(crystal), "--omega-lo", "100", "--omega-hi", "7000",
+              "--zeta-lo", "-30", "--zeta-hi", "30"])
+    assert rc == 0
+    assert "omega_f = inf (gamma_s = gamma_i)" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -681,6 +700,12 @@ _VALIDITY = "validity.lo = 1\nvalidity.hi = 2\n"
     (["hom", "--units", "xx"], None, "units must be radps or si"),
     (["visibility", "--thetas", "nan,0.1", "--sweep-lo", "1", "--sweep-hi", "2"], None,
      "thetas must be finite"),
+    (["visibility", "--kind", "hom", "--sweep-lo", "5", "--sweep-hi", "200", "--sweep-steps", "3",
+      "--thetas", "4,-7"], None, "thetas must lie in (-pi, pi]"),
+    (["match", "--omega-lo", "7000", "--omega-hi", "100", "--zeta-lo", "-0.01",
+      "--zeta-hi", "0.01"], _BRANCHES + _VALIDITY, "omega_lo must be < omega_hi"),
+    (["match", "--omega-lo", "100", "--omega-hi", "7000", "--zeta-lo", "30", "--zeta-hi", "30"],
+     _BRANCHES + _VALIDITY, "zeta_lo must be < zeta_hi"),
     (["match", *_BRACKETS], _BRANCHES + "bogus line\n", "{crystal}:4: expected key=value"),
     (["match", *_BRACKETS], "branch.q.c0 = 1\n", "{crystal}: unknown crystal key 'branch.q.c0'"),
     (["match", *_BRACKETS], _BRANCHES, "{crystal}: validity.lo and validity.hi are required"),
@@ -695,7 +720,8 @@ _VALIDITY = "validity.lo = 1\nvalidity.hi = 2\n"
     (["match", *_BRACKETS], None, "match needs --crystal"),
     (["match", "--omega-lo", "1600", "--zeta-hi", "0.01"], _BRANCHES + _VALIDITY,
      "match needs omega_hi, zeta_lo"),
-], ids=["theta", "tau-steps", "grid-steps", "kind", "units", "thetas", "crystal-no-equals",
+], ids=["theta", "tau-steps", "grid-steps", "kind", "units", "thetas", "thetas-range",
+        "omega-bracket", "zeta-bracket", "crystal-no-equals",
         "crystal-unknown-key", "crystal-no-validity", "crystal-no-coefficients",
         "crystal-knob-no-order", "crystal-knob-branch", "crystal-knob-order",
         "match-no-crystal", "match-missing-brackets"])

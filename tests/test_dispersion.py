@@ -19,14 +19,12 @@ from spdcsim import (
     ZeroCurvature,
     check_condition,
     fluorescence_bandwidth,
-    phase_mismatch,
     polar_params,
     solve_epm,
     taylor_gammas,
-    vacuum_model,
     validity_bound,
 )
-from conftest import planted_cases
+from conftest import planted_cases, vacuum_model
 
 
 def quadratic_model(p, s, i, lo=10.0, hi=8000.0):
@@ -35,45 +33,15 @@ def quadratic_model(p, s, i, lo=10.0, hi=8000.0):
 
 
 # ---------------------------------------------------------------------------
-# phase mismatch
+# validity range
 # ---------------------------------------------------------------------------
-
-def test_vacuum_mismatch_is_zero():
-    model = vacuum_model()
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        ws, wi = rng.uniform(500.0, 1500.0, 2)
-        assert abs(phase_mismatch(model, ws, wi)) < 1e-12
-
-
-def test_mismatch_vanishes_at_degeneracy_when_planted():
-    omega_p = 2000.0
-    ks = PolynomialBranch([9.7, 5.1e-3, 2e-9])
-    ki = PolynomialBranch([10.4, 4.9e-3, -1e-9])
-    kp = PolynomialBranch([ks(omega_p / 2) + ki(omega_p / 2) - 5.0e-3 * omega_p, 5.0e-3])
-    model = DispersionModel(k_p=kp, k_s=ks, k_i=ki, validity=Interval(10.0, 8000.0))
-    assert abs(phase_mismatch(model, omega_p / 2, omega_p / 2)) < 1e-12
-
-
-def test_mismatch_matches_hand_expansion():
-    p = (0.3, 5.2e-3, 1.5e-9)
-    s = (0.1, 5.0e-3, 2.5e-9)
-    i = (0.15, 4.9e-3, -1.5e-9)
-    model = quadratic_model(p, s, i)
-    ws, wi = 980.0, 1030.0
-    total = ws + wi
-    want = (p[0] + p[1] * total + p[2] * total**2
-            - s[0] - s[1] * ws - s[2] * ws**2
-            - i[0] - i[1] * wi - i[2] * wi**2)
-    assert abs(phase_mismatch(model, ws, wi) - want) < 1e-12 * max(1.0, abs(want))
-
 
 def test_validity_range_enforced():
     model = vacuum_model(Interval(500.0, 2500.0))
     with pytest.raises(OutOfValidityRange):
-        phase_mismatch(model, 400.0, 800.0)
+        taylor_gammas(model, 900.0)  # half the pump below validity
     with pytest.raises(OutOfValidityRange):
-        phase_mismatch(model, 1400.0, 1400.0)  # sum above validity
+        check_condition(model, 2600.0, 0)  # pump above validity
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +266,7 @@ def test_phase_match_params_invariants():
         PhaseMatchParams(gamma=0.0, theta=0.0, length=1e3)
     with pytest.raises(ValueError):
         PhaseMatchParams(gamma=8e-5, theta=0.0, length=0.0)
-    params = PhaseMatchParams.from_gammas(5.65685424949238e-5, -5.65685424949238e-5, 1e3)
+    gamma, theta = polar_params(5.65685424949238e-5, -5.65685424949238e-5)
+    params = PhaseMatchParams(gamma=gamma, theta=theta, length=1e3)
     assert params.theta == pytest.approx(-math.pi / 4, abs=1e-12)
     assert params.gamma == pytest.approx(8e-5, rel=1e-10)

@@ -8,6 +8,7 @@ import pytest
 from spdcsim import (
     BellState,
     NotABellState,
+    Polarization,
     Port,
     TwoPhotonPathState,
     apply_phase_flip,
@@ -19,7 +20,10 @@ from spdcsim import (
 
 def test_beamsplitter_weights():
     state = beamsplitter_output()
-    assert state.weights == (0.5, 0.5, 0.5, 0.5)
+    b, c = Port.B.value, Port.C.value
+    v, h = Polarization.V.value, Polarization.H.value
+    # the four canonical terms (cV, bH), (bV, cH), (bV, bH), (cV, cH)
+    assert [state.amps[s, v, i, h] for s, i in ((c, b), (b, c), (b, b), (c, c))] == [0.5] * 4
     assert np.sum(np.abs(state.amps) ** 2) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -31,8 +35,10 @@ def test_untransformed_postselection():
 
 def test_cross_port_probability_is_half():
     state = beamsplitter_output()
-    w = state.weights
-    assert abs(w[0]) ** 2 + abs(w[1]) ** 2 == pytest.approx(0.5, abs=1e-15)
+    b, c = Port.B.value, Port.C.value
+    v, h = Polarization.V.value, Polarization.H.value
+    cross = abs(state.amps[c, v, b, h]) ** 2 + abs(state.amps[b, v, c, h]) ** 2
+    assert cross == pytest.approx(0.5, abs=1e-15)
 
 
 def test_four_transforms_give_four_bell_states():
