@@ -21,7 +21,6 @@ import numpy as np
 
 from .biphoton import PumpSpectrum, grid, truncation_halfwidth
 from .dispersion import (
-    DegenerateGammas,
     DispersionModel,
     KnobSpec,
     PhaseMatchParams,
@@ -397,18 +396,17 @@ def cmd_match(cfg: RunConfig) -> int:
     gs, gi = taylor_gammas(solved, omega_p)
     lines.append(f"gamma_s = {_fmt(gs)} ps/um")
     lines.append(f"gamma_i = {_fmt(gi)} ps/um")
-    try:
+    # gamma_s + gamma_i = 2 residual_order1 (docs/DERIVATION.md (1.4)); the
+    # signs decide, not their product, which can underflow
+    if gs < 0 < gi or gi < 0 < gs:
         gamma, theta = polar_params(gs, gi)
-    except DegenerateGammas:
-        lines.append("gamma = degenerate (gamma_s = gamma_i = 0, first-order model invalid)")
-    else:
         lines.append(f"gamma = {_fmt(gamma)} ps/um")
         lines.append(f"theta = {_fmt(theta)} rad")
         params = PhaseMatchParams(gamma=gamma, theta=theta, length=cfg.length_um)
-        try:
-            lines.append(f"omega_f = {_fmt(fluorescence_bandwidth(params))} rad/ps")
-        except ValueError:
-            lines.append("omega_f = inf (gamma_s = gamma_i)")
+        lines.append(f"omega_f = {_fmt(fluorescence_bandwidth(params))} rad/ps")
+    else:
+        lines.append("gamma = degenerate (gamma_s, gamma_i not of opposite sign: "
+                     "each within 2|residual_order1| of 0)")
     try:
         lines.append(f"l_max = {_fmt(validity_bound(solved, omega_p, cfg.pump_bw).l_max)} um")
     except ZeroCurvature:

@@ -67,6 +67,8 @@ class PolynomialBranch:
         return self.derivative(w, 0)
 
     def derivative(self, w: float, order: int) -> float:
+        if order < 0:
+            raise ValueError("order must be >= 0")
         acc = 0.0
         for j in range(len(self.coeffs) - 1, order - 1, -1):
             fac = 1.0
@@ -76,6 +78,8 @@ class PolynomialBranch:
         return acc
 
     def shifted(self, order: int, delta: float) -> "PolynomialBranch":
+        if order < 0:
+            raise ValueError("order must be >= 0")
         coeffs = list(self.coeffs)
         while len(coeffs) <= order:
             coeffs.append(0.0)
@@ -108,9 +112,6 @@ class DispersionModel:
     validity: Interval
     knob: KnobSpec | None = None
 
-    def branch(self, name: str) -> PolynomialBranch:
-        return {"p": self.k_p, "s": self.k_s, "i": self.k_i}[name]
-
     def check_inside(self, *freqs: float) -> None:
         for w in freqs:
             if not (self.validity.lo <= w <= self.validity.hi):
@@ -124,8 +125,8 @@ class DispersionModel:
         declares no knob has nothing to shift and comes back unchanged."""
         if self.knob is None:
             return self
-        shifted = self.branch(self.knob.branch).shifted(self.knob.order, zeta)
-        return replace(self, **{f"k_{self.knob.branch}": shifted})
+        name = f"k_{self.knob.branch}"
+        return replace(self, **{name: getattr(self, name).shifted(self.knob.order, zeta)})
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +171,9 @@ class PhaseMatchParams:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Curvature of the mismatch at degeneracy and the resulting crystal
-    length bound for the first-order treatment."""
+    """Crystal length bound for the first-order treatment, set by the
+    curvature of the mismatch at degeneracy (see validity_bound)."""
 
-    hessian: tuple[tuple[float, float], tuple[float, float]]  # ps^2/um
-    mu: float    # max-magnitude eigenvalue, ps^2/um
     l_max: float  # um
 
 
@@ -182,18 +181,27 @@ class ValidityReport:
 # Operations
 # ---------------------------------------------------------------------------
 
+def _derivatives_at_degeneracy(model: DispersionModel, omega_p: float,
+                               order: int) -> tuple[float, float, float]:
+    """(k_p^(n)(w_p), k_s^(n)(w_p/2), k_i^(n)(w_p/2)) after model.check_inside(w_p, w_p/2)."""
+    half = omega_p / 2
+    model.check_inside(omega_p, half)
+    return (model.k_p.derivative(omega_p, order), model.k_s.derivative(half, order),
+            model.k_i.derivative(half, order))
+
+
 def taylor_gammas(model: DispersionModel, omega_p: float) -> tuple[float, float]:
-    """First-order mismatch coefficients (group-delay differences, ps/um):
+    """First-order mismatch coefficients (group-delay differences, ps/um),
+    docs/DERIVATION.md (1.3):
     gamma_s = k_p'(w_p) - k_s'(w_p/2) and gamma_i = k_p'(w_p) - k_i'(w_p/2).
     """
-    model.check_inside(omega_p, omega_p / 2)
-    kp1 = model.k_p.derivative(omega_p, 1)
-    return (kp1 - model.k_s.derivative(omega_p / 2, 1),
-            kp1 - model.k_i.derivative(omega_p / 2, 1))
+    kp1, ks1, ki1 = _derivatives_at_degeneracy(model, omega_p, 1)
+    return kp1 - ks1, kp1 - ki1
 
 
 def polar_params(gamma_s: float, gamma_i: float) -> tuple[float, float]:
-    """Polar form: gamma = hypot(gamma_s, gamma_i), theta = atan2(gamma_i, gamma_s).
+    """Polar form, docs/DERIVATION.md (1.5): gamma = hypot(gamma_s, gamma_i),
+    theta = atan2(gamma_i, gamma_s).
 
     Raises:
         DegenerateGammas: both coefficients are zero (type-I-like regime,
@@ -214,16 +222,10 @@ def check_condition(model: DispersionModel, omega_p: float, order: int) -> float
     Dk(w/2, w/2) along the degenerate line, where
     Dk(w_s, w_i) = k_p(w_s + w_i) - k_s(w_s) - k_i(w_i) in 1/um.
     Order 0 is the conventional condition (zero mismatch at degeneracy),
-    order 1 the group-velocity condition.  The residual itself is returned
-    so callers can grade near-misses.
+    order 1 the group-velocity condition; docs/DERIVATION.md (1.1) and (1.2).
+    The residual itself is returned so callers can grade near-misses.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    model.check_inside(omega_p, omega_p / 2)
-    half = omega_p / 2
-    kp = model.k_p.derivative(omega_p, order)
-    ks = model.k_s.derivative(half, order)
-    ki = model.k_i.derivative(half, order)
+    kp, ks, ki = _derivatives_at_degeneracy(model, omega_p, order)
     return kp - (ks + ki) / 2.0**order
 
 
@@ -271,7 +273,8 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
 
 
 def fluorescence_bandwidth(params: PhaseMatchParams) -> float:
-    """Phase-matching bandwidth 4*pi / (L |gamma_s - gamma_i|) in rad/ps.
+    """Phase-matching bandwidth 4*pi / (L |gamma_s - gamma_i|) in rad/ps,
+    docs/DERIVATION.md (1.6).
 
     Raises:
         InfiniteBandwidth: gamma_s == gamma_i (theta = pi/4 ray).
@@ -284,28 +287,21 @@ def fluorescence_bandwidth(params: PhaseMatchParams) -> float:
 def validity_bound(model: DispersionModel, omega_p: float, pump_bw: float) -> ValidityReport:
     """Second-order validity check of the first-order mismatch expansion.
 
-    Builds the curvature matrix of the mismatch at degeneracy,
+    The curvature matrix of the mismatch at degeneracy,
         H11 = k_p''(w_p) - k_s''(w_p/2),  H22 = k_p''(w_p) - k_i''(w_p/2),
         H12 = H21 = k_p''(w_p),
-    takes its max-magnitude eigenvalue mu and reports the crystal length
-    bound l_max = 8*pi / (|mu| * pump_bw^2).
+    has the eigenvalues (H11 + H22)/2 +- hypot((H11 - H22)/2, H12), so its
+    larger-magnitude eigenvalue mu has |mu| = |H11 + H22|/2 + that hypot.
+    The crystal length bound is l_max = 8*pi / (|mu| * pump_bw^2);
+    docs/DERIVATION.md (1.7) and (1.8).
 
     Raises:
         ZeroCurvature: mu = 0, so the bound is infinite.
     """
-    model.check_inside(omega_p, omega_p / 2)
-    kp2 = model.k_p.derivative(omega_p, 2)
-    h11 = kp2 - model.k_s.derivative(omega_p / 2, 2)
-    h22 = kp2 - model.k_i.derivative(omega_p / 2, 2)
-    h12 = kp2
-    mean = 0.5 * (h11 + h22)
-    disc = math.hypot(0.5 * (h11 - h22), h12)
-    lam1, lam2 = mean + disc, mean - disc
-    mu = lam1 if abs(lam1) >= abs(lam2) else lam2
-    if mu == 0.0:
+    kp2, ks2, ki2 = _derivatives_at_degeneracy(model, omega_p, 2)
+    h11 = kp2 - ks2
+    h22 = kp2 - ki2
+    abs_mu = abs(h11 + h22) / 2 + math.hypot((h11 - h22) / 2, kp2)
+    if abs_mu == 0.0:
         raise ZeroCurvature("mismatch curvature vanishes; l_max is infinite")
-    return ValidityReport(
-        hessian=((h11, h12), (h12, h22)),
-        mu=mu,
-        l_max=8.0 * math.pi / (abs(mu) * pump_bw**2),
-    )
+    return ValidityReport(l_max=8.0 * math.pi / (abs_mu * pump_bw**2))

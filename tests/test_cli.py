@@ -307,6 +307,10 @@ def test_match_planted_crystal(tmp_path, capsys):
     assert float(report["l_max"]) > 0.0
 
 
+DEGENERATE_LINE = ("gamma = degenerate (gamma_s, gamma_i not of opposite sign: "
+                   "each within 2|residual_order1| of 0)")
+
+
 def test_match_vacuum_like_crystal(tmp_path, capsys):
     c = 299.792458
     crystal = tmp_path / "vacuum.txt"
@@ -323,11 +327,13 @@ def test_match_vacuum_like_crystal(tmp_path, capsys):
         line = next(l for l in out.splitlines() if l.startswith(f"residual_order{order}"))
         assert abs(float(line.split(" = ")[1])) < 1e-12
     assert "l_max = inf (zero curvature)" in out
+    assert DEGENERATE_LINE in out.splitlines()
 
 
 def test_match_identical_signal_and_idler_branches(tmp_path, capsys):
     # gamma_s and gamma_i are equal by construction, and the order-1 root
-    # leaves both at rounding level, not exactly zero: the bandwidth is infinite
+    # leaves both at rounding level, not exactly zero: they share a sign, so
+    # the report gives neither a direction nor a bandwidth
     crystal = tmp_path / "twin.txt"
     crystal.write_text(
         "branch.p.c0 = 20\nbranch.p.c1 = 0.0101\nbranch.p.c2 = 2e-9\n"
@@ -337,7 +343,9 @@ def test_match_identical_signal_and_idler_branches(tmp_path, capsys):
     rc = run(["match", "--crystal", str(crystal), "--omega-lo", "100", "--omega-hi", "7000",
               "--zeta-lo", "-30", "--zeta-hi", "30"])
     assert rc == 0
-    assert "omega_f = inf (gamma_s = gamma_i)" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert DEGENERATE_LINE in lines
+    assert not [l for l in lines if l.startswith(("theta =", "omega_f ="))]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -24,7 +24,7 @@ from spdcsim import (
     taylor_gammas,
     validity_bound,
 )
-from conftest import planted_cases, vacuum_model
+from conftest import near_matched_curvature_cases, planted_cases, vacuum_model
 
 
 def quadratic_model(p, s, i, lo=10.0, hi=8000.0):
@@ -68,6 +68,15 @@ def test_finite_difference_branch_matches_analytic_twin():
     gs_a, _ = taylor_gammas(model_a, 2000.0)
     ref = analytic.derivative(2000.0, 1) - analytic.derivative(1000.0, 1)
     assert gs_a == pytest.approx(ref, rel=1e-12)
+
+
+def test_polynomial_branch_rejects_negative_order():
+    branch = PolynomialBranch([1.0, 2.0, 3.0])
+    assert branch.derivative(2.0, 0) == 17.0
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        branch.derivative(2.0, -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        branch.shifted(-1, 10.0)
 
 
 def test_polar_params_examples():
@@ -164,6 +173,20 @@ def test_solve_epm_planted_recovery():
         assert abs(check_condition(solved, omega, 1)) <= 1e-10
 
 
+def test_joint_solutions_have_opposite_gammas():
+    # at a joint solution gamma_s + gamma_i = 2 residual_order1 up to rounding
+    # (docs/DERIVATION.md (1.4)), so a matched crystal's gammas have opposite signs
+    for model, *_, om_br, z_br in planted_cases(20) + near_matched_curvature_cases(20):
+        omega, zeta = solve_epm(model, om_br, z_br)
+        solved = model.with_zeta(zeta)
+        gs, gi = taylor_gammas(solved, omega)
+        assert gs * gi < 0
+        k1 = max(abs(b.derivative(w, 1)) for b, w in
+                 ((solved.k_p, omega), (solved.k_s, omega / 2), (solved.k_i, omega / 2)))
+        # measured at most 1 ulp of max |k'| over these 40 solutions
+        assert abs(gs + gi - 2 * check_condition(solved, omega, 1)) <= 4 * math.ulp(k1)
+
+
 def test_solve_epm_vacuum_degenerate_bracket():
     model = vacuum_model()
     omega, zeta = solve_epm(model, Interval(1500.0, 2500.0), Interval(-1.0, 1.0))
@@ -231,10 +254,8 @@ def test_validity_bound_planted_mu():
     ki = PolynomialBranch([10.0, 5e-3, mu / 2])
     model = DispersionModel(k_p=kp, k_s=ks, k_i=ki, validity=Interval(10.0, 8000.0))
     report = validity_bound(model, 2000.0, 40.0)
-    assert abs(report.mu) == pytest.approx(mu, rel=1e-12)
     assert report.l_max == pytest.approx(8.0 * math.pi / (mu * 1600.0), rel=1e-12)
     assert report.l_max == pytest.approx(1.5708e5, rel=1e-4)
-    assert report.hessian[0][1] == report.hessian[1][0]
 
 
 def test_validity_bound_diagonal_dominant():
@@ -244,7 +265,21 @@ def test_validity_bound_diagonal_dominant():
     ki = PolynomialBranch([10.0, 5e-3, 0.5e-7])
     model = DispersionModel(k_p=kp, k_s=ks, k_i=ki, validity=Interval(10.0, 8000.0))
     report = validity_bound(model, 2000.0, 40.0)
-    assert report.mu == pytest.approx(4e-7, rel=1e-12)
+    assert report.l_max == pytest.approx(8.0 * math.pi / (4e-7 * 1600.0), rel=1e-12)
+
+
+def test_validity_bound_matches_eigenvalues():
+    # |mu| is the larger eigenvalue magnitude of H = [[kp'' - ks'', kp''],
+    # [kp'', kp'' - ki'']] at degeneracy, for curvatures of either sign
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        c = rng.uniform(-1e-7, 1e-7, 3)
+        model = quadratic_model((10.0, 5e-3, c[0]), (10.0, 5e-3, c[1]), (10.0, 5e-3, c[2]))
+        kp2, ks2, ki2 = 2 * c
+        hessian = [[kp2 - ks2, kp2], [kp2, kp2 - ki2]]
+        mu = max(abs(np.linalg.eigvalsh(hessian)))
+        l_max = validity_bound(model, 2000.0, 40.0).l_max
+        assert l_max == pytest.approx(8.0 * math.pi / (mu * 1600.0), rel=1e-12)
 
 
 def test_validity_bound_vacuum_zero_curvature():

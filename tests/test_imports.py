@@ -1,6 +1,6 @@
 """Every module-level import in the package and the tests is used, the
 package __init__ re-exports exactly each module's __all__, and each name it
-re-exports has a caller.
+re-exports, and each public attribute its classes define, has a caller.
 
 No linter ships with the project, so these checks read each file's syntax
 tree (stdlib ast only): a name bound by a top-level import must appear as a
@@ -17,9 +17,12 @@ from pathlib import Path
 
 import pytest
 
+import spdcsim
+
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in (ROOT / "src" / "spdcsim").glob("*.py") if p.name != "__init__.py")
 FILES += sorted((ROOT / "tests").glob("*.py"))
+INIT = ROOT / "src" / "spdcsim" / "__init__.py"
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -40,8 +43,7 @@ def test_every_module_level_import_is_used(path):
 
 
 def test_package_reexports_each_module_all():
-    init = ROOT / "src" / "spdcsim" / "__init__.py"
-    relative = [node for node in ast.parse(init.read_text()).body
+    relative = [node for node in ast.parse(INIT.read_text()).body
                 if isinstance(node, ast.ImportFrom) and node.level == 1]
     assert relative
     for node in relative:
@@ -61,16 +63,47 @@ def names_read(tree: ast.Module) -> set[str]:
     return read
 
 
+# what the package re-exports, its modules' syntax trees, and the text of
+# the README and the acceptance gate, where a public name may be shown
+EXPORTED = {a.name for node in ast.parse(INIT.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+PACKAGE_TREES = [ast.parse(p.read_text()) for p in FILES if p.parent.name == "spdcsim"]
+SHOWN = (ROOT / "README.md").read_text() + (ROOT / "tests" / "test_acceptance.py").read_text()
+
+
 def test_every_public_name_has_a_caller():
     # API that only its own tests call is dead weight: each re-exported
     # name must be read by the package, or be shown by the README or graded
     # by the acceptance gate
-    init = ROOT / "src" / "spdcsim" / "__init__.py"
-    exported = {a.name for node in ast.parse(init.read_text()).body
-                if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
-    read = set().union(*(names_read(ast.parse(p.read_text())) for p in FILES
-                         if p.parent.name == "spdcsim"))
-    shown = (ROOT / "README.md").read_text() + (ROOT / "tests" / "test_acceptance.py").read_text()
-    uncalled = [name for name in sorted(exported - read)
-                if not re.search(rf"\b{name}\b", shown)]
+    read = set().union(*map(names_read, PACKAGE_TREES))
+    uncalled = [name for name in sorted(EXPORTED - read)
+                if not re.search(rf"\b{name}\b", SHOWN)]
     assert not uncalled, f"public names nothing calls: {', '.join(uncalled)}"
+
+
+def class_attributes(cls: ast.ClassDef) -> set[str]:
+    """Public names a class body defines: methods, properties, annotated
+    fields and enum members."""
+    names = set()
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def test_every_public_class_attribute_has_a_caller():
+    # the same rule one level down: a method, property, field or enum member
+    # of an exported class must be read as an attribute by the package, or be
+    # shown as .name by the README or the acceptance gate
+    read = {n.attr for tree in PACKAGE_TREES for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)}
+    uncalled = [f"{cls.name}.{name}" for tree in PACKAGE_TREES for cls in tree.body
+                if isinstance(cls, ast.ClassDef) and cls.name in EXPORTED
+                and not issubclass(getattr(spdcsim, cls.name), BaseException)
+                for name in sorted(class_attributes(cls) - read)
+                if not re.search(rf"\.{name}\b", SHOWN)]
+    assert not uncalled, f"public attributes nothing reads: {', '.join(uncalled)}"
