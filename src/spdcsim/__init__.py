@@ -10,12 +10,8 @@ from .numerics import (
     gauss_legendre_panels,
 )
 from .dispersion import (
-    DegenerateGammas,
     DispersionModel,
-    InfiniteBandwidth,
     KnobSpec,
-    NoSolutionInBracket,
-    OutOfValidityRange,
     PhaseMatchParams,
     PolynomialBranch,
     ValidityReport,
@@ -40,7 +36,6 @@ from .biphoton import (
 )
 from .interferometry import (
     ClosedFormParams,
-    DegenerateDip,
     TraceKind,
     closed_form_params,
     delay_span,
@@ -55,7 +50,6 @@ from .interferometry import (
 )
 from .polarization import (
     BellState,
-    NotABellState,
     Polarization,
     Port,
     TwoPhotonPathState,

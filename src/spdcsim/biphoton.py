@@ -67,10 +67,10 @@ def pump_alpha(pump: PumpSpectrum, omega_sum) -> float | np.ndarray:
     square root of the Gaussian intensity spectrum.  Taken real and
     positive; all observables downstream depend on its square only.
     """
-    d = (np.asarray(omega_sum, dtype=float) - pump.omega_p) / pump.bandwidth
-    # far outside a narrow pump d * d overflows to inf, and exp(-inf) = 0 is
-    # the exact limit, so the overflow is not an error
+    # far outside a narrow pump d, or d * d, overflows to inf, and exp(-inf) = 0
+    # is the exact limit, so the overflow is not an error
     with np.errstate(over="ignore"):
+        d = (np.asarray(omega_sum, dtype=float) - pump.omega_p) / pump.bandwidth
         out = np.exp(-0.5 * d * d)
     return float(out) if out.ndim == 0 else out
 

@@ -14,11 +14,7 @@ from typing import Sequence
 from .numerics import Interval, NoSignChange, find_root
 
 __all__ = [
-    "OutOfValidityRange",
-    "DegenerateGammas",
-    "InfiniteBandwidth",
     "ZeroCurvature",
-    "NoSolutionInBracket",
     "PolynomialBranch",
     "KnobSpec",
     "DispersionModel",
@@ -32,24 +28,10 @@ __all__ = [
     "validity_bound",
 ]
 
-class OutOfValidityRange(ValueError):
-    """Frequency lies outside the model's declared validity interval."""
-
-
-class DegenerateGammas(ValueError):
-    """Both group-delay coefficients vanish; the first-order picture breaks."""
-
-
-class InfiniteBandwidth(ValueError):
-    """gamma_s == gamma_i, so the phase-matching bandwidth diverges."""
-
-
 class ZeroCurvature(ValueError):
-    """Mismatch curvature vanishes at degeneracy; the length bound is infinite."""
-
-
-class NoSolutionInBracket(ValueError):
-    """Joint matching residuals have no sign change inside the brackets."""
+    """Mismatch curvature vanishes at degeneracy; the length bound is
+    infinite.  Its own class because the match report catches it, and must
+    not catch the ValueError of a frequency outside validity."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +97,7 @@ class DispersionModel:
     def check_inside(self, *freqs: float) -> None:
         for w in freqs:
             if not (self.validity.lo <= w <= self.validity.hi):
-                raise OutOfValidityRange(
+                raise ValueError(
                     f"frequency {w} rad/ps outside validity "
                     f"[{self.validity.lo}, {self.validity.hi}]"
                 )
@@ -204,12 +186,12 @@ def polar_params(gamma_s: float, gamma_i: float) -> tuple[float, float]:
     theta = atan2(gamma_i, gamma_s).
 
     Raises:
-        DegenerateGammas: both coefficients are zero (type-I-like regime,
+        ValueError: both coefficients are zero (type-I-like regime,
             outside the first-order model).
     """
     gamma = math.hypot(gamma_s, gamma_i)
     if gamma == 0.0:
-        raise DegenerateGammas("gamma_s = gamma_i = 0; first-order model invalid")
+        raise ValueError("gamma_s = gamma_i = 0; first-order model invalid")
     return gamma, math.atan2(gamma_i, gamma_s)
 
 
@@ -241,7 +223,7 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
     order-0 residual at that omega is rooted in zeta.
 
     Raises:
-        NoSolutionInBracket: a required sign change is missing.
+        ValueError: a required sign change is missing.
     """
 
     # the residuals can be steep functions of the solve variables, so both
@@ -256,7 +238,7 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
         try:
             return find_root(f, omega_bracket, t_omega)
         except NoSignChange as exc:
-            raise NoSolutionInBracket(
+            raise ValueError(
                 f"order-1 residual has no root in the omega bracket at zeta={zeta}"
             ) from exc
 
@@ -266,7 +248,7 @@ def solve_epm(model: DispersionModel, omega_bracket: Interval,
     try:
         zeta = find_root(mismatch_at_crossing, zeta_bracket, t_zeta)
     except NoSignChange as exc:
-        raise NoSolutionInBracket(
+        raise ValueError(
             "order-0 residual has no sign change over the zeta bracket"
         ) from exc
     return omega_at(zeta), zeta
@@ -277,10 +259,10 @@ def fluorescence_bandwidth(params: PhaseMatchParams) -> float:
     docs/DERIVATION.md (1.6).
 
     Raises:
-        InfiniteBandwidth: gamma_s == gamma_i (theta = pi/4 ray).
+        ValueError: gamma_s == gamma_i (theta = pi/4 ray).
     """
     if params.gammas_equal:
-        raise InfiniteBandwidth("gamma_s = gamma_i; bandwidth diverges")
+        raise ValueError("gamma_s = gamma_i; bandwidth diverges")
     return 4.0 * math.pi / (params.length * abs(params.gamma_s - params.gamma_i))
 
 

@@ -24,7 +24,6 @@ from .dispersion import PhaseMatchParams
 from .numerics import NonConvergence, QuadratureSpec, gauss_legendre_panels, panel_width
 
 __all__ = [
-    "DegenerateDip",
     "TraceKind",
     "ClosedFormParams",
     "closed_form_params",
@@ -45,10 +44,10 @@ _SQRT_PI = math.sqrt(math.pi)
 TRACE_SPEC = QuadratureSpec()
 # panels per 2 pi / rate on both node axes of the fine and coarse builds
 PANEL_DENSITY = {"fine": 0.75, "coarse": 0.6}
-
-
-class DegenerateDip(ValueError):
-    """Dip half-width is zero (gamma_s == gamma_i ray): the trace is flat."""
+# xi past which the closed forms take their xi -> inf limits, docs/DERIVATION.md
+# (2.2)-(2.4): the limits are off by at most 0.34 / xi^2, while the F1 bracket,
+# whose two erf terms cancel, carries about 3.5e-17 xi; both are ~1e-11 here
+_XI_LIMIT = 2e5
 
 
 class TraceKind(Enum):
@@ -60,9 +59,10 @@ class TraceKind(Enum):
 class ClosedFormParams:
     """Every constant the closed forms read for one (crystal, pump) setting.
 
-    xi = 4 / (pump_bw * gamma * L * |cos theta + sin theta|); it is exactly
-    +inf on the gamma_s = -gamma_i ray, where the closed forms switch to
-    their analytic limits.  tau_theta = gamma * L * |cos theta - sin theta| / 2.
+    xi = 4 / (pump_bw * gamma * L * |cos theta + sin theta|), taken as +inf
+    past _XI_LIMIT (next to the gamma_s = -gamma_i ray), where the closed
+    forms switch to their analytic limits; docs/DERIVATION.md (2.4).
+    tau_theta = gamma * L * |cos theta - sin theta| / 2.
     q2 = ((gamma_s + gamma_i) / (gamma_s - gamma_i))^2, 0 when tau_theta = 0.
     """
 
@@ -81,8 +81,8 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     if not math.isfinite(width) or (width == 0.0 and plus >= 1e-12):
         raise ValueError(f"pump bandwidth * gamma * length * |cos theta + sin theta| = {width}; "
                          "it must be finite, and > 0 off the gamma_s = -gamma_i ray")
-    xi = math.inf if plus < 1e-12 else 4.0 / width
-    # snap the degenerate ray to an exact zero width, mirroring the xi branch
+    xi = math.inf if width < 4.0 / _XI_LIMIT else 4.0 / width
+    # snap the gamma_s = gamma_i ray to an exact zero width
     tau_theta = 0.0 if params.gammas_equal else 0.5 * gl * abs(c - s)
     q2 = 0.0 if tau_theta == 0.0 else (
         (params.gamma_s + params.gamma_i) / (params.gamma_s - params.gamma_i)) ** 2
@@ -112,12 +112,11 @@ def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarra
     triangle r in the xi -> inf limit.
 
     Raises:
-        ValueError: a delay is not finite.
-        DegenerateDip: tau_theta = 0 (rate identically 1).
+        ValueError: a delay is not finite, or tau_theta = 0 (rate identically 1).
     """
     _require_finite(tau, "closed-form delays tau")
     if cfp.tau_theta <= 0:
-        raise DegenerateDip("tau_theta = 0: dip has zero width")
+        raise ValueError("tau_theta = 0: dip has zero width")
     r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     if math.isinf(cfp.xi):
         return r
@@ -178,10 +177,10 @@ def mz_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray
 
 def v_hom(cfp: ClosedFormParams) -> float:
     """Dip visibility (1 - P(0)) / (1 + P(0)) of the closed dip trace P;
-    exactly 1 on the xi = inf ray.
+    exactly 1 at xi = inf.
 
     Raises:
-        DegenerateDip: tau_theta = 0.
+        ValueError: tau_theta = 0.
     """
     p = float(hom_rate_closed(cfp, 0.0))
     return (1.0 - p) / (1.0 + p)
@@ -293,9 +292,12 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     b = 0.5 * (gs - gi)
     L = params.length
     tau_theta = abs(b) * L
-    if params.gammas_equal:
-        raise DegenerateDip("gamma_s = gamma_i: the quadrature route does not cover this "
-                            "ray; --method closed does for the fringe trace")
+    # the dip has zero width on the ray, and where |b| L underflows to 0
+    if params.gammas_equal or tau_theta == 0.0:
+        what = ("gamma_s = gamma_i: the quadrature route does not cover this ray"
+                if params.gammas_equal else "tau_theta = |gamma_s - gamma_i| L / 2 = 0: "
+                "the quadrature route does not cover a dip of zero width")
+        raise ValueError(f"{what}; --method closed does for the fringe trace")
     bw = pump.bandwidth
     density = PANEL_DENSITY[grade]
     # the a*u/b term tracks the phase-matching ridge across the

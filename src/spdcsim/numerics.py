@@ -33,7 +33,9 @@ class NonConvergence(RuntimeError):
 
 
 class NoSignChange(ValueError):
-    """Root bracket does not straddle a sign change."""
+    """Root bracket does not straddle a sign change.  Its own class because
+    solve_epm catches it, and must not catch the ValueError of a frequency
+    outside validity that the residual raises."""
 
 
 @dataclass(frozen=True)

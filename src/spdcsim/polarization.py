@@ -17,7 +17,6 @@ __all__ = [
     "Port",
     "Polarization",
     "BellState",
-    "NotABellState",
     "TwoPhotonPathState",
     "beamsplitter_output",
     "apply_rotator",
@@ -41,14 +40,6 @@ class BellState(Enum):
     PSI_MINUS = "psi-"
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
-
-
-class NotABellState(ValueError):
-    """Post-selected amplitude is not proportional to a Bell state."""
-
-    def __init__(self, message: str, success_prob: float):
-        super().__init__(message)
-        self.success_prob = success_prob
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,8 @@ def postselect_coincidence(state: TwoPhotonPathState) -> tuple[BellState, float]
     survives discarding same-port exits).
 
     Raises:
-        NotABellState: surviving amplitude is zero or not Bell-like; the
-            exception carries the success probability.
+        ValueError: surviving amplitude is zero or not Bell-like; the
+            message gives the success probability.
     """
     a = state.amps
     b, c = Port.B.value, Port.C.value
@@ -133,9 +124,9 @@ def postselect_coincidence(state: TwoPhotonPathState) -> tuple[BellState, float]
             psi[2 * ph + pv] += a[c, pv, b, ph]
     success = float(np.sum(np.abs(psi) ** 2))
     if success <= 1e-12:
-        raise NotABellState("no cross-port amplitude survives", success_prob=0.0)
+        raise ValueError("no cross-port amplitude survives (success probability 0.0)")
     psi /= np.sqrt(success)
     for label, vec in _BELL_VECTORS.items():
         if abs(np.vdot(vec, psi)) >= 1.0 - 1e-10:
             return label, success
-    raise NotABellState("surviving amplitude is not a Bell state", success_prob=success)
+    raise ValueError(f"surviving amplitude is not a Bell state (success probability {success})")

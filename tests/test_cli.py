@@ -634,10 +634,17 @@ def test_si_units_half_sweep_exits_one(tmp_path, capsys):
     (["visibility", "--kind", "mz", "--omega-p", "1e-310", "--sweep-lo", "1e3", "--sweep-hi", "2e3",
       "--sweep-steps", "2"],
      "omega_p = 1e-310 gives half a fringe period pi / omega_p that is not finite\n"),
+    (["hom", "--gamma", "1e-200", "--length-um", "1e-200", "--method", "quadrature"],
+     "tau_theta = |gamma_s - gamma_i| L / 2 = 0: the quadrature route does not cover"),
+    (["mz", "--gamma", "1e-200", "--length-um", "1e-200", "--method", "quadrature"],
+     "tau_theta = |gamma_s - gamma_i| L / 2 = 0: the quadrature route does not cover"),
+    (["mz", "--gamma", "1e-200", "--length-um", "1e-200", "--method", "both", "--tau-steps", "5"],
+     "tau_theta = |gamma_s - gamma_i| L / 2 = 0: the quadrature route does not cover"),
 ], ids=["hom-span-inf", "hom-window-inf", "mz-span", "mz-span-steps", "validate-span",
         "hom-gl", "hom-quadrature-gl", "mz-width", "visibility-width", "hom-width-zero",
         "mz-phase", "mz-phase-both", "spectrum-center-point", "spectrum-span-point",
-        "visibility-half-period"])
+        "visibility-half-period", "hom-quadrature-tau-theta-zero", "mz-quadrature-tau-theta-zero",
+        "mz-both-tau-theta-zero"])
 def test_overflowing_derived_scale_exits_one(tmp_path, capsys, args, message):
     # each setting is finite and positive, but a scale derived from it is
     # inf or 0, or a window rounds to one point: a CSV of nan, a division by
@@ -669,11 +676,13 @@ def test_spectrum_large_finite_grid_phase_warns_nothing(tmp_path):
     assert "nan" not in read(out)
 
 
-def test_spectrum_near_monochromatic_pump_warns_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("bw", ["1e-300", "1e-320"])
+def test_spectrum_near_monochromatic_pump_warns_nothing(tmp_path, capsys, bw):
     # the pump envelope's (detuning / bandwidth)^2 overflows to inf across
-    # the grid; exp(-inf) = 0 is the exact limit (a RuntimeWarning fails the test)
+    # the grid, and at 1e-320 the quotient itself; exp(-inf) = 0 is the exact
+    # limit (a RuntimeWarning fails the test)
     out = tmp_path / "x.csv"
-    assert run(["spectrum", "--pump-bw", "1e-300", "--grid-steps", "3", "--out", str(out)]) == 0
+    assert run(["spectrum", "--pump-bw", bw, "--grid-steps", "3", "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert "nan" not in read(out)
 

@@ -1,11 +1,12 @@
 """Every module-level import in the package and the tests is used, the
-package __init__ re-exports exactly each module's __all__, and each name it
-re-exports, and each public attribute its classes define, has a caller.
+package __init__ re-exports exactly each module's __all__, each name it
+re-exports, and each public attribute its classes define, has a caller,
+and each exception class it re-exports is caught by name.
 
 No linter ships with the project, so these checks read each file's syntax
 tree (stdlib ast only): a name bound by a top-level import must appear as a
 name somewhere in the file.  The package __init__ only re-exports, so the
-first check skips it and the other two read it.
+first check skips it and the others read it.
 """
 
 from __future__ import annotations
@@ -107,3 +108,20 @@ def test_every_public_class_attribute_has_a_caller():
                 for name in sorted(class_attributes(cls) - read)
                 if not re.search(rf"\.{name}\b", SHOWN)]
     assert not uncalled, f"public attributes nothing reads: {', '.join(uncalled)}"
+
+
+def test_every_public_exception_is_caught():
+    # an exception subclass earns its name only where a caller must tell it
+    # from other errors: each exported one is named by an except clause in
+    # the package, or shown by the README or the acceptance gate; elsewhere
+    # a plain ValueError carries the same message
+    caught = set()
+    for tree in PACKAGE_TREES:
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                caught |= {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+    uncaught = [name for name in sorted(EXPORTED - caught)
+                if isinstance(getattr(spdcsim, name), type)
+                and issubclass(getattr(spdcsim, name), BaseException)
+                and not re.search(rf"\b{name}\b", SHOWN)]
+    assert not uncaught, f"exceptions no caller catches: {', '.join(uncaught)}"

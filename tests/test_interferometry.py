@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from spdcsim import (
-    DegenerateDip,
-    InfiniteBandwidth,
     NonConvergence,
     PhaseMatchParams,
     PumpSpectrum,
@@ -95,7 +93,7 @@ def test_hom_closed_finite_xi_depth():
 
 def test_hom_closed_degenerate_ray():
     cfp = closed_form_params(make_params(math.pi / 4), PUMP)
-    with pytest.raises(DegenerateDip):
+    with pytest.raises(ValueError, match="tau_theta = 0: dip has zero width"):
         hom_rate_closed(cfp, 0.0)
 
 
@@ -141,6 +139,26 @@ def test_fringe_envelope_terms_anchors():
     cfp = closed_form_params(EPM, PUMP)
     for t in np.linspace(-0.3, 0.3, 101):
         assert fringe_envelope_terms(cfp, t)[1] == 0.0
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-5, 1e-8, 1e-10, 2e-12])
+def test_closed_forms_meet_their_xi_limit_next_to_the_matched_ray(d):
+    # docs/DERIVATION.md (2.2)-(2.4): at theta = -pi/4 + d the closed forms
+    # are within 0.34 / xi^2 of their xi -> inf limits, the triangle r,
+    # exp(-x^2) and 0, and past _XI_LIMIT they are the limits; evaluated in
+    # full there, the cancelling F1 bracket would be off by ~3.5e-17 xi
+    params = make_params(-math.pi / 4 + d)
+    cfp = closed_form_params(params, PUMP)
+    xi = 4.0 / (PUMP.bandwidth * GAMMA * params.length
+                * abs(math.cos(params.theta) + math.sin(params.theta)))
+    tau = np.linspace(-1.2, 1.2, 2401) * cfp.tau_theta
+    x = 0.5 * PUMP.bandwidth * tau
+    r = np.minimum(np.abs(tau) / cfp.tau_theta, 1.0)
+    bound = 0.5 / xi**2 + 1e-11
+    f1, f2 = fringe_envelope_terms(cfp, tau)
+    assert np.max(np.abs(hom_rate_closed(cfp, tau) - r)) <= bound
+    assert np.max(np.abs(f1 - np.exp(-x * x))) <= bound
+    assert np.max(np.abs(f2)) <= bound
 
 
 def test_mz_closed_fringe_period():
@@ -249,7 +267,7 @@ def test_v_hom_values():
     tiny_xi = closed_form_params(
         CONV, PumpSpectrum(omega_p=OMEGA_P, bandwidth=4e5))
     assert v_hom(tiny_xi) < 1e-3
-    with pytest.raises(DegenerateDip):
+    with pytest.raises(ValueError, match="tau_theta = 0: dip has zero width"):
         v_hom(closed_form_params(make_params(math.pi / 4), PUMP))
 
 
@@ -425,14 +443,17 @@ def test_quadrature_traces_on_the_validate_grids_are_not_negative(name, kind, th
 
 
 def test_degenerate_ray_quadrature_raises():
-    with pytest.raises(DegenerateDip):
+    with pytest.raises(ValueError, match="gamma_s = gamma_i: the quadrature route does not cover"):
         hom_trace_integral(make_params(math.pi / 4), PUMP, np.array([0.0]))
 
 
-def _raises(exc, fn, *args) -> bool:
+def _raises(message, fn, *args) -> bool:
+    """Whether fn(*args) raises; what it raises must be a ValueError whose
+    message starts with message."""
     try:
         fn(*args)
-    except exc:
+    except ValueError as exc:
+        assert str(exc).startswith(message), exc
         return True
     return False
 
@@ -446,8 +467,10 @@ def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, eq
     params = make_params(theta)
     assert params.gammas_equal is equal
     assert (closed_form_params(params, PUMP).tau_theta == 0.0) is equal
-    assert _raises(DegenerateDip, _line_spectra, params, PUMP, 0.0, "coarse", 2**15) is equal
-    assert _raises(InfiniteBandwidth, fluorescence_bandwidth, params) is equal
+    assert _raises("gamma_s = gamma_i: the quadrature route", _line_spectra,
+                   params, PUMP, 0.0, "coarse", 2**15) is equal
+    assert _raises("gamma_s = gamma_i; bandwidth diverges", fluorescence_bandwidth,
+                   params) is equal
 
 
 def _spectra_and_axes(params, pump, tau_max, grade):

@@ -1,13 +1,13 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spdcsim import (
     BellState,
-    NotABellState,
     Polarization,
     Port,
     TwoPhotonPathState,
@@ -82,18 +82,19 @@ def test_same_port_only_state_is_rejected():
     amps[Port.B.value, 0, Port.B.value, 1] = 1.0 / math.sqrt(2.0)
     amps[Port.C.value, 0, Port.C.value, 1] = 1.0 / math.sqrt(2.0)
     state = TwoPhotonPathState(amps=amps)
-    with pytest.raises(NotABellState) as err:
+    with pytest.raises(ValueError, match=r"^no cross-port amplitude survives "
+                                         r"\(success probability 0\.0\)$"):
         postselect_coincidence(state)
-    assert err.value.success_prob == 0.0
 
 
 def test_non_bell_cross_port_state_is_rejected():
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
     amps[Port.B.value, 0, Port.C.value, 1] = 1.0  # bare |V H>, not entangled
     state = TwoPhotonPathState(amps=amps)
-    with pytest.raises(NotABellState) as err:
+    with pytest.raises(ValueError, match="^surviving amplitude is not a Bell state") as err:
         postselect_coincidence(state)
-    assert err.value.success_prob == pytest.approx(1.0, abs=1e-12)
+    prob = re.fullmatch(r".*\(success probability (\S+)\)", str(err.value)).group(1)
+    assert float(prob) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_norm_validated():
