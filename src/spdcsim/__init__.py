@@ -7,7 +7,7 @@ from .numerics import (
     NoSignChange,
     QuadratureSpec,
     find_root,
-    gauss_legendre_panels,
+    midpoint_rule,
 )
 from .dispersion import (
     DispersionModel,

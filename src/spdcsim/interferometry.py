@@ -21,7 +21,7 @@ import numpy as np
 
 from .biphoton import PumpSpectrum
 from .dispersion import PhaseMatchParams
-from .numerics import NonConvergence, QuadratureSpec, gauss_legendre_panels, panel_width
+from .numerics import NonConvergence, QuadratureSpec, midpoint_rule
 
 __all__ = [
     "TraceKind",
@@ -40,10 +40,10 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Self-check tolerance and panel budget of the quadrature traces
+# Self-check tolerance and node budget of the quadrature traces
 TRACE_SPEC = QuadratureSpec()
-# panels per 2 pi / rate on both node axes of the fine and coarse builds
-PANEL_DENSITY = {"fine": 0.75, "coarse": 0.6}
+# oversampling s of the fine and coarse builds' steps, docs/DERIVATION.md (4.4)
+OVERSAMPLING = {"fine": 1.3, "coarse": 1.15}
 # xi past which the closed forms take their xi -> inf limits, docs/DERIVATION.md
 # (2.2)-(2.4): the limits are off by at most 0.34 / xi^2, while the F1 bracket,
 # whose two erf terms cancel, carries about 3.5e-17 xi; both are ~1e-11 here
@@ -220,7 +220,7 @@ def v_mz(cfp: ClosedFormParams) -> float:
 #
 # Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
 # node axes are built as exact mirror images of their positive halves (the
-# 10-point rule has no node at 0), so the build evaluates one kernel block
+# midpoint rule has no node at 0), so the build evaluates one kernel block
 # p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
 # analytically.  Signal-idler exchange (u -> -u) keeps plus = p1 + p2 and
 # negates minus = p1 - p2, so their squares' sums take half the u rows; the
@@ -283,6 +283,12 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
         yield lo, p1, y
 
 
+def _roll_off(v: np.ndarray, v_half: float) -> np.ndarray:
+    """The v weights' factor that ends the difference axis smoothly from
+    v_half to 2 v_half, docs/DERIVATION.md (4.5)."""
+    return 0.5 * (1.0 + np.cos(math.pi * np.clip(np.abs(v) / v_half - 1.0, 0.0, 1.0)))
+
+
 def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, grade: str,
                   budget: int) -> dict[TraceKind, tuple[np.ndarray, np.ndarray]]:
     """{kind: (freq, weights)} for one (crystal, pump) setting: the trace of
@@ -299,18 +305,17 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
                 "the quadrature route does not cover a dip of zero width")
         raise ValueError(f"{what}; --method closed does for the fringe trace")
     bw = pump.bandwidth
-    density = PANEL_DENSITY[grade]
+    s = OVERSAMPLING[grade]
     # the a*u/b term tracks the phase-matching ridge across the
     # pump-limited u range
     v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
-    u_rate = abs(a) * L / 2.0 + tau_max
-    v_rate = abs(b) * L / 2.0 + tau_max
-    panel_u = panel_width(u_rate, bw, density)
-    panel_v = panel_width(v_rate, math.inf, density)
-    un, uw = gauss_legendre_panels(pump.reach, panel_u, budget, f"u axis ({grade} build)")
-    vn, vw = gauss_legendre_panels(v_half, panel_v, budget, f"v axis ({grade} build)")
+    # band limits along u and v, docs/DERIVATION.md (4.1)-(4.2)
+    step_u = 2.0 * math.pi / (s * (abs(a) * L + tau_max + 12.0 / bw))
+    step_v = 2.0 * math.pi / (s * (abs(b) * L + tau_max))
+    un, uw = midpoint_rule(pump.reach, step_u, budget, f"u axis ({grade} build)")
+    vn, vw = midpoint_rule(2.0 * v_half, step_v, budget, f"v axis ({grade} build)")
     half = len(vn) // 2
-    vp, vwp = vn[half:], vw[half:]
+    vp, vwp = vn[half:], vw[half:] * _roll_off(vn[half:], v_half)
     wu = np.exp(-((un / bw) ** 2)) * uw
     # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
     # p1 and leaves bv ascending, as _sinc_blocks needs
@@ -412,7 +417,7 @@ def _spectra_pair(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
                   budget: int) -> tuple[dict, dict]:
     """The fine and coarse line spectra of one setting, built once and
     reused by every later trace of either kind on the same inputs."""
-    return tuple(_line_spectra(params, pump, tau_max, grade, budget) for grade in PANEL_DENSITY)
+    return tuple(_line_spectra(params, pump, tau_max, grade, budget) for grade in OVERSAMPLING)
 
 
 def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
@@ -444,7 +449,7 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
     scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(
-            f"panel refinement still moves the trace by {drift:.2e}"
+            f"a finer quadrature step still moves the trace by {drift:.2e}"
         )
     # both raw integrands are sums of |amplitude|^2 with positive weights, so
     # a value below 0 is rounding
@@ -456,9 +461,9 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
                        tau_max: float | None = None) -> np.ndarray:
     """Dip trace by quadrature of the raw rate integral at delays taus (an
     array or a scalar), shaped like taus and normalized to its large-delay
-    baseline.  Self-checked by panel refinement.
+    baseline.  Self-checked against a build at a coarser step.
 
-    The panels resolve the oscillations up to the larger of max |taus| and
+    The steps resolve the oscillations up to the larger of max |taus| and
     tau_max, so a tau_max below the delays changes nothing.
     """
     return _trace_quadrature(TraceKind.HOM, params, pump, taus, spec, tau_max)

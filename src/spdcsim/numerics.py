@@ -1,4 +1,4 @@
-"""Self-contained numerical kernel: Gauss-Legendre panel quadrature and
+"""Self-contained numerical kernel: the midpoint quadrature rule and
 bracketed root finding, the two primitives that math and numpy lack.
 
 Everything above this module is pure math on these primitives, math and
@@ -19,16 +19,16 @@ __all__ = [
     "QuadratureSpec",
     "NonConvergence",
     "NoSignChange",
-    "gauss_legendre_panels",
+    "midpoint_rule",
     "find_root",
 ]
 
-# panels one axis may take before the rule gives up (each caller sets its density)
-PANEL_BUDGET = 2**15
+# nodes one axis may take before the rule gives up (each caller sets its step)
+PANEL_BUDGET = 10 * 2**15
 
 
 class NonConvergence(RuntimeError):
-    """Quadrature panel budget exhausted, or the self-check drift above its
+    """Quadrature node budget exhausted, or the self-check drift above its
     tolerance."""
 
 
@@ -57,7 +57,7 @@ class Interval:
 class QuadratureSpec:
     """Settings of the quadrature traces' self-check: the fine-vs-coarse
     drift may reach max(abs_tol, rel_tol * max |trace|), and each node axis
-    may take up to max_subdivisions panels."""
+    may take up to max_subdivisions nodes."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-7
@@ -73,38 +73,32 @@ class QuadratureSpec:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panel rule
+# Midpoint rule
 # ---------------------------------------------------------------------------
 
-def panel_width(rate: float, scale: float, density: float) -> float:
-    """Panel width min(2 pi / rate, 0.7 scale) / density for an axis whose
-    integrand oscillates at `rate` (0 for none) under a Gaussian weight of
-    1/e half-width `scale`."""
-    return min(2.0 * math.pi / rate if rate > 0 else math.inf, 0.7 * scale) / density
-
-
-def gauss_legendre_panels(half_width: float, panel: float, budget: int,
-                          where: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of 10-point Gauss-Legendre panels of width at most
-    `panel` on [-half_width, half_width], mirrored exactly from the
-    positive half (there is no node at 0).
+def midpoint_rule(half_width: float, step: float, budget: int,
+                  where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (k + 1/2) h and equal weights h of the midpoint rule on
+    [-half_width, half_width], with h the largest step at most `step` that
+    ends a cell exactly at half_width; the nodes are mirrored exactly from
+    the positive half, so there is no node at 0.  The sum is f's integral
+    over the whole line once f is band-limited below 2 pi / step:
+    docs/DERIVATION.md (4.4).
 
     Raises:
-        NonConvergence: more than `budget` panels needed; the message names
+        NonConvergence: more than `budget` nodes needed; the message names
             the axis `where`.
     """
-    x, w = np.polynomial.legendre.leggauss(10)
-    count = 2.0 * half_width / panel
-    if not count <= budget:  # also inf; counts past 1e9 print as .3g, not as 300 digits
-        needs = math.ceil(count) if count <= 1e9 else f"{count:.3g}"
-        raise NonConvergence(f"panel quadrature on the {where} needs {needs} panels, budget {budget}")
-    n = max(1, math.ceil(count))
-    edges = np.linspace(-half_width, half_width, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()[5 * n:]
-    weights = (half[:, None] * w[None, :]).ravel()[5 * n:]
-    return np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+    side = half_width / step
+    # inf, and counts past 1e9, stay floats: they print as .3g, not as 300 digits
+    count = 2 * math.ceil(side) if side <= 5e8 else 2.0 * side
+    if not count <= budget:
+        needs = count if count <= 1e9 else f"{count:.3g}"
+        raise NonConvergence(f"midpoint rule on the {where} needs {needs} nodes, budget {budget}")
+    n = max(1, count // 2)
+    h = half_width / n
+    nodes = (np.arange(n) + 0.5) * h
+    return np.concatenate((-nodes[::-1], nodes)), np.full(2 * n, h)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,29 @@ def test_marginal_matches_scipy_quad(theta, length, narrow):
             assert marginal_spectrum(params, pump, which, w) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("theta, length, narrow", [
+    (-math.pi / 4, 1e3, False), (math.pi / 5, 1e3, False), (-math.pi / 6, 2e4, True),
+], ids=["matched", "pi_5", "minus_pi_6_narrow"])
+def test_marginal_integrates_the_whole_pump_window_near_the_truncation_edge(theta, length,
+                                                                            narrow):
+    # near +-half the pump window omega_p - omega +- 8 bw reaches past the
+    # truncation half-width; cutting the partner axis there, as the marginal
+    # once did, is off by up to 54% at 0.99 half
+    from scipy.integrate import quad  # independent oracle, tests only
+
+    params, pump = setting(theta, length)
+    if narrow:
+        pump = PumpSpectrum(omega_p=OMEGA_P, bandwidth=fluorescence_bandwidth(params) / 100.0)
+    half = truncation_halfwidth(params, pump)
+    for w in OMEGA_P / 2 + half * np.array([-0.99, -0.9, 0.9, 0.99]):
+        ridge = OMEGA_P - w
+        for which, f in (("signal", lambda x: amplitude(params, pump, w, x) ** 2),
+                         ("idler", lambda x: amplitude(params, pump, x, w) ** 2)):
+            want, _ = quad(f, ridge - pump.reach, ridge + pump.reach, epsabs=0.0, epsrel=1e-13,
+                           limit=5000, points=[ridge])
+            assert marginal_spectrum(params, pump, which, w) == pytest.approx(want, rel=1e-10)
+
+
 def test_marginal_outside_the_pump_window_is_zero():
     params, pump = setting(-math.pi / 4, bandwidth=1.0)
     half = truncation_halfwidth(params, pump)
@@ -252,7 +275,8 @@ def test_marginal_outside_the_pump_window_is_zero():
 
 @pytest.mark.parametrize("which, partner", [("signal", "idler"), ("idler", "signal")])
 def test_marginal_over_the_panel_budget_names_the_axis(which, partner):
-    params, pump = setting(-math.pi / 4, length=1e7, bandwidth=100.0)
+    # the partner axis needs 1,872,698 nodes, over PANEL_BUDGET = 327,680
+    params, pump = setting(-math.pi / 4, length=1e8, bandwidth=100.0)
     with pytest.raises(NonConvergence, match=re.escape(f"{partner} axis ({which} marginal)")):
         marginal_spectrum(params, pump, which, OMEGA_P / 2)
 
@@ -267,16 +291,16 @@ def test_marginal_rejects_nan_omega_and_is_zero_at_infinity(which):
 
 
 def test_marginal_keeps_its_density_when_the_trace_densities_change(monkeypatch):
-    # the trace builds' densities belong to interferometry alone: thinning
+    # the trace builds' oversampling factors belong to interferometry alone: thinning
     # them must thin a fresh fine build and leave every marginal bit alone
     params, pump = setting(0.0, length=2e4)
     omegas = (OMEGA_P / 2 - 20.0, OMEGA_P / 2, OMEGA_P / 2 + 7.0)
     before = [marginal_spectrum(params, pump, which, w)
               for which in ("signal", "idler") for w in omegas]
     dense = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
-    # halved in place, so a density dict shared with the marginal would change too
-    for grade, density in list(interferometry.PANEL_DENSITY.items()):
-        monkeypatch.setitem(interferometry.PANEL_DENSITY, grade, 0.5 * density)
+    # halved in place, so an oversampling dict shared with the marginal would change too
+    for grade, factor in list(interferometry.OVERSAMPLING.items()):
+        monkeypatch.setitem(interferometry.OVERSAMPLING, grade, 0.5 * factor)
     sparse = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
     assert all(s < d for s, d in zip(node_counts(sparse), node_counts(dense)))
     after = [marginal_spectrum(params, pump, which, w)

@@ -170,6 +170,21 @@ def test_hom_both_methods_write_no_negative_rate(tmp_path):
     assert np.all(body[:, 2] >= 0.0)
 
 
+def test_narrow_dip_quadrature_fits_the_node_budget(tmp_path):
+    # bw tau_theta = 0.13: the fine v axis needs 161,958 nodes, about
+    # 2483 (3 + 8 / (bw tau_theta)), under the budget of 327,680
+    args = ["hom", "--theta", "-0.02", "--length-um", "553", "--pump-bw", "5.7"]
+    columns = []
+    for method in ("quadrature", "closed"):
+        out = tmp_path / f"{method}.csv"
+        assert run(args + ["--method", method, "--out", str(out)]) == 0
+        lines = data_section(read(out)).splitlines()
+        assert lines[0] == f"tau_ps,P_{method}"
+        columns.append(np.array([float(line.split(",")[1]) for line in lines[1:]]))
+    quadrature, closed = columns
+    assert np.max(np.abs(quadrature - closed)) <= 1e-3
+
+
 def test_mz_default_grid_samples_fringes(tmp_path):
     out = tmp_path / "mf.csv"
     assert run(["mz", "--tau-max", "0.01", "--out", str(out)]) == 0
@@ -368,14 +383,14 @@ def test_match_explicit_out_writes_report(tmp_path, monkeypatch, capsys, source)
 
 
 @pytest.mark.parametrize("args", [
-    # the u axis of a 1 m crystal needs millions of panels, far over the budget
+    # the u axis of a 1 m crystal needs about 15 million nodes, far over the budget
     ["hom", "--method", "quadrature", "--tau-steps", "5", "--length-um", "1e9"],
-    # gamma * length = 1e307 is finite, but the u axis panel count is not
+    # gamma * length = 1e307 is finite, but the u axis node count is not
     ["hom", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",
      "--tau-max", "1", "--tau-steps", "3"],
     ["mz", "--method", "quadrature", "--gamma", "1e300", "--length-um", "1e7", "--theta", "0.3",
      "--tau-max", "1", "--tau-steps", "3"],
-    # the v axis needs about 1e300 panels: finite, but 300 digits as an integer
+    # the v axis needs 7e299 to 9e306 nodes: finite, but 300 digits as an integer
     ["hom", "--method", "quadrature", "--pump-bw", "1e-300"],
     ["mz", "--method", "quadrature", "--gamma", "1e-300"],
     ["hom", "--method", "quadrature", "--length-um", "1e-300"],

@@ -349,10 +349,10 @@ def test_quadrature_even_in_delay():
 
 @pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
 def test_quadrature_self_check_rejects_drift_above_tolerance(trace):
-    # the fine and coarse panels differ by ~1e-14 (hom) and ~1e-15 (mz) here,
+    # the fine and coarse builds differ by ~8e-14 (hom) and ~4e-15 (mz) here,
     # so a relative tolerance of 1e-16 cannot be met
     spec = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
-    with pytest.raises(NonConvergence, match="panel refinement still moves the trace"):
+    with pytest.raises(NonConvergence, match="a finer quadrature step still moves the trace"):
         trace(EPM, PUMP, np.linspace(-0.1, 0.1, 21), spec=spec)
 
 
@@ -475,18 +475,26 @@ def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, eq
 
 def _spectra_and_axes(params, pump, tau_max, grade):
     """Freshly built line spectra and their node axes (un, wu, vn, vw),
-    recorded as the build asks for them; wu carries the pump weight."""
-    axes, panels = [], interferometry.gauss_legendre_panels
+    recorded as the build asks for them; wu carries the pump weight, and
+    vw the roll-off factor that the build computes for v > 0, mirrored."""
+    axes, rule, roll_offs, roll_off = [], interferometry.midpoint_rule, [], interferometry._roll_off
 
     def recorded(*args):
-        axes.append(panels(*args))
+        axes.append(rule(*args))
         return axes[-1]
 
+    def recorded_roll_off(*args):
+        roll_offs.append(roll_off(*args))
+        return roll_offs[-1]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interferometry, "gauss_legendre_panels", recorded)
+        mp.setattr(interferometry, "midpoint_rule", recorded)
+        mp.setattr(interferometry, "_roll_off", recorded_roll_off)
         spectra = _line_spectra(params, pump, tau_max, grade, 2**15)
     (un, uw), (vn, vw) = axes
-    return spectra, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn, vw)
+    (taper,) = roll_offs
+    return spectra, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn,
+                     vw * np.concatenate((taper[::-1], taper)))
 
 
 def _spectra_from_profiles(axes, profiles, omega_p):
@@ -792,14 +800,14 @@ _FINE_CASES = pytest.mark.parametrize("theta, length, bandwidth, span", [
 def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidth, span,
                                                          monkeypatch):
     # the validate grids, and half a fringe period of the broad-pump case,
-    # where the coarse build comes closest to its drift gate: a density cut
+    # where the coarse build comes closest to its drift gate: an oversampling cut
     # that goes too far fails here
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     span = span or delay_span(params, pump)
     taus = np.linspace(-span, span, 201)
     fine = _line_spectra(params, pump, span, "fine", 2**15)
-    monkeypatch.setitem(interferometry.PANEL_DENSITY, "fine",
-                        2.0 * interferometry.PANEL_DENSITY["fine"])
+    monkeypatch.setitem(interferometry.OVERSAMPLING, "fine",
+                        2.0 * interferometry.OVERSAMPLING["fine"])
     dense = _line_spectra(params, pump, span, "fine", 2**15)
     assert all(d > f for d, f in zip(node_counts(dense), node_counts(fine)))
     for got, want in zip(_traces(fine, taus), _traces(dense, taus)):
@@ -823,8 +831,9 @@ def test_fringe_u_lines_follow_parseval(theta, length, bandwidth, span, grade):
     # gives, over all v, pi / B for sinc^2(A u + B v) and (pi / B) sinc(2 A u)
     # for sinc(A u + B v) sinc(A u - B v), so the fringe's u lines carry
     # wu (1 + sinc(2 A u)) / (2 sum wu) whatever the closed forms say.  The
-    # v axis ends at v_half, just past its last node, which drops about
-    # 2 / (pi tau_theta v_half) of each v integral; the bound is twice that
+    # v weights roll off from v_half to 2 v_half, just past the last node,
+    # which drops about 2.7 / (pi tau_theta 2 v_half) of each v integral; the
+    # bound is 1.5 times that
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     spectra, (un, wu, vn, _) = _spectra_and_axes(params, pump,
                                                   span or delay_span(params, pump), grade)

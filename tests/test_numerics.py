@@ -12,29 +12,38 @@ from spdcsim import (
     NonConvergence,
     QuadratureSpec,
     find_root,
-    gauss_legendre_panels,
+    midpoint_rule,
 )
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre panels
+# midpoint rule
 # ---------------------------------------------------------------------------
 
 def test_panels_are_mirrored_and_integrate_a_gaussian():
-    nodes, weights = gauss_legendre_panels(8.0, 0.5, 32, "x axis")
-    assert len(nodes) == 32 * 10
+    # the midpoint rule's cells are its panels: a step of 0.3 does not divide
+    # 8, so it shrinks to 8 / 27 and the last cell ends at 8; 54 nodes fit a
+    # budget of 54
+    nodes, weights = midpoint_rule(8.0, 0.3, 54, "x axis")
+    h = 8.0 / 27
+    assert len(nodes) == 54 and 0.0 not in nodes
     assert np.array_equal(nodes, -nodes[::-1])
-    assert np.array_equal(weights, weights[::-1])
+    assert np.array_equal(nodes[27:], (np.arange(27) + 0.5) * h)
+    assert np.array_equal(weights, np.full(54, h))
+    # exp(-x^2) has the transform sqrt(pi) exp(-k^2 / 4): at h = 8 / 27 the
+    # first alias, k = 2 pi / h, is e^-112 down, at a step of 1 only e^-9.9
     assert weights @ np.exp(-nodes**2) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    nodes, weights = midpoint_rule(8.0, 1.0, 64, "x axis")
+    assert abs(weights @ np.exp(-nodes**2) / math.sqrt(math.pi) - 1.0) > 1e-5
 
 
 @pytest.mark.parametrize("half_width, needs", [
-    (23180.5, "46361"), (5e8, "1000000000"), (5e8 + 1, "1e+09"), (1e300, "2e+300"),
+    (16.5, "34"), (5e8, "1000000000"), (5e8 + 1, "1e+09"), (1e300, "2e+300"),
     (math.inf, "inf"),
 ], ids=["exact", "1e9_exact", "past_1e9", "huge", "infinite"])
 def test_panel_budget_error_prints_counts_past_1e9_in_short_form(half_width, needs):
-    with pytest.raises(NonConvergence, match=f"needs {re.escape(needs)} panels, budget 32$"):
-        gauss_legendre_panels(half_width, 1.0, 32, "x axis")
+    with pytest.raises(NonConvergence, match=f"needs {re.escape(needs)} nodes, budget 32$"):
+        midpoint_rule(half_width, 1.0, 32, "x axis")
 
 
 # ---------------------------------------------------------------------------
