@@ -246,22 +246,69 @@ def _meta_lines(cfg: RunConfig, command: str, extra: dict | None = None) -> list
     return lines
 
 
+# rows per block of _write_csv
+_BLOCK_ROWS = 1024
+
+
+def _runs(columns: list[np.ndarray]) -> tuple[int, list[bool]]:
+    """(run, baked) of equal-length float columns: run, the length of the
+    first run of equal values in the first column, when every `run` rows
+    from the top (the last block maybe short) hold one first-column value
+    and 1 < run <= _BLOCK_ROWS, else 1; baked[j], whether column j + 1
+    holds the same values in every run as in the first.  Values are
+    compared by bit pattern, so -0.0 is not 0.0."""
+    first, *rest = (c.view(np.int64) for c in columns)
+    n = len(first)
+    # argmax finds the first row whose value differs from row 0's, 0 if none does
+    run = int(np.argmax(first != first[0])) or n if n else 1
+    full = n - n % run
+    # every run of `run` rows holds one first-column value (the last may be short)
+    if not (1 < run <= _BLOCK_ROWS
+            and (first[:full].reshape(-1, run) == first[:full:run, None]).all()
+            and (first[full:] == first[full:full + 1]).all()):
+        return 1, [False] * len(rest)
+    return run, [bool((c[:full].reshape(-1, run) == c[:run]).all()
+                      and (c[full:] == c[:n - full]).all()) for c in rest]
+
+
 def _write_csv(cfg: RunConfig, command: str, extra_meta: dict | None,
                columns: dict[str, np.ndarray]) -> None:
     """Meta lines of `command`'s inputs and extra_meta, the header of column
     names, then one row per index of the equal-length columns, each value
-    at %.9g (the bytes of _fmt).  Rows are formatted 1024 at a time, one
-    %-template per block: 4096-row blocks were no faster and raised peak
-    RSS by 0.5 MiB over numpy.savetxt, 1024-row ones by under 0.1 MiB."""
+    at %.9g (the bytes of _fmt).
+
+    Rows are formatted in blocks of whole runs of the first column (_runs),
+    up to _BLOCK_ROWS rows each, one %-template per block.  Each run's
+    first-column text, and the text of every column that holds the same
+    values in every run, is formatted once into the template, so only the
+    other values go through %.9g: a 401 x 401 spectrum formats 160,801 +
+    401 values in place of 482,403.  A trace has runs of one row and no
+    such column, so each of its blocks is _BLOCK_ROWS rows of plain %.9g.
+    Only one block's rows and strings are held at once: 4096-row blocks were no faster and raised
+    peak RSS by 0.5 MiB over numpy.savetxt, 1024-row ones by under 0.1 MiB."""
     if cfg.out is None:
         cfg = replace(cfg, out="out.csv")
-    table = np.column_stack(list(columns.values()))
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    cols = [np.asarray(c, dtype=float) for c in columns.values()]
+    run, baked = _runs(cols)
+    # what follows the first column in each row of a run: baked texts and %.9g slots
+    parts = [""] + ["".join("," + (_fmt(c[i]) if b else "%.9g") for c, b in zip(cols[1:], baked))
+                    + "\n" for i in range(run)]
+    slots = [c for c, b in zip(cols[1:], baked) if not b]
+    rows = run * (_BLOCK_ROWS // run)
     with open(cfg.out, "w") as fh:
         fh.write("\n".join(_meta_lines(cfg, command, extra_meta) + [",".join(columns)]) + "\n")
-        for lo in range(0, len(table), 1024):
-            block = table[lo:lo + 1024]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, len(cols[0]), rows):
+            hi = min(lo + rows, len(cols[0]))
+            if run == 1:
+                template, block = ("%.9g" + parts[1]) * (hi - lo), cols
+            else:
+                # the first column's text goes before each row's part
+                template = "".join(_fmt(cols[0][i]).join(parts[:hi - i + 1])
+                                   for i in range(lo, hi, run))
+                block = slots
+            # a table of one run bakes every column, and then no value is left
+            values = np.column_stack([c[lo:hi] for c in block]).ravel().tolist() if block else []
+            fh.write(template % tuple(values))
 
 
 # ---------------------------------------------------------------------------

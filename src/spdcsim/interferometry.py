@@ -48,6 +48,14 @@ OVERSAMPLING = {"fine": 1.3, "coarse": 1.15}
 # (2.2)-(2.4): the limits are off by at most 0.34 / xi^2, while the F1 bracket,
 # whose two erf terms cancel, carries about 3.5e-17 xi; both are ~1e-11 here
 _XI_LIMIT = 2e5
+# libm facts, not math ones (glibc 2.36; tests/test_interferometry.py checks
+# them): math.erf(x) is exactly +-1.0 for |x| >= _ERF_SATURATED (the first
+# exact 1.0 is at 5.9216), and math.exp(-t) is exactly 0.0 for
+# t >= _EXP_UNDERFLOWED (from t = 745.14)
+_ERF_SATURATED = 6.0
+_EXP_UNDERFLOWED = 746.0
+# entries per batch of libm calls in _libm
+_LIBM_CHUNK = 4096
 
 
 class TraceKind(Enum):
@@ -89,10 +97,43 @@ def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFo
     return ClosedFormParams(xi, tau_theta, q2, pump.bandwidth, pump.omega_p)
 
 
-def _libm(fn, x):
+def _libm(fn, x, known):
     """fn per element of x, through the math library: numpy has no erf, and
-    its SIMD exp can differ from math.exp in the last bit."""
-    return np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
+    its SIMD exp can differ from math.exp in the last bit.
+
+    known() returns (mask, out) for an array x: the entries whose result is
+    already known bit for bit, and an array like x holding those results;
+    only the other entries call fn, _LIBM_CHUNK at a time, so that one
+    chunk's Python floats are held at once.  A 0-d x always calls fn: the
+    visibility sweeps make ~600 scalar calls per pass, and a mask doubled
+    their time.
+    """
+    if np.ndim(x) == 0:
+        return np.asarray(fn(x), dtype=float)
+    mask, out = known()
+    live = ~mask
+    values = x[live]
+    for lo in range(0, values.size, _LIBM_CHUNK):
+        chunk = values[lo:lo + _LIBM_CHUNK]
+        chunk[:] = np.fromiter(map(fn, chunk.tolist()), float, chunk.size)
+    out[live] = values
+    return out
+
+
+def _erf(x):
+    """erf per element of x through the module binding `erf`, which is
+    called only where 0 < |x| < _ERF_SATURATED: elsewhere erf(x) is exactly
+    +-1 or +-0 with the sign of x."""
+    def known():
+        saturated = np.abs(x) >= _ERF_SATURATED
+        return saturated | (x == 0.0), np.copysign(saturated, x)
+    return _libm(erf, x, known)
+
+
+def _exp(t):
+    """math.exp per element of t, called only where t > -_EXP_UNDERFLOWED:
+    elsewhere it is exactly 0.0."""
+    return _libm(math.exp, t, lambda: (t <= -_EXP_UNDERFLOWED, np.zeros_like(t)))
 
 
 def _require_finite(tau: np.ndarray | float, what: str) -> None:
@@ -120,7 +161,7 @@ def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarra
     r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     if math.isinf(cfp.xi):
         return r
-    return 1.0 - 0.5 * _SQRT_PI * cfp.xi * _libm(erf, (1.0 - r) / cfp.xi)
+    return 1.0 - 0.5 * _SQRT_PI * cfp.xi * _erf((1.0 - r) / cfp.xi)
 
 
 def fringe_envelope_terms(cfp: ClosedFormParams,
@@ -151,17 +192,16 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
         x = 0.5 * cfp.bandwidth * tau
         xx = np.minimum(x * x, np.finfo(float).max)
         q_decay = -xx * cfp.q2
-    gauss = _libm(math.exp, -xx)
+    gauss = _exp(-xx)
     if math.isinf(cfp.xi):
         return gauss, np.zeros_like(gauss)
     xi = cfp.xi
-    f1 = 0.5 * gauss + (_SQRT_PI * xi / 8.0) * (_libm(erf, 1.0 / xi - x) + _libm(erf, 1.0 / xi + x))
+    f1 = 0.5 * gauss + (_SQRT_PI * xi / 8.0) * (_erf(1.0 / xi - x) + _erf(1.0 / xi + x))
     if cfp.tau_theta > 0:
         r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     else:
         r = np.where(tau == 0.0, 0.0, 1.0)
-    f2 = (0.5 * (1.0 - r) * _libm(math.exp, q_decay)
-          - (_SQRT_PI * xi / 4.0) * _libm(erf, (1.0 - r) / xi))
+    f2 = 0.5 * (1.0 - r) * _exp(q_decay) - (_SQRT_PI * xi / 4.0) * _erf((1.0 - r) / xi)
     return f1, f2
 
 
@@ -172,7 +212,12 @@ def mz_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray
     At xi = inf this is exactly 1 + exp(-bw^2 tau^2 / 4) cos(w_p tau).
     """
     f1, f2 = fringe_envelope_terms(cfp, tau)
-    return 1.0 + _libm(math.cos, cfp.omega_p * tau) * f1 + f2
+    phase = cfp.omega_p * tau
+    # where F1 = +-0.0, 1 + cos * F1 is exactly 1 whatever the cosine is, so
+    # math.cos is called only where F1 != 0, and on an infinite phase, where
+    # it raises
+    cos = _libm(math.cos, phase, lambda: ((f1 == 0.0) & np.isfinite(phase), np.zeros_like(f1)))
+    return 1.0 + cos * f1 + f2
 
 
 def v_hom(cfp: ClosedFormParams) -> float:

@@ -257,6 +257,51 @@ def test_write_csv_matches_per_value_format(tmp_path):
         assert data_section(text) == "\n".join(expected)
 
 
+def _outer_product_columns(axis, rows):
+    # spectrum-shaped: the first column runs over the axis, the second tiles
+    # it, and "odd" tiles it too but for one value in its last run
+    n = len(axis)
+    odd = np.tile(axis, n)[:rows]
+    odd[-2] = 7.0
+    return {"s": np.repeat(axis, n)[:rows], "i": np.tile(axis, n)[:rows],
+            "v": np.arange(rows, dtype=float) / 7.0, "odd": odd}
+
+
+@pytest.mark.parametrize("repeats", [1, 5], ids=["8-point-axis", "40-point-axis"])
+@pytest.mark.parametrize("cut", [0, 3], ids=["whole-runs", "short-last-run"])
+def test_write_csv_matches_per_value_format_on_repeated_columns(tmp_path, repeats, cut):
+    # -0.0 and 0.0 give different text, so equal-looking values must be told
+    # apart by their bits; 40 x 40 rows span two blocks of 25 runs of 40
+    axis = np.tile([-0.0, 0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 1e-5], repeats)
+    axis[8:] += np.arange(8, len(axis))
+    columns = _outer_product_columns(axis, len(axis) ** 2 - cut)
+    run, baked = spdcsim.cli._runs(list(columns.values()))
+    assert run == len(axis) and baked == [True, False, False]
+    out = tmp_path / "w.csv"
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "spectrum", None, columns)
+    expected = [",".join(columns)] + [",".join(format(float(x), ".9g") for x in row)
+                                      for row in zip(*columns.values())]
+    assert data_section(read(out)) == "\n".join(expected)
+
+
+def test_write_csv_bakes_runs_of_at_most_one_block():
+    # a longer run would put more than one block's rows into one template
+    for rows, layout in ((1024, (1024, [True])), (1025, (1, [False]))):
+        assert spdcsim.cli._runs([np.ones(rows), np.zeros(rows)]) == layout
+
+
+@pytest.mark.parametrize("first", [[1.0, 1.0, 2.0, 2.0, 2.0, 3.0], [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+                                   [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 2.0, 2.0, 2.0]],
+                         ids=["uneven-runs", "signed-zeros", "one-run", "first-run-of-one"])
+def test_write_csv_bakes_only_whole_runs_of_the_first_column(tmp_path, first):
+    columns = {"a": np.array(first), "b": np.array([0.0, -0.0] * 3), "c": np.arange(6.0)}
+    out = tmp_path / "w.csv"
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "hom", None, columns)
+    expected = ["a,b,c"] + [",".join(format(float(x), ".9g") for x in row)
+                            for row in zip(*columns.values())]
+    assert data_section(read(out)) == "\n".join(expected)
+
+
 def test_visibility_mz_bound(tmp_path):
     out = tmp_path / "vm.csv"
     assert run(["visibility", "--kind", "mz", "--sweep-lo", "1e3", "--sweep-hi", "5e4",
@@ -837,7 +882,8 @@ def test_cli_binds_every_function_the_benchmark_tracer_wraps(monkeypatch):
         before = len(calls)
         closed_form()
         assert len(calls) > before
-    # an array call evaluates erf per delay through the same binding
+    # an array call evaluates erf through the same binding at each delay whose
+    # argument lies inside +-6, as all of these do
     taus = np.array([-0.5, 0.1, 0.7]) * cfp.tau_theta
     for closed_form in (hom_rate_closed, mz_rate_closed):
         before = len(calls)

@@ -257,6 +257,95 @@ def test_fringe_closed_forms_match_four_argument_arithmetic_bitwise(params, pump
         assert isinstance(got, float) and got == _hom_rate_scalar(cfp, tau)
 
 
+LIBM_BREAKS_CONSTANTS = ("this libm breaks the exact constants the closed forms fill in "
+                         "without calling it (interferometry._ERF_SATURATED, _EXP_UNDERFLOWED)")
+
+
+def test_libm_returns_the_constants_the_closed_forms_fill_in():
+    # facts about the math library, not about math: erf only approaches +-1
+    # and exp(-t) only approaches 0, but libm rounds them there exactly
+    saturated, underflowed = interferometry._ERF_SATURATED, interferometry._EXP_UNDERFLOWED
+    assert (math.erf(saturated), math.erf(-saturated)) == (1.0, -1.0), LIBM_BREAKS_CONSTANTS
+    xs = np.linspace(saturated, 40.0, 200_001).tolist() + [1e300, math.inf]
+    assert {math.erf(x) for x in xs} == {1.0}, LIBM_BREAKS_CONSTANTS
+    assert {math.erf(-x) for x in xs} == {-1.0}, LIBM_BREAKS_CONSTANTS
+    ts = np.linspace(underflowed, 2e3, 20_001).tolist() + [1e300, math.inf]
+    assert {math.exp(-t) for t in ts} == {0.0}, LIBM_BREAKS_CONSTANTS
+    # erf(+-0) = +-0 is the C standard's, and the closed forms keep its sign
+    assert [math.copysign(1.0, math.erf(z)) for z in (0.0, -0.0)] == [1.0, -1.0]
+
+
+def _per_element(fn):
+    return lambda x: np.asarray(np.frompyfunc(fn, 1, 1)(x), dtype=float)
+
+
+_ERF, _EXP, _COS = map(_per_element, (math.erf, math.exp, math.cos))
+
+
+def _closed_forms_per_element(cfp, tau):
+    """(hom, F1, F2, mz) with one libm call per element and no constant
+    filled in: the closed forms' arithmetic as it read before they skipped
+    calls.  hom is None at tau_theta = 0."""
+    sqrt_pi = math.sqrt(math.pi)
+    r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta if cfp.tau_theta > 0 else None
+    hom = None if r is None else (
+        r if math.isinf(cfp.xi) else 1.0 - 0.5 * sqrt_pi * cfp.xi * _ERF((1.0 - r) / cfp.xi))
+    with np.errstate(over="ignore"):
+        x = 0.5 * cfp.bandwidth * tau
+        xx = np.minimum(x * x, np.finfo(float).max)
+        q_decay = -xx * cfp.q2
+    gauss = _EXP(-xx)
+    if math.isinf(cfp.xi):
+        f1, f2 = gauss, np.zeros_like(gauss)
+    else:
+        xi = cfp.xi
+        f1 = 0.5 * gauss + (sqrt_pi * xi / 8.0) * (_ERF(1.0 / xi - x) + _ERF(1.0 / xi + x))
+        if r is None:
+            r = np.where(tau == 0.0, 0.0, 1.0)
+        f2 = 0.5 * (1.0 - r) * _EXP(q_decay) - (sqrt_pi * xi / 4.0) * _ERF((1.0 - r) / xi)
+    return hom, f1, f2, 1.0 + _COS(cfp.omega_p * tau) * f1 + f2
+
+
+def _masked_settings():
+    rng = np.random.default_rng(20240527)
+    for _ in range(100):
+        params = make_params(rng.uniform(-math.pi, math.pi), 10.0 ** rng.uniform(1.0, 5.0))
+        yield params, PumpSpectrum(OMEGA_P, 10.0 ** rng.uniform(0.0, 2.5))
+    yield EPM, PUMP                                        # xi = inf
+    yield make_params(math.pi / 4), PUMP                   # tau_theta = 0
+
+
+def test_masked_closed_forms_equal_one_libm_call_per_element_bitwise():
+    cfps = [(closed_form_params(params, pump), delay_span(params, pump))
+            for params, pump in _masked_settings()]
+    # q2 = 0 off the xi = inf ray, which closed_form_params never gives
+    cfps.append((interferometry.ClosedFormParams(0.4, 0.05, 0.0, 40.0, OMEGA_P), 0.5))
+    assert {math.isinf(c.xi) for c, _ in cfps} == {True, False}
+    assert min(c.tau_theta for c, _ in cfps) == 0.0 and min(c.q2 for c, _ in cfps) == 0.0
+    skipped = {"erf": 0, "exp": 0, "cos": 0}
+    for cfp, span in cfps:
+        taus = np.linspace(-3.0, 3.0, 2001) * span
+        hom, f1, f2, mz = _closed_forms_per_element(cfp, taus)
+        got = [hom_rate_closed(cfp, taus) if hom is not None else None,
+               *fringe_envelope_terms(cfp, taus), mz_rate_closed(cfp, taus)]
+        for name, want, value in zip(("hom", "F1", "F2", "mz"), (hom, f1, f2, mz), got):
+            assert (value is None) == (want is None), name
+            if want is not None:
+                assert value.tobytes() == want.tobytes(), (name, cfp)
+        # a scalar delay equals its array entry: at the ends, in the middle and inside the dip
+        for k in (0, 600, 1000, 1000 + int(200 * cfp.tau_theta / span), 2000):
+            tau = float(taus[k])
+            assert np.float64(mz_rate_closed(cfp, tau)).tobytes() == mz[k].tobytes(), (cfp, tau)
+            if hom is not None:
+                assert np.float64(hom_rate_closed(cfp, tau)).tobytes() == hom[k].tobytes()
+        x = 0.5 * cfp.bandwidth * taus
+        skipped["erf"] += np.sum(np.abs(1.0 / cfp.xi - x) >= interferometry._ERF_SATURATED)
+        skipped["exp"] += np.sum(x * x >= interferometry._EXP_UNDERFLOWED)
+        skipped["cos"] += np.sum(f1 == 0.0)
+    # every fill was exercised
+    assert min(skipped.values()) > 0, skipped
+
+
 # ---------------------------------------------------------------------------
 # visibilities
 # ---------------------------------------------------------------------------
