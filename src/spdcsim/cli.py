@@ -180,6 +180,8 @@ def _parse_kv_file(path: str, what: str) -> dict[str, str]:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise CliError(f"{path}:{lineno}: key {key!r} given twice")
         raw[key] = value
     return raw
 

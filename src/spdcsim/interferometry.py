@@ -259,9 +259,10 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # cos((u + w_p) tau / 2) cos(v tau / 2).  The last family is odd in v and
 # integrates to zero; the rest separate, so each normalized trace collapses
 # onto one tau-independent line spectrum, 1 + sum_i w_i cos(f_i tau): the
-# dip's lines sit at the v nodes, the fringe's at the v nodes and at the
-# u nodes shifted by w_p, and one non-uniform FFT sums them over a delay
-# grid (_cos_sums).  The constant Jacobian cancels in the normalization.
+# dip's lines form one comb, at the v nodes, and the fringe's two, at the v
+# nodes and at the u nodes shifted by w_p.  Each comb is equally spaced, so
+# one chirp-z transform sums it over a uniform delay grid (_cos_sums).  The
+# constant Jacobian cancels in the normalization.
 #
 # Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
 # node axes are built as exact mirror images of their positive halves (the
@@ -274,14 +275,10 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # y = x L / 2: the L^2 cancels in the normalization, and no closed form enters.
 
 # bytes of one float64 kernel block in the build loop, which holds two at
-# once (y and p1, which the products overwrite), and of all the temporaries
-# of one node chunk in _cos_sums.  4 MiB costs little time; at 16 MiB the
-# validate run's peak RSS took one of two modes, 80 or 90 MiB
+# once (y and p1, which the products overwrite), and of the phases of one
+# node chunk in _cos_sums' direct sum.  4 MiB costs little time; at 16 MiB
+# the validate run's peak RSS took one of two modes, 80 or 90 MiB
 _BLOCK_BYTES = 4 << 20
-# Gaussian gridding half-width of _nufft_cos_sums, in points of its grid:
-# the truncated kernel and the aliased modes then stay near 1e-15 of the
-# summed |weights|
-_MSP = 16
 # difference-axis reach in units of 1 / tau_theta: the squared sinc tails
 # thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
 # v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
@@ -335,9 +332,10 @@ def _roll_off(v: np.ndarray, v_half: float) -> np.ndarray:
 
 
 def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, grade: str,
-                  budget: int) -> dict[TraceKind, tuple[np.ndarray, np.ndarray]]:
-    """{kind: (freq, weights)} for one (crystal, pump) setting: the trace of
-    that kind at a delay tau is 1 + sum_i weights[i] cos(freq[i] tau)."""
+                  budget: int) -> dict[TraceKind, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """{kind: combs} for one (crystal, pump) setting, one (freq, weights)
+    comb per node axis, freq ascending and equally spaced: the trace of that
+    kind at a delay tau is 1 + the combs' sums of weights[i] cos(freq[i] tau)."""
     gs, gi = params.gamma_s, params.gamma_i
     a = 0.5 * (gs + gi)
     b = 0.5 * (gs - gi)
@@ -382,21 +380,19 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     P, M = 2.0 * vwp * vsum
     mass = float(np.sum(P + M))
     return {
-        TraceKind.HOM: (vp, (M - P) / mass),
-        TraceKind.MZ: (np.concatenate((un + pump.omega_p, vp)),
-                       np.concatenate((wu * np.concatenate((t_u, t_u[::-1])), M)) / mass),
+        TraceKind.HOM: ((vp, (M - P) / mass),),
+        TraceKind.MZ: ((un + pump.omega_p, wu * np.concatenate((t_u, t_u[::-1])) / mass),
+                       (vp, M / mass)),
     }
 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] cos(freq[i] tau) for every delay tau of the 1-D
-    array taus.
+    """sum_i weights[i] cos(freq[i] tau) over one comb, freq equally spaced,
+    for every delay tau of the 1-D array taus.
 
-    On a uniform grid tau_k = tau_0 + k d (every tau within 2 ulp of max |tau|
-    of it, as np.linspace gives) of n > 2 delays the sums are
-    Re sum_i c_i e^{i k' x_i}, with k' = k - n // 2, x_i = freq_i d mod 2 pi
-    and c_i = w_i e^{i freq_i tau_mid} at the middle delay tau_mid: a type-1
-    non-uniform FFT (_nufft_cos_sums).  Any other grid takes the direct sum,
+    A uniform grid tau_j = tau_0 + j d (every tau within 2 ulp of max |tau|
+    of it, as np.linspace gives) of n > 2 delays takes one chirp-z
+    transform (_chirp_z_cos_sums).  Any other grid takes the direct sum,
     one cosine per node per delay, in node chunks within _BLOCK_BYTES.
     """
     n = len(taus)
@@ -404,7 +400,7 @@ def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.nda
         d = (taus[-1] - taus[0]) / (n - 1)
         gap = np.abs(taus - (taus[0] + d * np.arange(n)))
         if np.max(gap) <= 2.0 * np.spacing(np.max(np.abs(taus))):
-            return _nufft_cos_sums(freq, weights, d, taus[n // 2], n)
+            return _chirp_z_cos_sums(freq, weights, d, 0.5 * (taus[0] + taus[-1]), n)
     out = np.zeros(n)
     chunk = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     for lo in range(0, len(freq), chunk):
@@ -413,48 +409,35 @@ def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.nda
     return out
 
 
-def _nufft_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_mid: float,
-                    n: int) -> np.ndarray:
-    """Re sum_i c_i e^{i k' x_i} for k' = -(n // 2) ... n - 1 - n // 2, with
-    x_i = freq_i d mod 2 pi and c_i = weights[i] e^{i freq_i tau_mid}.
+def _chirp(r: float, x: np.ndarray) -> np.ndarray:
+    """e^{2 pi i r x^2} for integers x held as floats, x^2 < 2^53, with r x^2
+    reduced mod 1 exactly: docs/DERIVATION.md (4.6)."""
+    xx = x * x
+    bits = 53 - int(np.max(xx)).bit_length()
+    mantissa, exponent = math.frexp(r)
+    # r's head keeps `bits` bits, so head * x^2 is exact; its tail's products are small
+    head = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+    return np.exp(2j * math.pi * (np.mod(head * xx, 1.0) + (r - head) * xx))
 
-    Gaussian gridding (Dutt & Rokhlin, SIAM J. Sci. Comput. 14 (1993) 1368;
-    Greengard & Lee, SIAM Rev. 46 (2004) 443): each c_i is spread onto the
-    2 _MSP nearest points of a grid of 2n points on [0, 2 pi) through the
-    Gaussian exp(-(x - x_i)^2 / (4 t)), t = pi _MSP / (3 n^2); one inverse
-    FFT takes that grid's Fourier coefficients, which are the sums times
-    the kernel's transform sqrt(t / pi) e^{-k'^2 t}, and dividing by it
-    leaves the sums.  The spreading runs over node chunks whose
-    temporaries stay within _BLOCK_BYTES, and np.bincount accumulates the
-    real and imaginary parts on the grid's float views.
-    """
-    size = 2 * n
-    t = math.pi * _MSP / (3.0 * n * n)
-    step = 2.0 * math.pi / size
-    x = np.mod(freq * d, 2.0 * math.pi)
-    phase = freq * tau_mid
-    grid = np.zeros(size, dtype=complex)
-    parts = [(grid.real, weights * np.cos(phase)), (grid.imag, weights * np.sin(phase))]
-    taps = np.arange(1 - _MSP, _MSP + 1)
-    # at most four (chunk, 2 _MSP) arrays of 8 bytes at once: the grid
-    # points, the kernel, the products and one temporary
-    chunk = max(1, _BLOCK_BYTES // (4 * 8 * len(taps)))
-    for lo in range(0, len(freq), chunk):
-        xs = x[lo:lo + chunk, None]
-        points = np.floor(xs / step).astype(np.intp) + taps
-        kernel = np.subtract(xs, points * step)
-        kernel *= kernel
-        kernel *= -0.25 / t
-        np.exp(kernel, out=kernel)
-        points %= size
-        index = points.ravel()
-        spread = np.empty_like(kernel)
-        for acc, coef in parts:
-            acc += np.bincount(index, np.multiply(kernel, coef[lo:lo + chunk, None],
-                                                  out=spread).ravel(), minlength=size)
-    k = np.arange(-(n // 2), n - n // 2)
-    modes = np.fft.ifft(grid).real[k % size]
-    return modes * (math.sqrt(math.pi / t) * np.exp(k * k * t))
+
+def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: float,
+                      n: int) -> np.ndarray:
+    """sum_i weights[i] cos(freq[i] tau_j) at tau_j = tau_c + j' d,
+    j' = j - (n - 1) / 2, over a comb freq[i] = freq[0] + i h: one FFT
+    convolution over the lags j - i (Bluestein, IEEE Trans. Audio
+    Electroacoust. 18 (1970) 451), docs/DERIVATION.md (4.6).  Every line
+    shares the phase freq[0] j' d, rounded once, so the combs start at
+    their lowest line."""
+    m = len(freq)
+    r = (freq[-1] - freq[0]) / max(m - 1, 1) * d / (16.0 * math.pi)
+    size = 1 << (m + n - 2).bit_length()
+    y = 2.0 * np.arange(n) - (n - 1)
+    spectrum = np.fft.fft(weights * np.exp(1j * freq * tau_c) * _chirp(r, 2.0 * np.arange(m)),
+                          size)
+    kernel = _chirp(r, 2.0 * np.r_[:n, n - size:0] - (n - 1))
+    spectrum *= np.fft.fft(np.conj(kernel, out=kernel))
+    sums = np.fft.ifft(spectrum)[:n]
+    return (np.exp(0.5j * freq[0] * d * y) * _chirp(r, y) * sums).real
 
 
 @functools.lru_cache(maxsize=8)
@@ -483,14 +466,14 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
     if tau_max is not None and not math.isfinite(tau_max):
         raise ValueError(f"quadrature tau_max = {tau_max} must be finite")
     reach = max(float(np.max(np.abs(taus), initial=0.0)), float(tau_max or 0.0))
-    fine, coarse = _spectra_pair(params, pump, reach, spec.max_subdivisions)
     # every cosine sum goes through _cos_sums, which evaluates a uniform
-    # delay grid by a non-uniform FFT: a delay's value then depends on the
-    # grid it came with, at about 1e-13 of the summed |weights|, but never on
-    # the order of the calls or on the cache
+    # delay grid by a chirp-z transform per comb: a delay's value then
+    # depends on the grid it came with, at about 1e-13 of the summed
+    # |weights|, but never on the order of the calls or on the cache
     flat = taus.ravel()
-    values = 1.0 + _cos_sums(*fine[kind], flat)
-    drift = float(np.max(np.abs(values - (1.0 + _cos_sums(*coarse[kind], flat))), initial=0.0))
+    values, coarse = (1.0 + sum(_cos_sums(freq, weights, flat) for freq, weights in spectra[kind])
+                      for spectra in _spectra_pair(params, pump, reach, spec.max_subdivisions))
+    drift = float(np.max(np.abs(values - coarse), initial=0.0))
     scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(

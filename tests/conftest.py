@@ -19,10 +19,9 @@ SPEED_OF_LIGHT_UM_PER_PS = 299.792458
 
 def node_counts(spectra) -> tuple[int, int]:
     """(u, v > 0) node counts of the line spectra of one quadrature build:
-    the dip spectrum has one line per v > 0 node, the fringe spectrum one
-    more per u node."""
-    v = len(spectra[TraceKind.HOM][0])
-    return len(spectra[TraceKind.MZ][0]) - v, v
+    the fringe's first comb has one line per u node, and the dip's one comb
+    one line per v > 0 node."""
+    return len(spectra[TraceKind.MZ][0][0]), len(spectra[TraceKind.HOM][0][0])
 
 
 def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:

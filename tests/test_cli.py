@@ -562,6 +562,23 @@ def test_config_value_that_does_not_parse_names_file_and_key(tmp_path, capsys):
         f"error: {cfg}: gamma: could not convert string to float: 'abc'\n")
 
 
+@pytest.mark.parametrize("what", ["config", "crystal"])
+def test_key_given_twice_names_file_line_and_key(tmp_path, capsys, what):
+    # a repeated key is an error, not a silent override by the later value
+    path, out = tmp_path / f"{what}.txt", tmp_path / "x.csv"
+    if what == "config":
+        text, key = "theta = 0.3\n# overridden below\n", "theta"
+        args = ["hom", "--config", str(path), "--out", str(out)]
+    else:
+        text, key = planted_crystal_text(), "knob.order"
+        args = ["match", "--crystal", str(path), *_BRACKETS, "--out", str(out)]
+    lineno = len(text.splitlines()) + 1
+    path.write_text(text + f"{key} = 0.1\n")
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: key {key!r} given twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("replaced, key, value, message", [
     ("branch.p.c0", "branch.p.c0", "abc", "could not convert string to float: 'abc'"),
     ("branch.p.c2", "branch.p.cx", "1", "invalid literal for int() with base 10: 'x'"),

@@ -1,7 +1,8 @@
 """Every module-level import in the package and the tests is used, the
 package __init__ re-exports exactly each module's __all__, each name it
 re-exports, and each public attribute its classes define, has a caller,
-and each exception class it re-exports is caught by name.
+each name a package module defines is read in the package, and each
+exception class it re-exports is caught by name.
 
 No linter ships with the project, so these checks read each file's syntax
 tree (stdlib ast only): a name bound by a top-level import must appear as a
@@ -80,6 +81,31 @@ def test_every_public_name_has_a_caller():
     uncalled = [name for name in sorted(EXPORTED - read)
                 if not re.search(rf"\b{name}\b", SHOWN)]
     assert not uncalled, f"public names nothing calls: {', '.join(uncalled)}"
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment,
+    dunders aside."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    # a constant or helper whose last reader is gone is dead weight, even a
+    # private one: each name a module defines must be read in src/, as a
+    # name, an attribute or an import (the package __init__'s re-exports)
+    trees = PACKAGE_TREES + [ast.parse(INIT.read_text())]
+    read = set().union(*map(names_read, trees))
+    read |= {a.name for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    unread = set().union(*map(module_level_names, PACKAGE_TREES)) - read
+    assert not unread, f"module-level names nothing in src/ reads: {', '.join(sorted(unread))}"
 
 
 def class_attributes(cls: ast.ClassDef) -> set[str]:

@@ -588,8 +588,9 @@ def _spectra_and_axes(params, pump, tau_max, grade):
 
 def _spectra_from_profiles(axes, profiles, omega_p):
     """The line spectra of the u profiles q_u, r_u and the v profiles g2_v,
-    g3_v over every v node: each v line's weight folds in its mirror's, and
-    every weight is divided by the mass sum_u wu q_u."""
+    g3_v over every v node, one comb per node axis: each v line's weight
+    folds in its mirror's, and every weight is divided by the mass
+    sum_u wu q_u."""
     un, wu, vn, vw = axes
     q_u, r_u, g2_v, g3_v = profiles
     half = len(vn) // 2
@@ -598,10 +599,9 @@ def _spectra_from_profiles(axes, profiles, omega_p):
     def fold(g):
         return (vw * g)[half:] + (vw * g)[:half][::-1]
 
-    return {TraceKind.HOM: (vn[half:], -2.0 * fold(g3_v) / mass),
-            TraceKind.MZ: (np.concatenate((un + omega_p, vn[half:])),
-                           np.concatenate((wu * (0.5 * q_u + r_u), fold(0.5 * g2_v - g3_v)))
-                           / mass)}
+    return {TraceKind.HOM: ((vn[half:], -2.0 * fold(g3_v) / mass),),
+            TraceKind.MZ: ((un + omega_p, wu * (0.5 * q_u + r_u) / mass),
+                           (vn[half:], fold(0.5 * g2_v - g3_v) / mass))}
 
 
 def _assert_spectra_match(spectra, axes, profiles):
@@ -613,14 +613,11 @@ def _assert_spectra_match(spectra, axes, profiles):
     want = _spectra_from_profiles(axes, profiles, PUMP.omega_p)
     q_u, r_u, g2_v, g3_v = map(np.abs, profiles)
     size = _spectra_from_profiles(axes, (q_u, r_u, g2_v, -g3_v), PUMP.omega_p)
-    n_v = len(want[TraceKind.HOM][0])
-    for kind, (freq, weights) in want.items():
-        got_freq, got_weights = spectra[kind]
-        assert np.array_equal(got_freq, freq)
-        for axis in (slice(0, len(freq) - n_v), slice(len(freq) - n_v, None)):
-            if weights[axis].size:
-                err = np.max(np.abs(got_weights[axis] - weights[axis]))
-                assert err <= 1e-12 * np.max(np.abs(size[kind][1][axis]))
+    for kind, combs in want.items():
+        assert len(spectra[kind]) == len(combs)
+        for got, (freq, weights), (_, scale) in zip(spectra[kind], combs, size[kind]):
+            assert np.array_equal(got[0], freq)
+            assert np.max(np.abs(got[1] - weights)) <= 1e-12 * np.max(np.abs(scale))
 
 
 def _unfolded_profiles(axes, params):
@@ -773,12 +770,14 @@ def test_engine_profiles_match_np_sinc_build(theta, length):
 def _direct_traces(spectra, taus):
     """Reference evaluation: one np.cos per line per delay, reduced with
     plain dot products on the same spectra."""
-    return tuple(np.array([1.0 + weights @ np.cos(freq * tau) for tau in taus])
-                 for freq, weights in (spectra[TraceKind.HOM], spectra[TraceKind.MZ]))
+    return tuple(np.array([1.0 + sum(weights @ np.cos(freq * tau) for freq, weights in combs)
+                           for tau in taus])
+                 for combs in (spectra[TraceKind.HOM], spectra[TraceKind.MZ]))
 
 
 def _traces(spectra, taus):
-    return tuple(1.0 + _cos_sums(*spectra[kind], taus) for kind in (TraceKind.HOM, TraceKind.MZ))
+    return tuple(1.0 + sum(_cos_sums(freq, weights, taus) for freq, weights in spectra[kind])
+                 for kind in (TraceKind.HOM, TraceKind.MZ))
 
 
 @pytest.fixture(scope="module", params=[-math.pi / 4, math.pi / 5], ids=["epm", "pi_5"])
@@ -786,24 +785,24 @@ def coarse_spectra(request):
     return _line_spectra(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
 
 
-def _nufft_grids(monkeypatch):
-    """Delay counts of every _nufft_cos_sums call from here on."""
-    calls, nufft = [], interferometry._nufft_cos_sums
+def _transform_grids(monkeypatch):
+    """Delay counts of every _chirp_z_cos_sums call from here on."""
+    calls, transform = [], interferometry._chirp_z_cos_sums
 
-    def counted(freq, weights, d, tau_mid, n):
+    def counted(freq, weights, d, tau_c, n):
         calls.append(n)
-        return nufft(freq, weights, d, tau_mid, n)
+        return transform(freq, weights, d, tau_c, n)
 
-    monkeypatch.setattr(interferometry, "_nufft_cos_sums", counted)
+    monkeypatch.setattr(interferometry, "_chirp_z_cos_sums", counted)
     return calls
 
 
 def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_spectra, monkeypatch):
     taus = np.linspace(-0.05, 0.05, 2001)
-    calls = _nufft_grids(monkeypatch)
+    calls = _transform_grids(monkeypatch)
     for got, want in zip(_traces(coarse_spectra, taus), _direct_traces(coarse_spectra, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert calls == [2001] * 2  # one sum per trace: the NUFFT path
+    assert calls == [2001] * 3  # one transform per comb: the dip's one, the fringe's two
 
 
 def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_spectra):
@@ -820,7 +819,7 @@ def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_spectra):
     np.array([-0.01, 0.03]),
 ], ids=["one_delay_off_a_linspace", "irregular", "n0", "n1", "n2"])
 def test_direct_evaluation_off_uniform_grids(coarse_spectra, taus, monkeypatch):
-    calls = _nufft_grids(monkeypatch)
+    calls = _transform_grids(monkeypatch)
     for got, want in zip(_traces(coarse_spectra, taus), _direct_traces(coarse_spectra, taus)):
         assert got.shape == want.shape
         if want.size:
@@ -845,16 +844,18 @@ def fine_spectra():
             for p in settings]
 
 
-def _worst_nufft_error(fine_spectra, n):
-    """Largest |_cos_sums - direct sum| / sum_i |w_i| over both spectra of
+def _worst_transform_error(fine_spectra, n, grids=("symmetric", "right", "left")):
+    """Largest |_cos_sums - direct sum| / sum_i |w_i| over every comb of
     each setting and over a symmetric and two one-sided n-point grids,
     checked at up to ~130 delays that include both ends."""
     worst = 0.0
     for spectra, span in fine_spectra:
-        for lo, hi in [(-span, span), (0.3 * span, span), (-span, -0.3 * span)]:
+        ends = {"symmetric": (-span, span), "right": (0.3 * span, span),
+                "left": (-span, -0.3 * span)}
+        for lo, hi in map(ends.get, grids):
             taus = np.linspace(lo, hi, n)
             at = np.unique(np.r_[np.arange(0, n, max(1, n // 128)), n - 1])
-            for freq, weights in spectra.values():
+            for freq, weights in (comb for combs in spectra.values() for comb in combs):
                 err = np.abs(_cos_sums(freq, weights, taus)[at]
                              - _direct_cos_sums(freq, weights, taus[at]))
                 worst = max(worst, float(err.max() / np.abs(weights).sum()))
@@ -862,20 +863,32 @@ def _worst_nufft_error(fine_spectra, n):
 
 
 # On one-sided grids the sums cancel to ~1e-7 of the weight mass, so the
-# error is bounded against sum |w|, not max |sum|.  It is ~1e-13 there:
-# the NUFFT sums on the exact grid tau_0 + k d, and the linspace delays sit
-# within ~1 ulp of it, which moves each phase by up to ~eps max |freq tau|.
+# error is bounded against sum |w|, not max |sum|.  It is up to ~3e-13
+# there, from rounding the phase that a comb's lines share once per delay,
+# freq[0] j' d (about eps |freq[0] tau|, largest on the fringe's u comb at
+# omega_p), and from the ~1 ulp by which the linspace delays miss the exact
+# grid, which moves each phase by up to ~eps max |freq tau|.
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 200, 201, 2000, 7975, 60751])
 def test_nufft_cos_sums_match_a_direct_sum(fine_spectra, n, monkeypatch):
-    calls = _nufft_grids(monkeypatch)
-    assert _worst_nufft_error(fine_spectra, n) <= 1e-12
+    calls = _transform_grids(monkeypatch)
+    assert _worst_transform_error(fine_spectra, n) <= 1e-12
     assert calls and set(calls) == {n}
 
 
-def test_nufft_cos_sums_fail_with_a_narrow_kernel(fine_spectra, monkeypatch):
-    # the bound above is tight enough to see a kernel of 8 points, not 32
-    monkeypatch.setattr(interferometry, "_MSP", 4)
-    assert _worst_nufft_error(fine_spectra, 201) > 1e-9
+def test_nufft_cos_sums_match_a_direct_sum_at_a_million_delays(fine_spectra, monkeypatch):
+    # the setting with the most u nodes, whose u comb shares the largest
+    # phase freq[0] j' d; r x^2 grows with n, to ~1e5 here
+    calls = _transform_grids(monkeypatch)
+    assert _worst_transform_error(fine_spectra[1:], 10**6, ("symmetric",)) <= 1e-12
+    assert calls == [10**6] * 3
+
+
+def test_nufft_cos_sums_fail_with_a_chirp_not_reduced_mod_one(fine_spectra, monkeypatch):
+    # the bound above sees the rounding of r x^2 when it is not reduced mod 1
+    # exactly: about eps r x^2, 3e-11 of sum |w| at 10**6 delays
+    monkeypatch.setattr(interferometry, "_chirp",
+                        lambda r, x: np.exp(2j * math.pi * r * x * x))
+    assert _worst_transform_error(fine_spectra[1:], 10**6, ("symmetric",)) > 1e-11
 
 
 # the three validate settings and the broad-pump case, with their delay spans
@@ -909,8 +922,21 @@ def test_fringe_u_weights_are_mirror_symmetric(theta, length, bandwidth, span):
     # mirrored from the first half, so the fringe's u weights must be exactly even
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     spectra = _line_spectra(params, pump, span or delay_span(params, pump), "fine", 2**15)
-    weights = spectra[TraceKind.MZ][1][:node_counts(spectra)[0]]
+    weights = spectra[TraceKind.MZ][0][1]
     assert np.array_equal(weights, weights[::-1])
+
+
+@_FINE_CASES
+@pytest.mark.parametrize("grade", ["fine", "coarse"])
+def test_every_comb_is_equally_spaced(theta, length, bandwidth, span, grade):
+    # _chirp_z_cos_sums reads each comb as freq[0] + i h; two node axes
+    # joined into one comb break that by far more than rounding
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    spectra = _line_spectra(params, pump, span or delay_span(params, pump), grade, 2**15)
+    for freq, _ in (comb for combs in spectra.values() for comb in combs):
+        h = (freq[-1] - freq[0]) / (len(freq) - 1)
+        gap = np.abs(freq - (freq[0] + h * np.arange(len(freq))))
+        assert h > 0 and np.max(gap) <= 4 * np.spacing(np.max(np.abs(freq)))
 
 
 @_FINE_CASES
@@ -929,7 +955,7 @@ def test_fringe_u_lines_follow_parseval(theta, length, bandwidth, span, grade):
     a = 0.5 * (params.gamma_s + params.gamma_i)
     tau_theta = 0.5 * abs(params.gamma_s - params.gamma_i) * length
     want = wu * (1.0 + np.sinc(a * length * un / math.pi)) / (2.0 * wu.sum())
-    got = spectra[TraceKind.MZ][1][:len(un)]
+    got = spectra[TraceKind.MZ][0][1]
     bound = 4.0 / (math.pi * tau_theta * vn[-1]) * np.max(want)
     assert np.max(np.abs(got - want)) <= bound
 
@@ -960,14 +986,15 @@ def test_fringe_evaluation_memory_stays_within_the_block_budget():
     spectra = _line_spectra(params, PUMP, span, "fine", 2**15)
     tracemalloc.start()
     try:
-        1.0 + _cos_sums(*spectra[TraceKind.MZ], taus)
+        1.0 + sum(_cos_sums(freq, weights, taus) for freq, weights in spectra[TraceKind.MZ])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # past _BLOCK_BYTES of node-chunk temporaries, the oversampled grid and
-    # its transform hold 2n complex points each (64 n bytes), and the n-point
-    # sums and the trace fewer than 64 n more; the bound has room for a
-    # second grid and transform
+    # each comb's chirp-z transform runs on complex arrays of the power of 2
+    # at or past its nodes + n - 1 (65,536 points here, under 1.1 n): the
+    # spectrum, the kernel and the kernel's phase temporaries hold about 8
+    # such arrays at once (~140 n bytes), and the n-point sums and the trace
+    # fewer than 64 n more; the direct sum's node chunks take _BLOCK_BYTES
     assert peak <= _BLOCK_BYTES + (2 * 64 + 64) * len(taus)
 
 
