@@ -63,10 +63,6 @@ VALIDATION_SETS = (
 MAX_GRID_POINTS = 10**7
 
 
-class CliError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class RunConfig:
     omega_p: float = 2000.0     # rad/ps
@@ -99,46 +95,47 @@ class RunConfig:
         if not all(map(math.isfinite, self.thetas)):
             infinite.append("thetas")
         if infinite:
-            raise CliError(f"{', '.join(infinite)} must be finite")
+            raise ValueError(f"{', '.join(infinite)} must be finite")
         if not self.thetas:
-            raise CliError("thetas must not be empty")
+            raise ValueError("thetas must not be empty")
         if self.omega_p <= 0 or self.pump_bw <= 0 or self.gamma <= 0 or self.length_um <= 0:
-            raise CliError("omega_p, pump_bw, gamma and length_um must all be > 0")
+            raise ValueError("omega_p, pump_bw, gamma and length_um must all be > 0")
         for key, angles in (("theta", (self.theta,)), ("thetas", self.thetas)):
             if not all(-math.pi < t <= math.pi for t in angles):
-                raise CliError(f"{key} must lie in (-pi, pi]")
+                raise ValueError(f"{key} must lie in (-pi, pi]")
         if self.tau_max is not None and self.tau_max <= 0:
-            raise CliError("tau_max must be > 0")
+            raise ValueError("tau_max must be > 0")
         if self.grid_span is not None and self.grid_span <= 0:
-            raise CliError("grid_span must be > 0")
+            raise ValueError("grid_span must be > 0")
         for key in ("tau_max", "grid_span"):
             half = getattr(self, key)
             if half is not None and not math.isfinite(2.0 * half):
-                raise CliError(f"{key} = {half} gives a window width 2 * {key} that is not finite")
+                raise ValueError(f"{key} = {half} gives a window width 2 * {key} "
+                                 "that is not finite")
         if self.tau_steps is not None and self.tau_steps < 2:
-            raise CliError("tau_steps must be >= 2")
+            raise ValueError("tau_steps must be >= 2")
         if self.grid_steps < 2:
-            raise CliError("grid_steps must be >= 2")
+            raise ValueError("grid_steps must be >= 2")
         if self.method not in ("closed", "quadrature", "both"):
-            raise CliError("method must be closed, quadrature or both")
+            raise ValueError("method must be closed, quadrature or both")
         if self.kind not in ("hom", "mz"):
-            raise CliError("kind must be hom or mz")
+            raise ValueError("kind must be hom or mz")
         if self.units not in ("radps", "si"):
-            raise CliError("units must be radps or si")
+            raise ValueError("units must be radps or si")
         if self.sweep_steps < 2:
-            raise CliError("sweep_steps must be >= 2")
+            raise ValueError("sweep_steps must be >= 2")
         if self.sweep_lo is not None and self.sweep_lo <= 0:
-            raise CliError("sweep_lo must be > 0")
+            raise ValueError("sweep_lo must be > 0")
         for lo, hi in (("sweep_lo", "sweep_hi"), ("omega_lo", "omega_hi"), ("zeta_lo", "zeta_hi")):
             bounds = getattr(self, lo), getattr(self, hi)
             if None not in bounds and bounds[0] >= bounds[1]:
-                raise CliError(f"{lo} must be < {hi}")
+                raise ValueError(f"{lo} must be < {hi}")
         for key, points in (("tau_steps", self.tau_steps or 0),
                             ("grid_steps", self.grid_steps ** 2),
                             ("sweep_steps", self.sweep_steps * len(self.thetas))):
             if points > MAX_GRID_POINTS:
-                raise CliError(f"{key} = {getattr(self, key)} gives a grid of {points} points, "
-                               f"more than {MAX_GRID_POINTS}")
+                raise ValueError(f"{key} = {getattr(self, key)} gives a grid of {points} points, "
+                                 f"more than {MAX_GRID_POINTS}")
 
     @property
     def params(self) -> PhaseMatchParams:
@@ -172,16 +169,16 @@ def _parse_kv_file(path: str, what: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value")
+            raise ValueError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in raw:
-            raise CliError(f"{path}:{lineno}: key {key!r} given twice")
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
         raw[key] = value
     return raw
 
@@ -190,7 +187,7 @@ def _parse_value(parse, text: str, path: str, key: str):
     try:
         return parse(text)
     except ValueError as exc:
-        raise CliError(f"{path}: {key}: {exc}") from exc
+        raise ValueError(f"{path}: {key}: {exc}") from exc
 
 
 def _inputs(command: str) -> tuple[str, ...]:
@@ -202,7 +199,7 @@ def _coerce_config(raw: dict[str, str], path: str, command: str) -> dict:
     out: dict = {}
     for key, value in raw.items():
         if key not in _inputs(command):
-            raise CliError(f"{path}: {command} reads no config key {key!r}")
+            raise ValueError(f"{path}: {command} reads no config key {key!r}")
         out[key] = _parse_value(_PARSERS[key], value, path, key)
     return out
 
@@ -252,65 +249,39 @@ def _meta_lines(cfg: RunConfig, command: str, extra: dict | None = None) -> list
 _BLOCK_ROWS = 1024
 
 
-def _runs(columns: list[np.ndarray]) -> tuple[int, list[bool]]:
-    """(run, baked) of equal-length float columns: run, the length of the
-    first run of equal values in the first column, when every `run` rows
-    from the top (the last block maybe short) hold one first-column value
-    and 1 < run <= _BLOCK_ROWS, else 1; baked[j], whether column j + 1
-    holds the same values in every run as in the first.  Values are
-    compared by bit pattern, so -0.0 is not 0.0."""
-    first, *rest = (c.view(np.int64) for c in columns)
-    n = len(first)
-    # argmax finds the first row whose value differs from row 0's, 0 if none does
-    run = int(np.argmax(first != first[0])) or n if n else 1
-    full = n - n % run
-    # every run of `run` rows holds one first-column value (the last may be short)
-    if not (1 < run <= _BLOCK_ROWS
-            and (first[:full].reshape(-1, run) == first[:full:run, None]).all()
-            and (first[full:] == first[full:full + 1]).all()):
-        return 1, [False] * len(rest)
-    return run, [bool((c[:full].reshape(-1, run) == c[:run]).all()
-                      and (c[full:] == c[:n - full]).all()) for c in rest]
-
-
 def _write_csv(cfg: RunConfig, command: str, extra_meta: dict | None,
                columns: dict[str, np.ndarray]) -> None:
     """Meta lines of `command`'s inputs and extra_meta, the header of column
-    names, then one row per index of the equal-length columns, each value
-    at %.9g (the bytes of _fmt).
+    names, then the rows, each value at %.9g (the bytes of _fmt).
 
-    Rows are formatted in blocks of whole runs of the first column (_runs),
-    up to _BLOCK_ROWS rows each, one %-template per block.  Each run's
-    first-column text, and the text of every column that holds the same
-    values in every run, is formatted once into the template, so only the
-    other values go through %.9g: a 401 x 401 spectrum formats 160,801 +
-    401 values in place of 482,403.  A trace has runs of one row and no
-    such column, so each of its blocks is _BLOCK_ROWS rows of plain %.9g.
-    Only one block's rows and strings are held at once: 4096-row blocks were no faster and raised
-    peak RSS by 0.5 MiB over numpy.savetxt, 1024-row ones by under 0.1 MiB."""
+    A table whose last column is 2-D is a grid (first, second, last): its
+    rows are (first[i], second[k], last[i, k]), i-major.  It goes out in
+    blocks of whole grid rows, at most _BLOCK_ROWS rows or one grid row
+    each, and each axis value is formatted once into the block's
+    %-template, so a 401 x 401 spectrum formats 160,801 + 2 x 401 values
+    in place of 482,403.  Any other table holds equal-length 1-D columns,
+    one row per index, in blocks of _BLOCK_ROWS rows of plain %.9g.  Only
+    one block's rows and strings are held at once: 4096-row blocks were no
+    faster and raised peak RSS by 0.5 MiB over numpy.savetxt, 1024-row
+    ones by under 0.1 MiB."""
     if cfg.out is None:
         cfg = replace(cfg, out="out.csv")
     cols = [np.asarray(c, dtype=float) for c in columns.values()]
-    run, baked = _runs(cols)
-    # what follows the first column in each row of a run: baked texts and %.9g slots
-    parts = [""] + ["".join("," + (_fmt(c[i]) if b else "%.9g") for c, b in zip(cols[1:], baked))
-                    + "\n" for i in range(run)]
-    slots = [c for c, b in zip(cols[1:], baked) if not b]
-    rows = run * (_BLOCK_ROWS // run)
     with open(cfg.out, "w") as fh:
         fh.write("\n".join(_meta_lines(cfg, command, extra_meta) + [",".join(columns)]) + "\n")
-        for lo in range(0, len(cols[0]), rows):
-            hi = min(lo + rows, len(cols[0]))
-            if run == 1:
-                template, block = ("%.9g" + parts[1]) * (hi - lo), cols
-            else:
-                # the first column's text goes before each row's part
-                template = "".join(_fmt(cols[0][i]).join(parts[:hi - i + 1])
-                                   for i in range(lo, hi, run))
-                block = slots
-            # a table of one run bakes every column, and then no value is left
-            values = np.column_stack([c[lo:hi] for c in block]).ravel().tolist() if block else []
-            fh.write(template % tuple(values))
+        if cols[-1].ndim == 2:
+            outer, inner, values = cols
+            # what follows the first axis's text in each grid row
+            tails = [""] + ["," + _fmt(x) + ",%.9g\n" for x in inner]
+            step = max(1, _BLOCK_ROWS // len(inner))
+            for lo in range(0, len(outer), step):
+                template = "".join(_fmt(x).join(tails) for x in outer[lo:lo + step])
+                fh.write(template % tuple(values[lo:lo + step].ravel().tolist()))
+        else:
+            row = ",".join(["%.9g"] * len(cols)) + "\n"
+            for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+                block = np.column_stack([c[lo:lo + _BLOCK_ROWS] for c in cols])
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +291,8 @@ def _write_csv(cfg: RunConfig, command: str, extra_meta: dict | None,
 def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
     tau_max = cfg.tau_max if cfg.tau_max is not None else delay_span(cfg.params, cfg.pump)
     if kind is TraceKind.MZ and not math.isfinite(cfg.omega_p * tau_max):
-        raise CliError(f"fringe phase omega_p * tau_max = {cfg.omega_p} * {tau_max} is not finite")
+        raise ValueError(f"fringe phase omega_p * tau_max = {cfg.omega_p} * {tau_max} "
+                         "is not finite")
     steps = cfg.tau_steps
     if steps is None:
         steps = 201
@@ -329,12 +301,12 @@ def _tau_grid(cfg: RunConfig, kind: TraceKind) -> np.ndarray:
             fringe = 2.0 * math.pi / cfg.omega_p
             samples = 2.0 * tau_max / fringe * 40.0
             if not math.isfinite(samples):
-                raise CliError(f"omega_p = {cfg.omega_p} gives a fringe step count that is "
-                               "not finite; set tau_steps")
+                raise ValueError(f"omega_p = {cfg.omega_p} gives a fringe step count that is "
+                                 "not finite; set tau_steps")
             steps = max(steps, int(math.ceil(samples)) + 1)
             if steps > MAX_GRID_POINTS:
-                raise CliError(f"tau_max = {tau_max} gives a fringe grid of {steps:.3g} points "
-                               f"at omega_p = {cfg.omega_p}, more than {MAX_GRID_POINTS}")
+                raise ValueError(f"tau_max = {tau_max} gives a fringe grid of {steps:.3g} points "
+                                 f"at omega_p = {cfg.omega_p}, more than {MAX_GRID_POINTS}")
     return np.linspace(-tau_max, tau_max, steps)
 
 
@@ -369,25 +341,23 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         params, pump, lobes=3.0, sigmas=3.0)
     center = 0.5 * pump.omega_p
     if not center - span < center + span:
-        raise CliError(f"grid_span = {span} around omega_p / 2 = {center} rounds to one point")
+        raise ValueError(f"grid_span = {span} around omega_p / 2 = {center} rounds to one point")
     axis, values = grid(params, pump, Interval(center - span, center + span), cfg.grid_steps)
     _write_csv(cfg, "spectrum", {"grid_span_effective": span},
-               {"omega_s": np.repeat(axis, axis.size), "omega_i": np.tile(axis, axis.size),
-                "abs_A": values.ravel()})
+               {"omega_s": axis, "omega_i": axis, "abs_A": values})
     return 0
 
 
 def cmd_visibility(cfg: RunConfig) -> int:
     kind = TraceKind(cfg.kind)
     if cfg.sweep_lo is None or cfg.sweep_hi is None:
-        raise CliError("visibility needs sweep_lo and sweep_hi")
+        raise ValueError("visibility needs sweep_lo and sweep_hi")
     xs = np.linspace(cfg.sweep_lo, cfg.sweep_hi, cfg.sweep_steps)
     vs = sweep_visibility(kind, cfg.params, cfg.pump, cfg.thetas, xs)
     # rows run sweep-major, theta-minor
     swept = "pump_bandwidth" if kind is TraceKind.HOM else "crystal_length"
     _write_csv(cfg, "visibility", {"swept": swept},
-               {"sweep_value": np.repeat(xs, len(cfg.thetas)),
-                "theta": np.tile(cfg.thetas, len(xs)), "visibility": vs.T.ravel()})
+               {"sweep_value": xs, "theta": cfg.thetas, "visibility": vs.T})
     return 0
 
 
@@ -401,40 +371,40 @@ def _parse_crystal_file(path: str) -> DispersionModel:
         if parts[0] == "branch" and len(parts) == 3 and parts[1] in coeffs and parts[2].startswith("c"):
             order = _parse_value(int, parts[2][1:], path, key)
             if order < 0:
-                raise CliError(f"{path}: {key}: coefficient order must be >= 0, got {order}")
+                raise ValueError(f"{path}: {key}: coefficient order must be >= 0, got {order}")
             coeffs[parts[1]][order] = _parse_value(float, value, path, key)
         elif parts[0] == "validity" and len(parts) == 2 and parts[1] in ("lo", "hi"):
             validity[parts[1]] = _parse_value(float, value, path, key)
         elif parts[0] == "knob" and len(parts) == 2 and parts[1] in ("branch", "order"):
             knob[parts[1]] = _parse_value(str if parts[1] == "branch" else int, value, path, key)
         else:
-            raise CliError(f"{path}: unknown crystal key {key!r}")
+            raise ValueError(f"{path}: unknown crystal key {key!r}")
     if "lo" not in validity or "hi" not in validity:
-        raise CliError(f"{path}: validity.lo and validity.hi are required")
+        raise ValueError(f"{path}: validity.lo and validity.hi are required")
     branches = {}
     for name, cmap in coeffs.items():
         if not cmap:
-            raise CliError(f"{path}: branch.{name} has no coefficients")
+            raise ValueError(f"{path}: branch.{name} has no coefficients")
         branches[name] = PolynomialBranch([cmap.get(j, 0.0) for j in range(max(cmap) + 1)])
     spec = None
     if knob:
         if "branch" not in knob or "order" not in knob:
-            raise CliError(f"{path}: knob needs both knob.branch and knob.order")
+            raise ValueError(f"{path}: knob needs both knob.branch and knob.order")
         try:
             spec = KnobSpec(branch=knob["branch"], order=knob["order"])
         except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
     return DispersionModel(k_p=branches["p"], k_s=branches["s"], k_i=branches["i"],
                            validity=Interval(validity["lo"], validity["hi"]), knob=spec)
 
 
 def cmd_match(cfg: RunConfig) -> int:
     if cfg.crystal is None:
-        raise CliError("match needs --crystal")
+        raise ValueError("match needs --crystal")
     missing = [k for k in ("omega_lo", "omega_hi", "zeta_lo", "zeta_hi")
                if getattr(cfg, k) is None]
     if missing:
-        raise CliError(f"match needs {', '.join(missing)}")
+        raise ValueError(f"match needs {', '.join(missing)}")
     model = _parse_crystal_file(cfg.crystal)
     omega_p, zeta = solve_epm(model, Interval(cfg.omega_lo, cfg.omega_hi),
                               Interval(cfg.zeta_lo, cfg.zeta_hi))
@@ -470,8 +440,8 @@ def cmd_match(cfg: RunConfig) -> int:
 def cmd_validate(cfg: RunConfig) -> int:
     devs = []
     for name, kind, theta, length in VALIDATION_SETS:
-        sub = replace(cfg, theta=theta, length_um=length, method="both")
-        taus = np.linspace(-1, 1, 201) * delay_span(sub.params, sub.pump)
+        sub = replace(cfg, theta=theta, length_um=length, method="both", tau_steps=201)
+        taus = _tau_grid(sub, kind)
         columns = _trace_columns(sub, kind, taus)
         dev = float(np.max(np.abs(columns["P_closed"] - columns["P_quadrature"])))
         print(f"{name}: kind={kind.value} theta={_fmt(theta)} length_um={_fmt(length)} "
@@ -519,7 +489,7 @@ _FLAG_HELP = {
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit codes: argparse's default is 2
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:

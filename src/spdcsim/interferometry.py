@@ -388,13 +388,10 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """sum_i weights[i] cos(freq[i] tau) over one comb, freq equally spaced,
-    for every delay tau of the 1-D array taus.
-
-    A uniform grid tau_j = tau_0 + j d (every tau within 2 ulp of max |tau|
-    of it, as np.linspace gives) of n > 2 delays takes one chirp-z
-    transform (_chirp_z_cos_sums).  Any other grid takes the direct sum,
-    one cosine per node per delay, in node chunks within _BLOCK_BYTES.
-    """
+    for every delay tau of the 1-D array taus: one chirp-z transform
+    (_chirp_z_cos_sums) on a uniform grid of n > 2 delays, each within 2 ulp
+    of max |tau| of tau_0 + j d, else the direct sum, one cosine per node
+    per delay, in node chunks within _BLOCK_BYTES."""
     n = len(taus)
     if n > 2:
         d = (taus[-1] - taus[0]) / (n - 1)
@@ -492,7 +489,9 @@ def hom_trace_integral(params: PhaseMatchParams, pump: PumpSpectrum,
     baseline.  Self-checked against a build at a coarser step.
 
     The steps resolve the oscillations up to the larger of max |taus| and
-    tau_max, so a tau_max below the delays changes nothing.
+    tau_max, so a tau_max below the delays changes nothing.  np.linspace
+    delays built from their ends are summed by chirp-z transforms; a grid
+    scaled afterwards may miss _cos_sums' test and be summed directly.
     """
     return _trace_quadrature(TraceKind.HOM, params, pump, taus, spec, tau_max)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 import inspect
 import math
@@ -194,6 +195,24 @@ def test_mz_default_grid_samples_fringes(tmp_path):
     assert n >= 2 * 0.01 / fringe * 40.0
 
 
+def test_validate_sums_every_trace_by_chirp_z_transforms(tmp_path, monkeypatch, capsys):
+    # at these inputs (a jittered benchmark setting) delays scaled from a
+    # grid on [-1, 1] would miss the uniform-grid test by 2.5 ulp and be
+    # summed directly; one transform per comb and build makes 3 x 2 for the
+    # dips and 3 x 4 for the fringes
+    calls, transform = [], spdcsim.interferometry._chirp_z_cos_sums
+
+    def counted(freq, weights, d, tau_c, n):
+        calls.append(n)
+        return transform(freq, weights, d, tau_c, n)
+
+    monkeypatch.setattr(spdcsim.interferometry, "_chirp_z_cos_sums", counted)
+    assert run(["validate", "--omega-p", "2001.0848754462204", "--pump-bw", "40.666227839793684",
+                "--gamma", "8.07138097800132e-05", "--out", str(tmp_path / "v.csv")]) == 0
+    capsys.readouterr()
+    assert calls == [201] * 18
+
+
 # ---------------------------------------------------------------------------
 # visibility
 # ---------------------------------------------------------------------------
@@ -257,37 +276,27 @@ def test_write_csv_matches_per_value_format(tmp_path):
         assert data_section(text) == "\n".join(expected)
 
 
-def _outer_product_columns(axis, rows):
-    # spectrum-shaped: the first column runs over the axis, the second tiles
-    # it, and "odd" tiles it too but for one value in its last run
-    n = len(axis)
-    odd = np.tile(axis, n)[:rows]
-    odd[-2] = 7.0
-    return {"s": np.repeat(axis, n)[:rows], "i": np.tile(axis, n)[:rows],
-            "v": np.arange(rows, dtype=float) / 7.0, "odd": odd}
+def _axis(n):
+    # the special values first, then distinct ones; -0.0 and 0.0 give
+    # different text, as do the two subnormals
+    axis = np.resize([-0.0, 0.0, 5e-324, 2.5e-310, 1.5e22, 1000.0, 0.1, 1e-5], n)
+    axis[8:] += np.arange(8, n)
+    return axis
 
 
-@pytest.mark.parametrize("repeats", [1, 5], ids=["8-point-axis", "40-point-axis"])
-@pytest.mark.parametrize("cut", [0, 3], ids=["whole-runs", "short-last-run"])
-def test_write_csv_matches_per_value_format_on_repeated_columns(tmp_path, repeats, cut):
-    # -0.0 and 0.0 give different text, so equal-looking values must be told
-    # apart by their bits; 40 x 40 rows span two blocks of 25 runs of 40
-    axis = np.tile([-0.0, 0.0, 5e-324, 1.5e22, 1000.0, 0.1, 2.5e-310, 1e-5], repeats)
-    axis[8:] += np.arange(8, len(axis))
-    columns = _outer_product_columns(axis, len(axis) ** 2 - cut)
-    run, baked = spdcsim.cli._runs(list(columns.values()))
-    assert run == len(axis) and baked == [True, False, False]
+@pytest.mark.parametrize("inner", [1, 8, 40, 1024, 1025], ids=lambda n: f"{n}-point-inner-axis")
+def test_write_csv_matches_per_value_format_on_grids(tmp_path, inner):
+    # 1, 8 and 40 points put several grid rows in each block and leave the
+    # last block short, 1024 fill one block per grid row, and 1025 make a
+    # grid row longer than a block
+    outer = _axis(max(9, 2600 // inner))
+    values = np.arange(len(outer) * inner, dtype=float).reshape(len(outer), inner) / 7.0
     out = tmp_path / "w.csv"
-    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "spectrum", None, columns)
-    expected = [",".join(columns)] + [",".join(format(float(x), ".9g") for x in row)
-                                      for row in zip(*columns.values())]
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "spectrum", None,
+                           {"s": outer, "i": _axis(inner), "v": values})
+    rows = zip(np.repeat(outer, inner), np.tile(_axis(inner), len(outer)), values.ravel())
+    expected = ["s,i,v"] + [",".join(format(float(x), ".9g") for x in row) for row in rows]
     assert data_section(read(out)) == "\n".join(expected)
-
-
-def test_write_csv_bakes_runs_of_at_most_one_block():
-    # a longer run would put more than one block's rows into one template
-    for rows, layout in ((1024, (1024, [True])), (1025, (1, [False]))):
-        assert spdcsim.cli._runs([np.ones(rows), np.zeros(rows)]) == layout
 
 
 @pytest.mark.parametrize("first", [[1.0, 1.0, 2.0, 2.0, 2.0, 3.0], [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
@@ -1034,15 +1043,44 @@ def test_every_benchmark_argv_parses_and_resolves(tmp_path, monkeypatch):
         spdcsim.cli._resolve_config(parser.parse_args(list(argv)))
 
 
-def test_readme_cli_examples_parse():
+def readme_cli_examples() -> list[list[str]]:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("spdcsim ")]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("spdcsim ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = readme_cli_examples()
     assert {argv[1] for argv in examples} == set(spdcsim.cli.COMMANDS)
     parser = spdcsim.cli._build_parser()
     for argv in examples:
-        parser.parse_args(argv[1:])  # raises CliError on a flag the parser lacks
+        parser.parse_args(argv[1:])  # raises ValueError on a flag the parser lacks
+
+
+# sha256 of the data sections of the README's CLI examples that read no
+# input file, as written at commit ab035d4; of the hom trace only tau_ps and
+# P_closed, since P_quadrature moves whenever the quadrature oracle improves
+README_EXAMPLE_DATA_SHA256 = {
+    "spectrum": "0b95dba98a9f7b38f69ebf5f469a91c8d9f0b41a0a6a3f683ee7992ee39e4fc4",
+    "hom": "18228f40c2b9354b02ea6344df180fc1492216dc9f4ed7d10dc47d05a000ac51",
+    "mz": "370997aec3e2dbaa3a5d1df4a7355e101e9c9f5799deaa7190860bbbaa04d6cc",
+    "visibility": "4a8dcf1f7d9388b3c7ba96cd749b879ad9cd23f8c694aaf02586424eb2959d9a",
+}
+
+
+def test_readme_cli_examples_write_the_pinned_bytes(tmp_path, monkeypatch):
+    examples = {argv[1]: argv[2:] for argv in readme_cli_examples()
+                if argv[1] in README_EXAMPLE_DATA_SHA256}
+    assert examples.keys() == README_EXAMPLE_DATA_SHA256.keys()
+    monkeypatch.chdir(tmp_path)
+    for command, argv in examples.items():
+        assert run([command, *argv]) == 0
+        data = data_section(read(tmp_path / argv[argv.index("--out") + 1]))
+        if command == "hom":
+            data = "\n".join(",".join(line.split(",")[:2]) for line in data.splitlines())
+        assert hashlib.sha256(data.encode()).hexdigest() == README_EXAMPLE_DATA_SHA256[command], \
+            command
 
 
 def test_readme_library_quick_start_runs():

@@ -2,7 +2,8 @@
 package __init__ re-exports exactly each module's __all__, each name it
 re-exports, and each public attribute its classes define, has a caller,
 each name a package module defines is read in the package, and each
-exception class it re-exports is caught by name.
+exception class it defines is caught by name (or, if re-exported, shown
+in the README or the acceptance gate).
 
 No linter ships with the project, so these checks read each file's syntax
 tree (stdlib ast only): a name bound by a top-level import must appear as a
@@ -136,18 +137,31 @@ def test_every_public_class_attribute_has_a_caller():
     assert not uncalled, f"public attributes nothing reads: {', '.join(uncalled)}"
 
 
+# names an except clause in the package catches
+CAUGHT = {n.id for tree in PACKAGE_TREES for handler in ast.walk(tree)
+          if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+          for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+
+
 def test_every_public_exception_is_caught():
     # an exception subclass earns its name only where a caller must tell it
     # from other errors: each exported one is named by an except clause in
     # the package, or shown by the README or the acceptance gate; elsewhere
     # a plain ValueError carries the same message
-    caught = set()
-    for tree in PACKAGE_TREES:
-        for handler in ast.walk(tree):
-            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
-                caught |= {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
-    uncaught = [name for name in sorted(EXPORTED - caught)
+    uncaught = [name for name in sorted(EXPORTED - CAUGHT)
                 if isinstance(getattr(spdcsim, name), type)
                 and issubclass(getattr(spdcsim, name), BaseException)
                 and not re.search(rf"\b{name}\b", SHOWN)]
     assert not uncaught, f"exceptions no caller catches: {', '.join(uncaught)}"
+
+
+def test_every_unexported_exception_is_caught():
+    # the same rule for an exception class a module keeps to itself: nothing
+    # outside the package can name it, so an except clause in the package must
+    defined = {(p.stem, stmt.name) for p in FILES if p.parent.name == "spdcsim"
+               for stmt in ast.parse(p.read_text()).body if isinstance(stmt, ast.ClassDef)}
+    uncaught = [f"{module}.{name}" for module, name in sorted(defined)
+                if name not in EXPORTED | CAUGHT
+                and issubclass(getattr(importlib.import_module(f"spdcsim.{module}"), name),
+                               BaseException)]
+    assert not uncaught, f"unexported exceptions no caller catches: {', '.join(uncaught)}"
