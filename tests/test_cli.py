@@ -299,7 +299,39 @@ def test_write_csv_matches_per_value_format_on_grids(tmp_path, inner):
     assert data_section(read(out)) == "\n".join(expected)
 
 
-@pytest.mark.parametrize("first", [[1.0, 1.0, 2.0, 2.0, 2.0, 3.0], [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+def _outer_product_columns(axis, rows):
+    # spectrum-shaped: the first column runs over the axis, the second tiles
+    # it, and "odd" tiles it too but for one value in its last run
+    n = len(axis)
+    odd = np.tile(axis, n)[:rows]
+    odd[-2] = 7.0
+    return {"s": np.repeat(axis, n)[:rows], "i": np.tile(axis, n)[:rows],
+            "v": np.arange(rows, dtype=float) / 7.0, "odd": odd}
+
+
+@pytest.mark.parametrize("repeats", [1, 5], ids=["8-point-axis", "40-point-axis"])
+@pytest.mark.parametrize("cut", [0, 3], ids=["whole-runs", "short-last-run"])
+def test_write_csv_matches_per_value_format_on_repeated_columns(tmp_path, repeats, cut):
+    # a grid spelled out as repeated 1-D columns is a plain table; 40 x 40
+    # rows span two 1024-row blocks, and a whole grid written as axes and a
+    # 2-D table gives the same bytes as its spelled-out columns
+    axis = _axis(8 * repeats)
+    columns = _outer_product_columns(axis, len(axis) ** 2 - cut)
+    out = tmp_path / "w.csv"
+    spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "spectrum", None, columns)
+    expected = [",".join(columns)] + [",".join(format(float(x), ".9g") for x in row)
+                                      for row in zip(*columns.values())]
+    assert data_section(read(out)) == "\n".join(expected)
+    if cut == 0:
+        spelled = {k: columns[k] for k in "siv"}
+        spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(out)), "spectrum", None, spelled)
+        grid = {"s": axis, "i": axis, "v": columns["v"].reshape(len(axis), len(axis))}
+        spdcsim.cli._write_csv(spdcsim.cli.RunConfig(out=str(tmp_path / "g.csv")), "spectrum",
+                               None, grid)
+        assert data_section(read(tmp_path / "g.csv")) == data_section(read(out))
+
+
+@pytest.mark.parametrize("first",[[1.0, 1.0, 2.0, 2.0, 2.0, 3.0], [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
                                    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 2.0, 2.0, 2.0, 2.0]],
                          ids=["uneven-runs", "signed-zeros", "one-run", "first-run-of-one"])
 def test_write_csv_bakes_only_whole_runs_of_the_first_column(tmp_path, first):
