@@ -276,9 +276,13 @@ def v_mz(cfp: ClosedFormParams) -> float:
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of the phases of one
-# node chunk in _cos_sums' direct sum.  4 MiB costs little time; at 16 MiB
-# the validate run's peak RSS took one of two modes, 80 or 90 MiB
-_BLOCK_BYTES = 4 << 20
+# node chunk in _cos_sums' direct sum.  512 KiB keeps the two blocks within
+# a 2 MiB L2 cache: the six validate builds took a median 22.5 ms at 512 KiB,
+# 23.9 at 1 MiB, 25.2 at 256 KiB and 44.1 at 4 MiB (2-core Xeon, CHANGES.md)
+_BLOCK_BYTES = 512 << 10
+# fewest v columns per kernel block, whatever the u axis's length: below
+# that, the per-block calls outweigh the cache the block fits in
+_MIN_COLUMNS = 64
 # difference-axis reach in units of 1 / tau_theta: the squared sinc tails
 # thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
 # v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
@@ -308,6 +312,9 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
     count = np.searchsorted(bv, -au + _RIDGE, side="left") - first
     ridge_i = np.repeat(np.arange(len(au)), count)
     ridge_j = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+    # sorted by column once, so each chunk's cells are one slice
+    by_column = np.argsort(ridge_j, kind="stable")
+    ridge_i, ridge_j = ridge_i[by_column], ridge_j[by_column]
     cells = len(au) * min(chunk, len(bv))
     y_buf, p_buf = np.empty(cells), np.empty(cells)
     for lo in range(0, len(bv), chunk):
@@ -315,8 +322,8 @@ def _sinc_blocks(au: np.ndarray, bv: np.ndarray, chunk: int):
         shape, size = (len(au), hi - lo), len(au) * (hi - lo)
         y = np.matmul(rows[:, 2:], cols[lo:hi, 2:].T, out=y_buf[:size].reshape(shape))
         p1 = np.matmul(rows[:, :2], cols[lo:hi, :2].T, out=p_buf[:size].reshape(shape))
-        at = (ridge_j >= lo) & (ridge_j < hi)
-        i, j = ridge_i[at], ridge_j[at] - lo
+        start, stop = np.searchsorted(ridge_j, (lo, hi))
+        i, j = ridge_i[start:stop], ridge_j[start:stop] - lo
         y_ridge = y[i, j]
         y[i, j] = 1.0  # keeps y = 0 out of the division; these entries are replaced
         p1 /= y
@@ -367,7 +374,7 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     h = len(un) // 2  # row h + k is row h - 1 - k mirrored, and wu is even
     t_u = np.zeros(h)              # sum over v > 0 of plus^2
     vsum = np.empty((2, len(vp)))  # pump-weighted sums over u < h of plus^2, minus^2
-    chunk = max(1, _BLOCK_BYTES // (8 * len(un)))
+    chunk = max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * len(un)))
     for lo, p1, spare in _sinc_blocks(au, bv, chunk):
         hi = lo + p1.shape[1]
         minus = np.subtract(p1[:h], p1[::-1][:h], out=spare[:h])
@@ -417,6 +424,12 @@ def _chirp(r: float, x: np.ndarray) -> np.ndarray:
     return np.exp(2j * math.pi * (np.mod(head * xx, 1.0) + (r - head) * xx))
 
 
+def _fft_length(k: int) -> int:
+    """The smallest 2^a, 3 2^a or 5 2^a at or past k >= 1: under 4 k / 3,
+    where the next power of 2 can be 2 k - 2; docs/DERIVATION.md (4.6)."""
+    return min(c << (-(-k // c) - 1).bit_length() for c in (1, 3, 5))
+
+
 def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: float,
                       n: int) -> np.ndarray:
     """sum_i weights[i] cos(freq[i] tau_j) at tau_j = tau_c + j' d,
@@ -427,7 +440,7 @@ def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: fl
     their lowest line."""
     m = len(freq)
     r = (freq[-1] - freq[0]) / max(m - 1, 1) * d / (16.0 * math.pi)
-    size = 1 << (m + n - 2).bit_length()
+    size = _fft_length(m + n - 1)
     y = 2.0 * np.arange(n) - (n - 1)
     spectrum = np.fft.fft(weights * np.exp(1j * freq * tau_c) * _chirp(r, 2.0 * np.arange(m)),
                           size)

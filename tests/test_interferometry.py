@@ -30,8 +30,10 @@ from spdcsim import interferometry
 from spdcsim.cli import VALIDATION_SETS
 from spdcsim.interferometry import (
     _BLOCK_BYTES,
+    _MIN_COLUMNS,
     _RIDGE,
     _cos_sums,
+    _fft_length,
     _line_spectra,
     _sinc_blocks,
     _spectra_pair,
@@ -960,22 +962,70 @@ def test_fringe_u_lines_follow_parseval(theta, length, bandwidth, span, grade):
     assert np.max(np.abs(got - want)) <= bound
 
 
-@pytest.mark.parametrize("theta, length", [
-    (-math.pi / 4, 1e3), (math.pi / 5, 2e4), (-math.pi / 6, 2e4),
-], ids=["epm", "conv_pos", "conv_neg"])
-def test_build_memory_stays_within_two_blocks(theta, length):
-    params = make_params(theta, length)
-    span = delay_span(params, PUMP)
+# blocks of one column, the default blocks, and one block over the whole
+# v axis, as (_BLOCK_BYTES, _MIN_COLUMNS)
+_BLOCK_SHAPES = {"one_column": (1, 1), "default": (_BLOCK_BYTES, _MIN_COLUMNS),
+                 "whole_axis": (_BLOCK_BYTES, 2**40)}
+
+
+@pytest.mark.parametrize("theta, length, bandwidth, span, ridge_blocks", [
+    (-math.pi / 4, 1e3, 40.0, None, 1), (math.pi / 5, 2e4, 40.0, None, 1),
+    (-math.pi / 6, 2e4, 40.0, None, 1), (2.0, 74017.0, 168.0, math.pi / OMEGA_P, 2),
+], ids=["epm", "conv_pos", "conv_neg", "broad_pump"])
+def test_line_spectra_do_not_depend_on_the_block_shape(theta, length, bandwidth, span,
+                                                       ridge_blocks, monkeypatch):
+    # the validate settings' fine builds, and a ray whose ridge cells,
+    # |y| < _RIDGE, fall in at least `ridge_blocks` of the default blocks:
+    # every block shape sums the same kernel cells, so each comb agrees
+    # with the whole-axis build to the rounding of the sums' order.  At epm
+    # the fringe's v comb is rounding-level (max |w| ~ 5e-34): the direct
+    # sin(y) / y of the ridge cells makes mirrored rows bitwise equal there,
+    # and a block that skips it moves that comb by more than its size
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    span = span or delay_span(params, pump)
+    blocks_with_ridge, sinc_blocks = set(), interferometry._sinc_blocks
+
+    def spied(au, bv, chunk):
+        columns = np.nonzero(np.abs(np.add.outer(au, bv)) < _RIDGE)[1]
+        blocks_with_ridge.update((columns // chunk).tolist())
+        return sinc_blocks(au, bv, chunk)
+
+    spectra = {}
+    for name, (block, floor) in _BLOCK_SHAPES.items():
+        monkeypatch.setattr(interferometry, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(interferometry, "_MIN_COLUMNS", floor)
+        monkeypatch.setattr(interferometry, "_sinc_blocks",
+                            spied if name == "default" else sinc_blocks)
+        spectra[name] = _line_spectra(params, pump, span, "fine", 2**15)
+    assert len(blocks_with_ridge) >= ridge_blocks
+    want = spectra.pop("whole_axis")
+    for got in spectra.values():
+        for kind, combs in want.items():
+            for (freq, weights), (got_freq, got_weights) in zip(combs, got[kind], strict=True):
+                assert np.array_equal(got_freq, freq)
+                assert np.max(np.abs(got_weights - weights)) <= 1e-13 * np.max(np.abs(weights))
+
+
+@pytest.mark.parametrize("theta, length, bandwidth", [
+    (-math.pi / 4, 1e3, 40.0), (math.pi / 5, 2e4, 40.0), (-math.pi / 6, 2e4, 40.0),
+    (2.0, 74017.0, 168.0),
+], ids=["epm", "conv_pos", "conv_neg", "broad_pump"])
+def test_build_memory_stays_within_two_blocks(theta, length, bandwidth):
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    span = delay_span(params, pump)
     tracemalloc.start()
     try:
-        spectra = _line_spectra(params, PUMP, span, "fine", 2**15)
+        spectra = _line_spectra(params, pump, span, "fine", 2**15)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the loop holds two kernel blocks (y and p1) at once; the node axes,
-    # their sines and cosines, the profiles and the spectra take ~150 bytes
-    # per node more
-    assert peak <= 2 * _BLOCK_BYTES + 192 * sum(node_counts(spectra))
+    # the loop holds two kernel blocks (y and p1) of n_u rows at once, each
+    # at least _MIN_COLUMNS wide: at the broad pump's 5244 u nodes the floor
+    # sets the width, not _BLOCK_BYTES; the node axes, their sines and
+    # cosines, the profiles and the spectra take ~150 bytes per node more
+    n_u = node_counts(spectra)[0]
+    block = 8 * n_u * max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * n_u))
+    assert peak <= 2 * block + 192 * sum(node_counts(spectra))
 
 
 def test_fringe_evaluation_memory_stays_within_the_block_budget():
@@ -990,12 +1040,21 @@ def test_fringe_evaluation_memory_stays_within_the_block_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # each comb's chirp-z transform runs on complex arrays of the power of 2
-    # at or past its nodes + n - 1 (65,536 points here, under 1.1 n): the
-    # spectrum, the kernel and the kernel's phase temporaries hold about 8
-    # such arrays at once (~140 n bytes), and the n-point sums and the trace
-    # fewer than 64 n more; the direct sum's node chunks take _BLOCK_BYTES
+    # each comb's chirp-z transform runs on complex arrays of the least
+    # 2^a, 3 2^a or 5 2^a at or past its nodes + n - 1 (65,536 points here,
+    # under 1.1 n): the spectrum, the kernel and the kernel's phase
+    # temporaries hold about 8 such arrays at once (~140 n bytes), and the
+    # n-point sums and the trace fewer than 64 n more; the direct sum's node
+    # chunks take _BLOCK_BYTES
     assert peak <= _BLOCK_BYTES + (2 * 64 + 64) * len(taus)
+
+
+def test_fft_length_is_the_least_power_of_2_times_1_3_or_5():
+    # brute force over every 2^a, 3 2^a and 5 2^a up to past 10^5
+    lengths = np.sort([c << a for c in (1, 3, 5) for a in range(18)])
+    ks = range(1, 10**5 + 1)
+    want = lengths[np.searchsorted(lengths, np.array(ks))]
+    assert [_fft_length(k) for k in ks] == want.tolist()
 
 
 @pytest.mark.parametrize("budget, axis", [(4, "u axis (fine build)"), (60, "v axis (fine build)")])
