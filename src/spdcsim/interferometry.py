@@ -287,6 +287,11 @@ _MIN_COLUMNS = 64
 # thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
 # v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
 _V_REACH = 3000.0
+# the self-check's reach in the same units: the midpoint rule's step error
+# is set by the integrand's band, not by how far the v axis runs
+# (docs/DERIVATION.md (4.4)), so the coarse build runs to an eighth of the
+# reach, and the fine build sums its blocks there too
+_V_CHECK = _V_REACH / 8.0
 # |y| from which the kernel divides the angle-added sin(y), whose absolute
 # error is a few ulp of 1, by y: the quotient is then off by a few ulp at most
 _RIDGE = 1.0
@@ -339,10 +344,16 @@ def _roll_off(v: np.ndarray, v_half: float) -> np.ndarray:
 
 
 def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, grade: str,
-                  budget: int) -> dict[TraceKind, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """{kind: combs} for one (crystal, pump) setting, one (freq, weights)
-    comb per node axis, freq ascending and equally spaced: the trace of that
-    kind at a delay tau is 1 + the combs' sums of weights[i] cos(freq[i] tau)."""
+                  budget: int, reaches: tuple[float, ...] = (_V_REACH,)
+                  ) -> tuple[dict[TraceKind, tuple[tuple[np.ndarray, np.ndarray], ...]], ...]:
+    """One {kind: combs} for one (crystal, pump) setting per difference-axis
+    reach in `reaches` (in units of 1 / tau_theta, the largest first), one
+    (freq, weights) comb per node axis, freq ascending and equally spaced:
+    the trace of that kind at a delay tau is 1 + the combs' sums of
+    weights[i] cos(freq[i] tau).  The v axis runs as far as the first reach
+    asks; every reach sums the same kernel blocks, under its own roll-off
+    (docs/DERIVATION.md (4.5)), and its v lines end at the last one below
+    its 2 v_half."""
     gs, gi = params.gamma_s, params.gamma_i
     a = 0.5 * (gs + gi)
     b = 0.5 * (gs - gi)
@@ -358,21 +369,24 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     s = OVERSAMPLING[grade]
     # the a*u/b term tracks the phase-matching ridge across the
     # pump-limited u range
-    v_half = _V_REACH / tau_theta + 5.0 * bw * abs(a) / abs(b)
+    v_halfs = [reach / tau_theta + 5.0 * bw * abs(a) / abs(b) for reach in reaches]
     # band limits along u and v, docs/DERIVATION.md (4.1)-(4.2)
     step_u = 2.0 * math.pi / (s * (abs(a) * L + tau_max + 12.0 / bw))
     step_v = 2.0 * math.pi / (s * (abs(b) * L + tau_max))
     un, uw = midpoint_rule(pump.reach, step_u, budget, f"u axis ({grade} build)")
-    vn, vw = midpoint_rule(2.0 * v_half, step_v, budget, f"v axis ({grade} build)")
+    vn, vw = midpoint_rule(2.0 * v_halfs[0], step_v, budget, f"v axis ({grade} build)")
     half = len(vn) // 2
-    vp, vwp = vn[half:], vw[half:] * _roll_off(vn[half:], v_half)
+    vp = vn[half:]
+    vwps = [vw[half:] * _roll_off(vp, v_half) for v_half in v_halfs]
+    # each reach's lines: the v nodes below its 2 v_half, past which its weights are 0
+    cuts = [int(np.searchsorted(vp, 2.0 * v_half)) for v_half in v_halfs]
     wu = np.exp(-((un / bw) ** 2)) * uw
     # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
     # p1 and leaves bv ascending, as _sinc_blocks needs
     au = (math.copysign(0.5, b) * a * L) * un
     bv = (0.5 * abs(b) * L) * vp
     h = len(un) // 2  # row h + k is row h - 1 - k mirrored, and wu is even
-    t_u = np.zeros(h)              # sum over v > 0 of plus^2
+    t_u = np.zeros((len(reaches), h))  # per reach, sums over v > 0 of plus^2
     vsum = np.empty((2, len(vp)))  # pump-weighted sums over u < h of plus^2, minus^2
     chunk = max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * len(un)))
     for lo, p1, spare in _sinc_blocks(au, bv, chunk):
@@ -381,16 +395,21 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
         plus = np.add(p1[:h], p1[::-1][:h], out=p1[:h])
         minus *= minus
         plus *= plus
-        t_u += plus @ vwp[lo:hi]
+        for t, vwp, cut in zip(t_u, vwps, cuts):
+            if lo < cut:
+                t += plus @ vwp[lo:hi]
         vsum[:, lo:hi] = wu[:h] @ plus, wu[:h] @ minus
-    # per v line, half the plane's sums of plus^2 and minus^2: the mass sums p1^2 + p2^2
-    P, M = 2.0 * vwp * vsum
-    mass = float(np.sum(P + M))
-    return {
-        TraceKind.HOM: ((vp, (M - P) / mass),),
-        TraceKind.MZ: ((un + pump.omega_p, wu * np.concatenate((t_u, t_u[::-1])) / mass),
-                       (vp, M / mass)),
-    }
+    spectra = []
+    for t, vwp, cut in zip(t_u, vwps, cuts):
+        # per v line, half the plane's sums of plus^2 and minus^2: the mass sums p1^2 + p2^2
+        P, M = 2.0 * vwp[:cut] * vsum[:, :cut]
+        mass = float(np.sum(P + M))
+        spectra.append({
+            TraceKind.HOM: ((vp[:cut], (M - P) / mass),),
+            TraceKind.MZ: ((un + pump.omega_p, wu * np.concatenate((t, t[::-1])) / mass),
+                           (vp[:cut], M / mass)),
+        })
+    return tuple(spectra)
 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -413,15 +432,28 @@ def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.nda
     return out
 
 
-def _chirp(r: float, x: np.ndarray) -> np.ndarray:
-    """e^{2 pi i r x^2} for integers x held as floats, x^2 < 2^53, with r x^2
+def _chirp_phase(r: float, x: np.ndarray) -> np.ndarray:
+    """r x^2 in turns for integers x held as floats, x^2 < 2^53, with r x^2
     reduced mod 1 exactly: docs/DERIVATION.md (4.6)."""
     xx = x * x
     bits = 53 - int(np.max(xx)).bit_length()
     mantissa, exponent = math.frexp(r)
     # r's head keeps `bits` bits, so head * x^2 is exact; its tail's products are small
     head = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
-    return np.exp(2j * math.pi * (np.mod(head * xx, 1.0) + (r - head) * xx))
+    turns = head * xx
+    # a float less its floor is exact, and 15 times faster than np.mod
+    turns -= np.floor(turns)
+    turns += (r - head) * xx
+    return turns
+
+
+def _unit(phase: np.ndarray, size: int, scale: np.ndarray | float = 1.0) -> np.ndarray:
+    """scale e^{i phase}, zero-padded to `size` points, from the cosine and
+    sine of the one real phase."""
+    out = np.zeros(size, complex)
+    out.real[:len(phase)] = np.cos(phase) * scale
+    out.imag[:len(phase)] = np.sin(phase) * scale
+    return out
 
 
 def _fft_length(k: int) -> int:
@@ -441,21 +473,27 @@ def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: fl
     m = len(freq)
     r = (freq[-1] - freq[0]) / max(m - 1, 1) * d / (16.0 * math.pi)
     size = _fft_length(m + n - 1)
-    y = 2.0 * np.arange(n) - (n - 1)
-    spectrum = np.fft.fft(weights * np.exp(1j * freq * tau_c) * _chirp(r, 2.0 * np.arange(m)),
-                          size)
-    kernel = _chirp(r, 2.0 * np.r_[:n, n - size:0] - (n - 1))
-    spectrum *= np.fft.fft(np.conj(kernel, out=kernel))
+    turn = 2.0 * math.pi
+    spectrum = np.fft.fft(_unit(freq * tau_c + turn * _chirp_phase(r, 2.0 * np.arange(m)),
+                                size, weights))
+    # conj(c(y - x)) at every lag, the negative ones wrapped to the end
+    spectrum *= np.fft.fft(_unit(-turn * _chirp_phase(r, 2.0 * np.r_[:n, n - size:0] - (n - 1)),
+                                 size))
     sums = np.fft.ifft(spectrum)[:n]
-    return (np.exp(0.5j * freq[0] * d * y) * _chirp(r, y) * sums).real
+    y = 2.0 * np.arange(n) - (n - 1)
+    phase = 0.5 * freq[0] * d * y + turn * _chirp_phase(r, y)
+    # the real part of e^{i phase} sums
+    return np.cos(phase) * sums.real - np.sin(phase) * sums.imag
 
 
 @functools.lru_cache(maxsize=8)
 def _spectra_pair(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float,
-                  budget: int) -> tuple[dict, dict]:
-    """The fine and coarse line spectra of one setting, built once and
-    reused by every later trace of either kind on the same inputs."""
-    return tuple(_line_spectra(params, pump, tau_max, grade, budget) for grade in OVERSAMPLING)
+                  budget: int) -> tuple[dict, dict, dict]:
+    """The fine build's line spectra of one setting at the full reach and at
+    the check reach, and the coarse build's at the check reach alone, built
+    once and reused by every later trace of either kind on the same inputs."""
+    return (*_line_spectra(params, pump, tau_max, "fine", budget, (_V_REACH, _V_CHECK)),
+            *_line_spectra(params, pump, tau_max, "coarse", budget, (_V_CHECK,)))
 
 
 def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
@@ -481,9 +519,12 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
     # depends on the grid it came with, at about 1e-13 of the summed
     # |weights|, but never on the order of the calls or on the cache
     flat = taus.ravel()
-    values, coarse = (1.0 + sum(_cos_sums(freq, weights, flat) for freq, weights in spectra[kind])
-                      for spectra in _spectra_pair(params, pump, reach, spec.max_subdivisions))
-    drift = float(np.max(np.abs(values - coarse), initial=0.0))
+    values, check, coarse = (
+        1.0 + sum(_cos_sums(freq, weights, flat) for freq, weights in spectra[kind])
+        for spectra in _spectra_pair(params, pump, reach, spec.max_subdivisions))
+    # the step's error is set by the band, not by the reach, so the fine
+    # and coarse builds are compared at the check reach alone
+    drift = float(np.max(np.abs(check - coarse), initial=0.0))
     scale = float(np.max(np.abs(values), initial=0.0))
     if drift > max(spec.abs_tol, spec.rel_tol * scale):
         raise NonConvergence(

@@ -297,11 +297,11 @@ def test_marginal_keeps_its_density_when_the_trace_densities_change(monkeypatch)
     omegas = (OMEGA_P / 2 - 20.0, OMEGA_P / 2, OMEGA_P / 2 + 7.0)
     before = [marginal_spectrum(params, pump, which, w)
               for which in ("signal", "idler") for w in omegas]
-    dense = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
+    dense = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)[0]
     # halved in place, so an oversampling dict shared with the marginal would change too
     for grade, factor in list(interferometry.OVERSAMPLING.items()):
         monkeypatch.setitem(interferometry.OVERSAMPLING, grade, 0.5 * factor)
-    sparse = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)
+    sparse = interferometry._line_spectra(params, pump, 0.1, "fine", PANEL_BUDGET)[0]
     assert all(s < d for s, d in zip(node_counts(sparse), node_counts(dense)))
     after = [marginal_spectrum(params, pump, which, w)
              for which in ("signal", "idler") for w in omegas]

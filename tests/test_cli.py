@@ -198,8 +198,9 @@ def test_mz_default_grid_samples_fringes(tmp_path):
 def test_validate_sums_every_trace_by_chirp_z_transforms(tmp_path, monkeypatch, capsys):
     # at these inputs (a jittered benchmark setting) delays scaled from a
     # grid on [-1, 1] would miss the uniform-grid test by 2.5 ulp and be
-    # summed directly; one transform per comb and build makes 3 x 2 for the
-    # dips and 3 x 4 for the fringes
+    # summed directly; one transform per comb and sum, at the fine build's
+    # full and check reaches and the coarse build's check reach, makes
+    # 3 x 3 for the dips and 3 x 6 for the fringes
     calls, transform = [], spdcsim.interferometry._chirp_z_cos_sums
 
     def counted(freq, weights, d, tau_c, n):
@@ -210,7 +211,36 @@ def test_validate_sums_every_trace_by_chirp_z_transforms(tmp_path, monkeypatch, 
     assert run(["validate", "--omega-p", "2001.0848754462204", "--pump-bw", "40.666227839793684",
                 "--gamma", "8.07138097800132e-05", "--out", str(tmp_path / "v.csv")]) == 0
     capsys.readouterr()
-    assert calls == [201] * 18
+    assert calls == [201] * 27
+
+
+# the validate fringe sets on the mz command's own default grid, at least 40
+# delays per fringe period (7975, 14,108 and 60,751 delays), where the
+# 201-delay validate grids sample a period 1.003, 0.567 and 0.132 times.
+# Bounds as (whole grid, delays within an eighth of a period of a fringe
+# minimum, where the visibility is read): the measured maxima were 6.1e-14
+# and 3.4e-14 at epm, rounding of the transforms, whose accuracy of 1e-12
+# bounds both; and, set by v-axis truncation (ROADMAP item 2), 7.5e-5 and
+# 6.1e-5 at conv_pos and 9.0e-5 and 5.6e-5 at conv_neg, each bounded at
+# twice its measured value rounded up to two digits
+_FRINGE_DENSITY_BOUNDS = {"epm_mz": (1e-12, 1e-12), "conv_mz_pos": (1.5e-4, 1.3e-4),
+                          "conv_mz_neg": (1.8e-4, 1.2e-4)}
+
+
+@pytest.mark.parametrize("name, theta, length", [
+    (name, theta, length) for name, kind, theta, length in spdcsim.cli.VALIDATION_SETS
+    if kind is spdcsim.interferometry.TraceKind.MZ], ids=list(_FRINGE_DENSITY_BOUNDS))
+def test_oracle_checks_every_fringe_phase_at_the_cli_density(name, theta, length):
+    from spdcsim.interferometry import TraceKind, closed_form_params, mz_rate_closed
+
+    cfg = spdcsim.cli.RunConfig(theta=theta, length_um=length)
+    taus = spdcsim.cli._tau_grid(cfg, TraceKind.MZ)
+    assert len(taus) >= 40 * cfg.omega_p * (taus[-1] - taus[0]) / (2.0 * math.pi)
+    dev = np.abs(spdcsim.interferometry.mz_trace_integral(cfg.params, cfg.pump, taus)
+                 - mz_rate_closed(closed_form_params(cfg.params, cfg.pump), taus))
+    near_minimum = np.abs(np.mod(cfg.omega_p * taus, 2.0 * math.pi) - math.pi) <= math.pi / 4.0
+    measured = (float(dev.max()), float(dev[near_minimum].max()))
+    assert all(m <= b for m, b in zip(measured, _FRINGE_DENSITY_BOUNDS[name])), measured
 
 
 # ---------------------------------------------------------------------------
@@ -1080,6 +1110,39 @@ def readme_cli_examples() -> list[list[str]]:
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("spdcsim ")]
+
+
+def _subparsers(parser):
+    """{command: subparser} of a parser that _build_parser made."""
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+def test_parser_built_for_one_command_keeps_every_help_and_usage():
+    # main builds only the named command's flags; the help of every
+    # subparser built that way, and the top-level help, usage and choices,
+    # are those of the parser with every command built
+    full = spdcsim.cli._build_parser()
+    for command in spdcsim.cli.COMMANDS:
+        lazy = spdcsim.cli._build_parser(command)
+        assert lazy.format_help() == full.format_help()
+        assert lazy.format_usage() == full.format_usage()
+        assert _subparsers(lazy).keys() == _subparsers(full).keys()
+        assert (_subparsers(lazy)[command].format_help()
+                == _subparsers(full)[command].format_help())
+
+
+@pytest.mark.parametrize("argv", [["nope"], [], ["--tau-steps", "5"]],
+                         ids=["invalid-choice", "no-command", "flag-first"])
+def test_parser_errors_name_every_command(capsys, argv):
+    # a first word that names no command: main's one-line error is the
+    # fully built parser's, which names every command
+    with pytest.raises(ValueError) as full:
+        spdcsim.cli._build_parser().parse_args(argv)
+    message = str(full.value)
+    assert "invalid choice" not in message or all(c in message for c in spdcsim.cli.COMMANDS)
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {full.value}\n"
 
 
 def test_readme_cli_examples_parse():

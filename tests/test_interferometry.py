@@ -32,6 +32,8 @@ from spdcsim.interferometry import (
     _BLOCK_BYTES,
     _MIN_COLUMNS,
     _RIDGE,
+    _V_CHECK,
+    _V_REACH,
     _cos_sums,
     _fft_length,
     _line_spectra,
@@ -440,8 +442,8 @@ def test_quadrature_even_in_delay():
 
 @pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
 def test_quadrature_self_check_rejects_drift_above_tolerance(trace):
-    # the fine and coarse builds differ by ~8e-14 (hom) and ~4e-15 (mz) here,
-    # so a relative tolerance of 1e-16 cannot be met
+    # at the check reach the fine and coarse builds differ by ~1.2e-9 (hom)
+    # and ~1.3e-14 (mz) here, so a relative tolerance of 1e-16 cannot be met
     spec = QuadratureSpec(rel_tol=1e-16, abs_tol=0.0)
     with pytest.raises(NonConvergence, match="a finer quadrature step still moves the trace"):
         trace(EPM, PUMP, np.linspace(-0.1, 0.1, 21), spec=spec)
@@ -564,10 +566,11 @@ def test_closed_form_engine_and_bandwidth_agree_on_the_equal_gamma_ray(theta, eq
                    params) is equal
 
 
-def _spectra_and_axes(params, pump, tau_max, grade):
-    """Freshly built line spectra and their node axes (un, wu, vn, vw),
-    recorded as the build asks for them; wu carries the pump weight, and
-    vw the roll-off factor that the build computes for v > 0, mirrored."""
+def _spectra_and_axes(params, pump, tau_max, grade, reaches=(_V_REACH,)):
+    """Freshly built line spectra, one per reach, and the node axes
+    (un, wu, vn, vw) of each, recorded as the build asks for them; wu
+    carries the pump weight, and vw the roll-off factor that the build
+    computes for v > 0 at that reach, mirrored."""
     axes, rule, roll_offs, roll_off = [], interferometry.midpoint_rule, [], interferometry._roll_off
 
     def recorded(*args):
@@ -581,11 +584,20 @@ def _spectra_and_axes(params, pump, tau_max, grade):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interferometry, "midpoint_rule", recorded)
         mp.setattr(interferometry, "_roll_off", recorded_roll_off)
-        spectra = _line_spectra(params, pump, tau_max, grade, 2**15)
+        spectra = _line_spectra(params, pump, tau_max, grade, 2**15, reaches)
     (un, uw), (vn, vw) = axes
-    (taper,) = roll_offs
-    return spectra, (un, np.exp(-((un / pump.bandwidth) ** 2)) * uw, vn,
-                     vw * np.concatenate((taper[::-1], taper)))
+    assert len(roll_offs) == len(reaches)
+    wu = np.exp(-((un / pump.bandwidth) ** 2)) * uw
+    return spectra, [(un, wu, vn, vw * np.concatenate((taper[::-1], taper)))
+                     for taper in roll_offs]
+
+
+def _check_half(params, pump):
+    """v_half of the self-check's reach: _V_CHECK / tau_theta plus the ridge
+    term 5 bw |a| / |b|."""
+    a = 0.5 * (params.gamma_s + params.gamma_i)
+    b = 0.5 * (params.gamma_s - params.gamma_i)
+    return _V_CHECK / (abs(b) * params.length) + 5.0 * pump.bandwidth * abs(a) / abs(b)
 
 
 def _spectra_from_profiles(axes, profiles, omega_p):
@@ -618,8 +630,10 @@ def _assert_spectra_match(spectra, axes, profiles):
     for kind, combs in want.items():
         assert len(spectra[kind]) == len(combs)
         for got, (freq, weights), (_, scale) in zip(spectra[kind], combs, size[kind]):
-            assert np.array_equal(got[0], freq)
-            assert np.max(np.abs(got[1] - weights)) <= 1e-12 * np.max(np.abs(scale))
+            # a comb cut at its reach's last line leaves out only lines of weight 0
+            k = len(got[0])
+            assert np.array_equal(got[0], freq[:k]) and not np.any(weights[k:])
+            assert np.max(np.abs(got[1] - weights[:k])) <= 1e-12 * np.max(np.abs(scale))
 
 
 def _unfolded_profiles(axes, params):
@@ -660,16 +674,35 @@ def _unfolded_traces(axes, profiles, omega_p, taus):
 
 
 def test_reflection_fold_matches_unfolded_reduction():
+    # at the full reach and at the self-check's, whose sums come from the
+    # same kernel blocks under a second roll-off, over lines cut at 2 v_half
     params = make_params(math.pi / 5)  # short crystal, off both special rays
     taus = np.linspace(-0.02, 0.02, 9)
-    spectra, axes = _spectra_and_axes(params, PUMP, 0.02, "fine")
-    un, wu, vn, vw = axes
-    assert np.array_equal(un, -un[::-1]) and np.array_equal(wu, wu[::-1])
-    assert np.array_equal(vn, -vn[::-1]) and np.array_equal(vw, vw[::-1])
-    ref = _unfolded_profiles(axes, params)
-    _assert_spectra_match(spectra, axes, ref)
-    for got, want in zip(_traces(spectra, taus), _unfolded_traces(axes, ref, PUMP.omega_p, taus)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    spectra, reach_axes = _spectra_and_axes(params, PUMP, 0.02, "fine", (_V_REACH, _V_CHECK))
+    for at_reach, axes in zip(spectra, reach_axes):
+        un, wu, vn, vw = axes
+        assert np.array_equal(un, -un[::-1]) and np.array_equal(wu, wu[::-1])
+        assert np.array_equal(vn, -vn[::-1]) and np.array_equal(vw, vw[::-1])
+        ref = _unfolded_profiles(axes, params)
+        _assert_spectra_match(at_reach, axes, ref)
+        for got, want in zip(_traces(at_reach, taus),
+                             _unfolded_traces(axes, ref, PUMP.omega_p, taus)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    _assert_cut_at_the_check_reach(spectra, reach_axes, _check_half(params, PUMP))
+
+
+def _assert_cut_at_the_check_reach(spectra, reach_axes, v_check):
+    """The full reach keeps every v > 0 line; the check reach's v combs end
+    at the last line below 2 v_check, and its axis ends well before the
+    full one's."""
+    (full, check), (axes, _) = spectra, reach_axes
+    vn = axes[2]
+    vp = vn[len(vn) // 2:]
+    assert len(full[TraceKind.HOM][0][0]) == len(vp)
+    k = len(check[TraceKind.HOM][0][0])
+    assert vp[k - 1] < 2.0 * v_check <= vp[k] and 4 * k < len(vp)
+    assert len(check[TraceKind.MZ][1][0]) == k
+    assert np.array_equal(check[TraceKind.MZ][0][0], full[TraceKind.MZ][0][0])
 
 
 def _kernel(au, bv, chunk):
@@ -764,9 +797,11 @@ def _sinc_reference_profiles(axes, params):
 ], ids=["epm", "conv_pos", "conv_neg", "b_negative"])
 def test_engine_profiles_match_np_sinc_build(theta, length):
     params = make_params(theta, length)
-    spectra, axes = _spectra_and_axes(params, PUMP, delay_span(params, PUMP), "coarse")
-    ref = _sinc_reference_profiles(axes, params)
-    _assert_spectra_match(spectra, axes, ref)
+    spectra, reach_axes = _spectra_and_axes(params, PUMP, delay_span(params, PUMP), "coarse",
+                                            (_V_REACH, _V_CHECK))
+    for at_reach, axes in zip(spectra, reach_axes):
+        _assert_spectra_match(at_reach, axes, _sinc_reference_profiles(axes, params))
+    _assert_cut_at_the_check_reach(spectra, reach_axes, _check_half(params, PUMP))
 
 
 def _direct_traces(spectra, taus):
@@ -784,7 +819,7 @@ def _traces(spectra, taus):
 
 @pytest.fixture(scope="module", params=[-math.pi / 4, math.pi / 5], ids=["epm", "pi_5"])
 def coarse_spectra(request):
-    return _line_spectra(make_params(request.param), PUMP, 0.05, "coarse", 2**15)
+    return _line_spectra(make_params(request.param), PUMP, 0.05, "coarse", 2**15)[0]
 
 
 def _transform_grids(monkeypatch):
@@ -842,7 +877,7 @@ def fine_spectra():
     """Fine spectra of the dip-trace settings with the fewest and the most
     u nodes, each with its delay span."""
     settings = [make_params(-math.pi / 4), make_params(-math.pi / 6, 2e4)]
-    return [(_line_spectra(p, PUMP, delay_span(p, PUMP), "fine", 2**15), delay_span(p, PUMP))
+    return [(_line_spectra(p, PUMP, delay_span(p, PUMP), "fine", 2**15)[0], delay_span(p, PUMP))
             for p in settings]
 
 
@@ -887,9 +922,8 @@ def test_nufft_cos_sums_match_a_direct_sum_at_a_million_delays(fine_spectra, mon
 
 def test_nufft_cos_sums_fail_with_a_chirp_not_reduced_mod_one(fine_spectra, monkeypatch):
     # the bound above sees the rounding of r x^2 when it is not reduced mod 1
-    # exactly: about eps r x^2, 3e-11 of sum |w| at 10**6 delays
-    monkeypatch.setattr(interferometry, "_chirp",
-                        lambda r, x: np.exp(2j * math.pi * r * x * x))
+    # exactly: about eps r x^2, 5e-11 of sum |w| at 10**6 delays
+    monkeypatch.setattr(interferometry, "_chirp_phase", lambda r, x: r * x * x)
     assert _worst_transform_error(fine_spectra[1:], 10**6, ("symmetric",)) > 1e-11
 
 
@@ -909,10 +943,10 @@ def test_fine_build_agrees_with_one_at_twice_its_density(theta, length, bandwidt
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     span = span or delay_span(params, pump)
     taus = np.linspace(-span, span, 201)
-    fine = _line_spectra(params, pump, span, "fine", 2**15)
+    fine = _line_spectra(params, pump, span, "fine", 2**15)[0]
     monkeypatch.setitem(interferometry.OVERSAMPLING, "fine",
                         2.0 * interferometry.OVERSAMPLING["fine"])
-    dense = _line_spectra(params, pump, span, "fine", 2**15)
+    dense = _line_spectra(params, pump, span, "fine", 2**15)[0]
     assert all(d > f for d, f in zip(node_counts(dense), node_counts(fine)))
     for got, want in zip(_traces(fine, taus), _traces(dense, taus)):
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -923,7 +957,7 @@ def test_fringe_u_weights_are_mirror_symmetric(theta, length, bandwidth, span):
     # un is an exact mirror, wu exactly even and the u sums of (p1 + p2)^2
     # mirrored from the first half, so the fringe's u weights must be exactly even
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
-    spectra = _line_spectra(params, pump, span or delay_span(params, pump), "fine", 2**15)
+    spectra = _line_spectra(params, pump, span or delay_span(params, pump), "fine", 2**15)[0]
     weights = spectra[TraceKind.MZ][0][1]
     assert np.array_equal(weights, weights[::-1])
 
@@ -934,7 +968,7 @@ def test_every_comb_is_equally_spaced(theta, length, bandwidth, span, grade):
     # _chirp_z_cos_sums reads each comb as freq[0] + i h; two node axes
     # joined into one comb break that by far more than rounding
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
-    spectra = _line_spectra(params, pump, span or delay_span(params, pump), grade, 2**15)
+    spectra = _line_spectra(params, pump, span or delay_span(params, pump), grade, 2**15)[0]
     for freq, _ in (comb for combs in spectra.values() for comb in combs):
         h = (freq[-1] - freq[0]) / (len(freq) - 1)
         gap = np.abs(freq - (freq[0] + h * np.arange(len(freq))))
@@ -952,12 +986,12 @@ def test_fringe_u_lines_follow_parseval(theta, length, bandwidth, span, grade):
     # which drops about 2.7 / (pi tau_theta 2 v_half) of each v integral; the
     # bound is 1.5 times that
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
-    spectra, (un, wu, vn, _) = _spectra_and_axes(params, pump,
-                                                  span or delay_span(params, pump), grade)
+    spectra, [(un, wu, vn, _)] = _spectra_and_axes(params, pump,
+                                                    span or delay_span(params, pump), grade)
     a = 0.5 * (params.gamma_s + params.gamma_i)
     tau_theta = 0.5 * abs(params.gamma_s - params.gamma_i) * length
     want = wu * (1.0 + np.sinc(a * length * un / math.pi)) / (2.0 * wu.sum())
-    got = spectra[TraceKind.MZ][0][1]
+    got = spectra[0][TraceKind.MZ][0][1]
     bound = 4.0 / (math.pi * tau_theta * vn[-1]) * np.max(want)
     assert np.max(np.abs(got - want)) <= bound
 
@@ -996,7 +1030,7 @@ def test_line_spectra_do_not_depend_on_the_block_shape(theta, length, bandwidth,
         monkeypatch.setattr(interferometry, "_MIN_COLUMNS", floor)
         monkeypatch.setattr(interferometry, "_sinc_blocks",
                             spied if name == "default" else sinc_blocks)
-        spectra[name] = _line_spectra(params, pump, span, "fine", 2**15)
+        spectra[name] = _line_spectra(params, pump, span, "fine", 2**15)[0]
     assert len(blocks_with_ridge) >= ridge_blocks
     want = spectra.pop("whole_axis")
     for got in spectra.values():
@@ -1015,7 +1049,7 @@ def test_build_memory_stays_within_two_blocks(theta, length, bandwidth):
     span = delay_span(params, pump)
     tracemalloc.start()
     try:
-        spectra = _line_spectra(params, pump, span, "fine", 2**15)
+        spectra = _line_spectra(params, pump, span, "fine", 2**15)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1033,7 +1067,7 @@ def test_fringe_evaluation_memory_stays_within_the_block_budget():
     params = make_params(-math.pi / 6, 2e4)
     span = delay_span(params, PUMP)
     taus = np.linspace(-span, span, 60751)
-    spectra = _line_spectra(params, PUMP, span, "fine", 2**15)
+    spectra = _line_spectra(params, PUMP, span, "fine", 2**15)[0]
     tracemalloc.start()
     try:
         1.0 + sum(_cos_sums(freq, weights, taus) for freq, weights in spectra[TraceKind.MZ])
@@ -1072,6 +1106,13 @@ def test_hom_and_mz_traces_share_one_engine_build():
     mz = mz_trace_integral(params, PUMP, taus, tau_max=0.02)
     assert _spectra_pair.cache_info().hits == hits + 1
     assert _spectra_pair.cache_info().misses == 1
+    # the cached tuple: the fine build at the full and the check reach,
+    # then the coarse build at the check reach alone
+    fine, check, coarse = _spectra_pair(params, PUMP, 0.02, QuadratureSpec().max_subdivisions)
+    (u_fine, v_fine), (u_check, v_check), (u_coarse, v_coarse) = map(node_counts,
+                                                                      (fine, check, coarse))
+    assert u_check == u_fine > u_coarse
+    assert 4 * v_check < v_fine and v_coarse < v_check
     # a cold build gives bitwise the values the cached spectra gave
     _spectra_pair.cache_clear()
     assert np.array_equal(mz_trace_integral(params, PUMP, taus, tau_max=0.02), mz)
@@ -1095,3 +1136,75 @@ def test_trace_panels_are_sized_from_the_delays_alone(monkeypatch):
         # a tau_max below the delays widens nothing and under-resolves nothing
         assert np.array_equal(values, trace(params, PUMP, taus, tau_max=span / 10))
 
+
+@pytest.fixture
+def fresh_builds():
+    """An empty build cache before and after the test, so that builds made
+    under patched settings neither reuse nor leave cached spectra."""
+    _spectra_pair.cache_clear()
+    yield
+    _spectra_pair.cache_clear()
+
+
+# each validate set at a coarse step 3% past the band limit; at epm the
+# fringe trace is the pump's Gaussian alone (a = 0 leaves its u lines only
+# the pump weight, whose 12 / bw margin hides that cut, and its v lines
+# cancel): its drift there is 1.8e-15 at the full reach as at the check
+# reach, so there the step goes 40% past the limit (drift 0.11)
+@pytest.mark.parametrize("name, kind, theta, length", VALIDATION_SETS,
+                         ids=[row[0] for row in VALIDATION_SETS])
+def test_self_check_fails_a_coarse_step_past_the_band_limit(name, kind, theta, length,
+                                                            monkeypatch, fresh_builds):
+    params = make_params(theta, length)
+    span = delay_span(params, PUMP)
+    monkeypatch.setitem(interferometry.OVERSAMPLING, "coarse", 0.6 if name == "epm_mz" else 0.97)
+    trace = hom_trace_integral if kind is TraceKind.HOM else mz_trace_integral
+    with pytest.raises(NonConvergence, match="a finer quadrature step still moves the trace"):
+        trace(params, PUMP, np.linspace(-span, span, 201))
+
+
+# the validate sets on their own grids, the broad pump over its delay span
+# and over half a fringe period, and four rays of the property-test box
+# (tests/test_quadrature_properties.py) at that test's four delays: the
+# three with the largest drift at the check reach among 30 drawn, and the
+# largest among 30 more. The drift at these cases measured 3.1e-15 to
+# 4.4e-10 (CHANGES.md)
+_DRIFT_CASES = [(theta, length, 40.0, "span") for _, _, theta, length in VALIDATION_SETS[::2]] + [
+    (2.0, 74017.0, 168.0, "span"), (2.0, 74017.0, 168.0, "half_period"),
+    (2.12, 4670.0, 200.0, "property"), (-1.54, 3064.0, 146.0, "property"),
+    (-1.75, 2059.0, 159.0, "property"), (-0.6, 19931.0, 45.0, "property"),
+]
+
+
+@pytest.mark.parametrize("theta, length, bandwidth, grid", _DRIFT_CASES)
+@pytest.mark.parametrize("trace", [hom_trace_integral, mz_trace_integral], ids=["hom", "mz"])
+def test_self_check_drift_at_the_check_reach_is_small(trace, theta, length, bandwidth, grid,
+                                                      fresh_builds):
+    # the gate reads max |fine - coarse| at the check reach; a tolerance of
+    # 1e-8, 100 times below the default, still passes
+    params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
+    span = delay_span(params, pump)
+    taus = {"span": np.linspace(-span, span, 201),
+            "half_period": np.linspace(-math.pi / OMEGA_P, math.pi / OMEGA_P, 201),
+            "property": np.array([0.0, math.pi / OMEGA_P, 0.3 * span, span])}[grid]
+    trace(params, pump, taus, spec=QuadratureSpec(rel_tol=1e-300, abs_tol=1e-8))
+
+
+@pytest.mark.parametrize("name, kind, theta, length", VALIDATION_SETS,
+                         ids=[row[0] for row in VALIDATION_SETS])
+def test_returned_trace_is_the_full_reach_fine_sum_alone(name, kind, theta, length, monkeypatch,
+                                                         fresh_builds):
+    # bit for bit 1 + the full-reach fine combs' sums, floored at 0; a check
+    # reach moved to a quarter of the full one changes no bit of it
+    params = make_params(theta, length)
+    span = delay_span(params, PUMP)
+    taus = np.linspace(-span, span, 201)
+    trace = hom_trace_integral if kind is TraceKind.HOM else mz_trace_integral
+    fine = _line_spectra(params, PUMP, span, "fine", 2**15)[0]
+    want = np.maximum(1.0 + sum(_cos_sums(freq, weights, taus) for freq, weights in fine[kind]),
+                      0.0)
+    got = trace(params, PUMP, taus)
+    assert np.array_equal(got, want)
+    _spectra_pair.cache_clear()
+    monkeypatch.setattr(interferometry, "_V_CHECK", _V_REACH / 4.0)
+    assert np.array_equal(trace(params, PUMP, taus), got)
