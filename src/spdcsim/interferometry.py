@@ -54,8 +54,17 @@ _XI_LIMIT = 2e5
 # t >= _EXP_UNDERFLOWED (from t = 745.14)
 _ERF_SATURATED = 6.0
 _EXP_UNDERFLOWED = 746.0
-# entries per batch of libm calls in _libm
-_LIBM_CHUNK = 4096
+# delays per chunk of the closed forms' array path, and so the most entries
+# of one batch of libm calls: each chunk's ~12 float64 temporaries take
+# 32 KiB apiece and its Python floats ~128 KiB, in place of ~12 arrays as
+# long as the whole delay array.  mz_rate_closed plus hom_rate_closed on
+# the 60,751 delays of the CLI's fringe grid at (-pi/6, 2e4) took a median
+# 13.2 ms at 2^12, 12.8 at 2^13, 13.1 at 2^14 and 14.9 as one chunk, with a
+# traced peak of 1.0, 1.5, 2.6 and 6.0 MiB (2-core Xeon, numpy 2.4.6).  At
+# 2^13 the default 7975-delay fringe trace is one chunk, whose 7975 Python
+# floats at once left a fringe_scan pass's peak RSS ~0.5 MiB above that at
+# 2^12, where the trace is two chunks
+_DELAY_CHUNK = 1 << 12
 
 
 class TraceKind(Enum):
@@ -103,20 +112,17 @@ def _libm(fn, x, known):
 
     known() returns (mask, out) for an array x: the entries whose result is
     already known bit for bit, and an array like x holding those results;
-    only the other entries call fn, _LIBM_CHUNK at a time, so that one
-    chunk's Python floats are held at once.  A 0-d x always calls fn: the
-    visibility sweeps make ~600 scalar calls per pass, and a mask doubled
-    their time.
+    only the other entries call fn.  The closed forms pass at most
+    _DELAY_CHUNK entries, so that one chunk's Python floats are held at
+    once.  A 0-d x always calls fn: the visibility sweeps make ~600 scalar
+    calls per pass, and a mask doubled their time.
     """
     if np.ndim(x) == 0:
         return np.asarray(fn(x), dtype=float)
     mask, out = known()
     live = ~mask
     values = x[live]
-    for lo in range(0, values.size, _LIBM_CHUNK):
-        chunk = values[lo:lo + _LIBM_CHUNK]
-        chunk[:] = np.fromiter(map(fn, chunk.tolist()), float, chunk.size)
-    out[live] = values
+    out[live] = np.fromiter(map(fn, values.tolist()), float, values.size)
     return out
 
 
@@ -144,6 +150,25 @@ def _require_finite(tau: np.ndarray | float, what: str) -> None:
                          + ", ".join(map(str, np.unique(bad).tolist())))
 
 
+def _by_chunks(fn, tau, outputs: int = 1):
+    """fn(tau), for a scalar or an array of at most _DELAY_CHUNK delays.
+    For a longer array, fn on each run of _DELAY_CHUNK delays of tau's flat
+    view, its `outputs` results written into float arrays shaped like tau
+    and allocated once, so that one chunk's temporaries are live at a time:
+    those arrays, a tuple of them when outputs > 1.  fn works element by
+    element, so the bytes do not depend on the chunks."""
+    if np.size(tau) <= _DELAY_CHUNK:
+        return fn(tau)
+    tau = np.asarray(tau)
+    outs = tuple(np.empty(tau.shape) for _ in range(outputs))
+    flat = tau.reshape(-1)
+    for lo in range(0, flat.size, _DELAY_CHUNK):
+        parts = fn(flat[lo:lo + _DELAY_CHUNK])
+        for out, part in zip(outs, parts if outputs > 1 else (parts,)):
+            out.reshape(-1)[lo:lo + _DELAY_CHUNK] = part
+    return outs if outputs > 1 else outs[0]
+
+
 def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray:
     """Normalized two-detector rate of the dip arrangement at delays tau
     (an array or a scalar), shaped like tau.
@@ -158,6 +183,10 @@ def hom_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarra
     _require_finite(tau, "closed-form delays tau")
     if cfp.tau_theta <= 0:
         raise ValueError("tau_theta = 0: dip has zero width")
+    return _by_chunks(functools.partial(_hom_rate, cfp), tau)
+
+
+def _hom_rate(cfp: ClosedFormParams, tau):
     r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     if math.isinf(cfp.xi):
         return r
@@ -186,6 +215,10 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
         ValueError: a delay is not finite.
     """
     _require_finite(tau, "closed-form delays tau")
+    return _by_chunks(functools.partial(_fringe_terms, cfp), tau, outputs=2)
+
+
+def _fringe_terms(cfp: ClosedFormParams, tau):
     # far out x * x overflows, and exp(-inf) = 0 is exact; the cap at the largest
     # float keeps q2 = 0 (gamma_s = gamma_i) from making exp(-inf * 0) = nan
     with np.errstate(over="ignore"):
@@ -201,7 +234,10 @@ def fringe_envelope_terms(cfp: ClosedFormParams,
         r = np.minimum(np.abs(tau), cfp.tau_theta) / cfp.tau_theta
     else:
         r = np.where(tau == 0.0, 0.0, 1.0)
-    f2 = 0.5 * (1.0 - r) * _exp(q_decay) - (_SQRT_PI * xi / 4.0) * _erf((1.0 - r) / xi)
+    # at r = 1 the factor 1 - r is +0.0 and exp(q_decay) <= 1, so the term is
+    # 0.0 either way: exp(-inf) is filled in as 0.0 without calling libm
+    decay = _exp(np.where(r < 1.0, q_decay, -np.inf))
+    f2 = 0.5 * (1.0 - r) * decay - (_SQRT_PI * xi / 4.0) * _erf((1.0 - r) / xi)
     return f1, f2
 
 
@@ -211,7 +247,12 @@ def mz_rate_closed(cfp: ClosedFormParams, tau: np.ndarray | float) -> np.ndarray
 
     At xi = inf this is exactly 1 + exp(-bw^2 tau^2 / 4) cos(w_p tau).
     """
-    f1, f2 = fringe_envelope_terms(cfp, tau)
+    _require_finite(tau, "closed-form delays tau")
+    return _by_chunks(functools.partial(_mz_rate, cfp), tau)
+
+
+def _mz_rate(cfp: ClosedFormParams, tau):
+    f1, f2 = _fringe_terms(cfp, tau)
     phase = cfp.omega_p * tau
     # where F1 = +-0.0, 1 + cos * F1 is exactly 1 whatever the cosine is, so
     # math.cos is called only where F1 != 0, and on an infinite phase, where
@@ -258,21 +299,24 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # factor reduces to cos(v tau), cos((u + w_p) tau) or
 # cos((u + w_p) tau / 2) cos(v tau / 2).  The last family is odd in v and
 # integrates to zero; the rest separate, so each normalized trace collapses
-# onto one tau-independent line spectrum, 1 + sum_i w_i cos(f_i tau): the
-# dip's lines form one comb, at the v nodes, and the fringe's two, at the v
-# nodes and at the u nodes shifted by w_p.  Each comb is equally spaced, so
-# one chirp-z transform sums it over a uniform delay grid (_cos_sums).  The
-# constant Jacobian cancels in the normalization.
+# onto one tau-independent line spectrum, 1 + sum_i w_i cos(f_i tau),
+# docs/DERIVATION.md (4.9): the dip's lines form one comb, at the v nodes,
+# and the fringe's two, at the v nodes and at the u nodes shifted by w_p.
+# Each comb is equally spaced, so one chirp-z transform sums it over a
+# uniform delay grid (_cos_sums).  The constant Jacobian cancels in the
+# normalization.
 #
-# Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v).  Both
-# node axes are built as exact mirror images of their positive halves (the
-# midpoint rule has no node at 0), so the build evaluates one kernel block
-# p1 over v > 0 only, reads p2 as its row reversal and folds the v < 0 half
-# analytically.  Signal-idler exchange (u -> -u) keeps plus = p1 + p2 and
-# negates minus = p1 - p2, so their squares' sums take half the u rows; the
-# line weights are even in v, so each delay sums cos(v tau) over v > 0 with
-# doubled weights.  The kernel is phi_L(x, L) / L = sin(y) / y with
-# y = x L / 2: the L^2 cancels in the normalization, and no closed form enters.
+# Because phi is even, p2(u, v) = p1(-u, v) and p1(-u, -v) = p1(u, v),
+# (4.7).  Both node axes are built as exact mirror images of their positive
+# halves (the midpoint rule has no node at 0), so the build evaluates one
+# kernel block p1 over v > 0 only, reads p2 as its row reversal and folds
+# the v < 0 half analytically.  Signal-idler exchange (u -> -u) keeps
+# plus = p1 + p2 and negates minus = p1 - p2, so their squares' sums take
+# half the u rows, (4.8); the line weights are even in v, so each delay
+# sums cos(v tau) over v > 0 with doubled weights.  Over the whole v line,
+# Parseval's (4.10) fixes the sums of plus^2, and so the fringe's u lines.
+# The kernel is phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2
+# cancels in the normalization, and no closed form enters.
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of the phases of one
@@ -285,7 +329,8 @@ _BLOCK_BYTES = 512 << 10
 _MIN_COLUMNS = 64
 # difference-axis reach in units of 1 / tau_theta: the squared sinc tails
 # thin out as 1/v^2, leaving a relative baseline deficit ~2/(pi tau_theta
-# v_half), so a reach of 3000 / tau_theta keeps truncation near 2e-4
+# v_half) of the whole line's (4.10), so a reach of 3000 / tau_theta keeps
+# truncation near 2e-4
 _V_REACH = 3000.0
 # the self-check's reach in the same units: the midpoint rule's step error
 # is set by the integrand's band, not by how far the v axis runs

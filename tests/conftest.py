@@ -1,9 +1,11 @@
 """Shared test helpers: the vacuum model, and planted dispersion models with
 a known joint matching point, used by both the unit tests and the
-acceptance gate; the node counts of a quadrature build; and the example
-settings of the property tests."""
+acceptance gate; the node counts of a quadrature build; the peak memory of
+one call; and the example settings of the property tests."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import settings
@@ -22,6 +24,18 @@ def node_counts(spectra) -> tuple[int, int]:
     the fringe's first comb has one line per u node, and the dip's one comb
     one line per v > 0 node."""
     return len(spectra[TraceKind.MZ][0][0]), len(spectra[TraceKind.HOM][0][0])
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes that tracemalloc saw allocated while fn ran):
+    numpy reports its array buffers to tracemalloc, so this is the peak of
+    what the call itself holds at once; nothing allocated before it counts."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def vacuum_model(span: Interval = Interval(1.0, 1e4)) -> DispersionModel:

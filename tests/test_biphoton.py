@@ -21,9 +21,9 @@ from spdcsim import (
     tb_amplitude,
     truncation_halfwidth,
 )
-from spdcsim import interferometry
+from spdcsim import biphoton, interferometry
 from spdcsim.numerics import PANEL_BUDGET
-from conftest import node_counts
+from conftest import node_counts, traced_peak
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -179,6 +179,32 @@ def test_grid_anticorrelated_ridge_for_narrow_pump():
     anti = np.mean(np.abs(np.diag(np.fliplr(values))))
     diag = np.mean(np.abs(np.diag(values)))
     assert anti > 5.0 * diag
+
+
+@pytest.mark.parametrize("n, block", [(37, 10), (37, 100), (401, None)],
+                         ids=["row-blocks", "two-row-blocks", "closed-products"])
+def test_grid_blocks_of_rows_match_one_evaluation(monkeypatch, n, block):
+    # one row per block, blocks of two rows with one left over, and the
+    # benchmark's 401 x 401 spectrum in the default blocks of 40 rows
+    params, pump = setting(0.3, length=2e4)
+    if block is not None:
+        monkeypatch.setattr(biphoton, "_GRID_BLOCK", block)
+    axis, values = grid(params, pump, Interval(OMEGA_P / 2 - 60.0, OMEGA_P / 2 + 60.0), n)
+    want = np.abs(amplitude(params, pump, axis[:, None], axis[None, :]))
+    assert values.tobytes() == want.tobytes()
+
+
+def test_grid_memory_stays_within_its_table_and_one_block():
+    # the benchmark's spectrum: theta = 0 at the README defaults, 401 x 401
+    params, pump = setting(0.0)
+    half = truncation_halfwidth(params, pump, lobes=3.0, sigmas=3.0)
+    n = 401
+    _, peak = traced_peak(
+        lambda: grid(params, pump, Interval(OMEGA_P / 2 - half, OMEGA_P / 2 + half), n))
+    # the table and its axis, and one block's amplitude temporaries, ~41
+    # bytes per block value: 8 float64s per value bound them; the whole
+    # table at once held ~5 tables' worth, 6.6 MB here, against 2.0
+    assert peak <= 8 * n * (n + 1) + 64 * biphoton._GRID_BLOCK
 
 
 def test_grid_requires_two_points():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import re
-import tracemalloc
 from math import erf
 
 import numpy as np
@@ -30,6 +29,7 @@ from spdcsim import interferometry
 from spdcsim.cli import VALIDATION_SETS
 from spdcsim.interferometry import (
     _BLOCK_BYTES,
+    _DELAY_CHUNK,
     _MIN_COLUMNS,
     _RIDGE,
     _V_CHECK,
@@ -41,7 +41,7 @@ from spdcsim.interferometry import (
     _spectra_pair,
     delay_span,
 )
-from conftest import node_counts
+from conftest import node_counts, traced_peak
 
 OMEGA_P = 2000.0
 GAMMA = 8e-5
@@ -97,8 +97,9 @@ def test_hom_closed_finite_xi_depth():
 
 def test_hom_closed_degenerate_ray():
     cfp = closed_form_params(make_params(math.pi / 4), PUMP)
-    with pytest.raises(ValueError, match="tau_theta = 0: dip has zero width"):
-        hom_rate_closed(cfp, 0.0)
+    for tau in (0.0, np.zeros(2 * _DELAY_CHUNK + 1)):
+        with pytest.raises(ValueError, match="tau_theta = 0: dip has zero width"):
+            hom_rate_closed(cfp, tau)
 
 
 def test_hom_dip_base_width():
@@ -350,6 +351,74 @@ def test_masked_closed_forms_equal_one_libm_call_per_element_bitwise():
     assert min(skipped.values()) > 0, skipped
 
 
+CONV_NEG = make_params(-math.pi / 6, 2e4)
+
+
+def _cli_fringe_delays(n: int = 60751) -> np.ndarray:
+    # n = 60751 is the CLI's default fringe grid at CONV_NEG, the closed
+    # fringe trace of the benchmark's closed_products pass: 15 chunks
+    span = delay_span(CONV_NEG, PUMP)
+    return np.linspace(-span, span, n)
+
+
+def test_f2_calls_exp_only_inside_the_dip(monkeypatch):
+    cfp = closed_form_params(CONV_NEG, PUMP)
+    taus = _cli_fringe_delays()
+    calls = []
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda t: calls.append(t) or exp(t))
+    got = fringe_envelope_terms(cfp, taus)
+    monkeypatch.undo()
+    # the bits of the formula that calls exp for every F2 entry
+    for value, want in zip(got, _closed_forms_per_element(cfp, taus)[1:3]):
+        assert value.tobytes() == want.tobytes()
+    # exp is entered where the Gaussian does not underflow, and for F2 only
+    # where r < 1: at r = 1 its factor 1 - r is +0.0, and so is the term
+    x = 0.5 * cfp.bandwidth * taus
+    inside = np.minimum(np.abs(taus), cfp.tau_theta) / cfp.tau_theta < 1.0
+    underflowed = interferometry._EXP_UNDERFLOWED
+    gauss_calls = np.sum(x * x < underflowed)
+    assert len(calls) == gauss_calls + np.sum(inside & (x * x * cfp.q2 < underflowed))
+    assert np.sum(~inside) == 32922  # of the 60,751 F2 entries, every one entered exp before
+
+
+def _closed_forms(cfp, taus):
+    return [hom_rate_closed(cfp, taus), *fringe_envelope_terms(cfp, taus),
+            mz_rate_closed(cfp, taus)]
+
+
+@pytest.mark.parametrize("shape", [
+    (_DELAY_CHUNK - 1,), (_DELAY_CHUNK,), (_DELAY_CHUNK + 1,), (3, 5001),
+], ids=["chunk-1", "chunk", "chunk+1", "2d"])
+def test_closed_forms_do_not_depend_on_the_chunks(monkeypatch, shape):
+    cfp = closed_form_params(CONV_NEG, PUMP)
+    taus = _cli_fringe_delays(math.prod(shape)).reshape(shape)
+    if taus.ndim == 2:
+        # a strided (5001, 3) view, whose first chunk ends inside a row
+        taus = taus.T
+    chunked = _closed_forms(cfp, taus)
+    monkeypatch.setattr(interferometry, "_DELAY_CHUNK", 10**9)
+    whole = _closed_forms(cfp, taus)
+    for got, want in zip(chunked, whole, strict=True):
+        assert got.shape == taus.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("closed_form, outputs", [
+    (hom_rate_closed, 1), (fringe_envelope_terms, 2), (mz_rate_closed, 1),
+], ids=["hom", "fringe", "mz"])
+def test_closed_form_memory_stays_within_its_outputs_and_one_chunk(closed_form, outputs):
+    cfp = closed_form_params(CONV_NEG, PUMP)
+    taus = _cli_fringe_delays()
+    _, peak = traced_peak(lambda: closed_form(cfp, taus))
+    # the float64 outputs and the finiteness check's two boolean masks, and
+    # one chunk's float64 temporaries and the Python floats of its libm
+    # batch, at most ~117 bytes per chunk delay (F1 and F2 together): 20
+    # float64s per chunk delay bound it; the whole array at once held ~12
+    # float64s per delay, 4.9 MB for the fringe terms here, against 1.6
+    assert peak <= (8 * outputs + 2) * len(taus) + 160 * _DELAY_CHUNK
+
+
 # ---------------------------------------------------------------------------
 # visibilities
 # ---------------------------------------------------------------------------
@@ -474,10 +543,13 @@ def test_quadrature_rejects_non_finite_delays(trace, taus, tau_max, message):
 @pytest.mark.parametrize("tau, named", [
     (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
     (np.array([[0.0, math.nan], [0.01, -math.inf]]), "-inf, nan"),
-], ids=["inf", "minus-inf", "nan", "array"])
-@pytest.mark.parametrize("trace", [hom_rate_closed, mz_rate_closed], ids=["hom", "mz"])
+    (np.r_[math.nan, np.zeros(2 * _DELAY_CHUNK), -math.inf, math.nan], "-inf, nan"),
+], ids=["inf", "minus-inf", "nan", "array", "chunks"])
+@pytest.mark.parametrize("trace", [hom_rate_closed, fringe_envelope_terms, mz_rate_closed],
+                         ids=["hom", "fringe", "mz"])
 def test_closed_traces_reject_non_finite_delays(trace, tau, named):
-    # the same delays the quadrature rejects, named in the message
+    # the same delays the quadrature rejects, named in the message; across
+    # chunks, every bad delay is named before any chunk is evaluated
     with pytest.raises(ValueError, match=re.escape(f"delays tau must be finite, got {named}")):
         trace(closed_form_params(CONV, PUMP), tau)
 
@@ -1047,12 +1119,7 @@ def test_line_spectra_do_not_depend_on_the_block_shape(theta, length, bandwidth,
 def test_build_memory_stays_within_two_blocks(theta, length, bandwidth):
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     span = delay_span(params, pump)
-    tracemalloc.start()
-    try:
-        spectra = _line_spectra(params, pump, span, "fine", 2**15)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    spectra, peak = traced_peak(lambda: _line_spectra(params, pump, span, "fine", 2**15)[0])
     # the loop holds two kernel blocks (y and p1) of n_u rows at once, each
     # at least _MIN_COLUMNS wide: at the broad pump's 5244 u nodes the floor
     # sets the width, not _BLOCK_BYTES; the node axes, their sines and
@@ -1063,17 +1130,11 @@ def test_build_memory_stays_within_two_blocks(theta, length, bandwidth):
 
 
 def test_fringe_evaluation_memory_stays_within_the_block_budget():
-    # the CLI's default fringe grid at this setting: 40 delays per fringe period
-    params = make_params(-math.pi / 6, 2e4)
-    span = delay_span(params, PUMP)
-    taus = np.linspace(-span, span, 60751)
-    spectra = _line_spectra(params, PUMP, span, "fine", 2**15)[0]
-    tracemalloc.start()
-    try:
-        1.0 + sum(_cos_sums(freq, weights, taus) for freq, weights in spectra[TraceKind.MZ])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the CLI's default fringe grid at CONV_NEG: 40 delays per fringe period
+    taus = _cli_fringe_delays()
+    spectra = _line_spectra(CONV_NEG, PUMP, taus[-1], "fine", 2**15)[0]
+    _, peak = traced_peak(lambda: 1.0 + sum(_cos_sums(freq, weights, taus)
+                                            for freq, weights in spectra[TraceKind.MZ]))
     # each comb's chirp-z transform runs on complex arrays of the least
     # 2^a, 3 2^a or 5 2^a at or past its nodes + n - 1 (65,536 points here,
     # under 1.1 n): the spectrum, the kernel and the kernel's phase
