@@ -150,6 +150,14 @@ class PhaseMatchParams:
         diverges and the dip has zero width."""
         return abs(math.cos(self.theta) - math.sin(self.theta)) < 1e-12
 
+    @property
+    def gammas_opposite(self) -> bool:
+        """True on the gamma_s = -gamma_i ray (theta = -pi/4 mod pi), the
+        extended phase-matching ray, taken as |cos theta + sin theta| < 1e-12:
+        the amplitude factorizes and the sum detuning drops out of the
+        phase matching."""
+        return abs(math.cos(self.theta) + math.sin(self.theta)) < 1e-12
+
 
 @dataclass(frozen=True)
 class ValidityReport:

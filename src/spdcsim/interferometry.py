@@ -93,9 +93,8 @@ class ClosedFormParams:
 def closed_form_params(params: PhaseMatchParams, pump: PumpSpectrum) -> ClosedFormParams:
     c, s = math.cos(params.theta), math.sin(params.theta)
     gl = params.gamma * params.length
-    plus = abs(c + s)
-    width = pump.bandwidth * gl * plus
-    if not math.isfinite(width) or (width == 0.0 and plus >= 1e-12):
+    width = pump.bandwidth * gl * abs(c + s)
+    if not math.isfinite(width) or (width == 0.0 and not params.gammas_opposite):
         raise ValueError(f"pump bandwidth * gamma * length * |cos theta + sin theta| = {width}; "
                          "it must be finite, and > 0 off the gamma_s = -gamma_i ray")
     xi = math.inf if width < 4.0 / _XI_LIMIT else 4.0 / width
@@ -317,12 +316,18 @@ def v_mz(cfp: ClosedFormParams) -> float:
 # Parseval's (4.10) fixes the sums of plus^2, and so the fringe's u lines.
 # The kernel is phi_L(x, L) / L = sin(y) / y with y = x L / 2: the L^2
 # cancels in the normalization, and no closed form enters.
+#
+# On the gamma_s = -gamma_i ray (PhaseMatchParams.gammas_opposite) a is
+# snapped to an exact 0, so every kernel row is sin(b v L / 2) / (b v L / 2)
+# and p2 = p1, (4.11): the build evaluates the kernel on one u row, weighted
+# by the pump weights of all the rows it stands for; plus = 2 p1 and minus
+# is exactly 0, so the fringe keeps its u comb alone.
 
 # bytes of one float64 kernel block in the build loop, which holds two at
 # once (y and p1, which the products overwrite), and of the phases of one
 # node chunk in _cos_sums' direct sum.  512 KiB keeps the two blocks within
-# a 2 MiB L2 cache: the six validate builds took a median 22.5 ms at 512 KiB,
-# 23.9 at 1 MiB, 25.2 at 256 KiB and 44.1 at 4 MiB (2-core Xeon, CHANGES.md)
+# a 2 MiB L2 cache: the six validate builds took a median 15.8 ms at 512 KiB,
+# 16.4 at 1 MiB, 16.3 at 256 KiB and 23 at 4 MiB (2-core Xeon, CHANGES.md)
 _BLOCK_BYTES = 512 << 10
 # fewest v columns per kernel block, whatever the u axis's length: below
 # that, the per-block calls outweigh the cache the block fits in
@@ -393,14 +398,16 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
                   ) -> tuple[dict[TraceKind, tuple[tuple[np.ndarray, np.ndarray], ...]], ...]:
     """One {kind: combs} for one (crystal, pump) setting per difference-axis
     reach in `reaches` (in units of 1 / tau_theta, the largest first), one
-    (freq, weights) comb per node axis, freq ascending and equally spaced:
+    (freq, weights) comb per node axis, freq ascending and equally spaced
+    (on the gamma_s = -gamma_i ray the fringe has its u comb alone, (4.11)):
     the trace of that kind at a delay tau is 1 + the combs' sums of
     weights[i] cos(freq[i] tau).  The v axis runs as far as the first reach
     asks; every reach sums the same kernel blocks, under its own roll-off
     (docs/DERIVATION.md (4.5)), and its v lines end at the last one below
     its 2 v_half."""
     gs, gi = params.gamma_s, params.gamma_i
-    a = 0.5 * (gs + gi)
+    on_ray = params.gammas_opposite
+    a = 0.0 if on_ray else 0.5 * (gs + gi)
     b = 0.5 * (gs - gi)
     L = params.length
     tau_theta = abs(b) * L
@@ -426,54 +433,66 @@ def _line_spectra(params: PhaseMatchParams, pump: PumpSpectrum, tau_max: float, 
     # each reach's lines: the v nodes below its 2 v_half, past which its weights are 0
     cuts = [int(np.searchsorted(vp, 2.0 * v_half)) for v_half in v_halfs]
     wu = np.exp(-((un / bw) ** 2)) * uw
-    # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
-    # p1 and leaves bv ascending, as _sinc_blocks needs
-    au = (math.copysign(0.5, b) * a * L) * un
-    bv = (0.5 * abs(b) * L) * vp
     h = len(un) // 2  # row h + k is row h - 1 - k mirrored, and wu is even
-    t_u = np.zeros((len(reaches), h))  # per reach, sums over v > 0 of plus^2
+    if on_ray:
+        # one row, its own mirror, weighted by the h rows it stands for, (4.11)
+        au, wh = np.zeros(1), np.array([wu[:h].sum()])
+    else:
+        # sin(y) / y is even in y, so flipping both signs when b < 0 keeps
+        # p1 and leaves bv ascending, as _sinc_blocks needs
+        au, wh = (math.copysign(0.5, b) * a * L) * un, wu[:h]
+    bv = (0.5 * abs(b) * L) * vp
+    k = len(wh)
+    t_u = np.zeros((len(reaches), k))  # per reach, sums over v > 0 of plus^2
     vsum = np.empty((2, len(vp)))  # pump-weighted sums over u < h of plus^2, minus^2
-    chunk = max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * len(un)))
+    chunk = max(_MIN_COLUMNS, _BLOCK_BYTES // (8 * len(au)))
     for lo, p1, spare in _sinc_blocks(au, bv, chunk):
         hi = lo + p1.shape[1]
-        minus = np.subtract(p1[:h], p1[::-1][:h], out=spare[:h])
-        plus = np.add(p1[:h], p1[::-1][:h], out=p1[:h])
+        minus = np.subtract(p1[:k], p1[::-1][:k], out=spare[:k])
+        plus = np.add(p1[:k], p1[::-1][:k], out=p1[:k])
         minus *= minus
         plus *= plus
         for t, vwp, cut in zip(t_u, vwps, cuts):
             if lo < cut:
                 t += plus @ vwp[lo:hi]
-        vsum[:, lo:hi] = wu[:h] @ plus, wu[:h] @ minus
+        vsum[:, lo:hi] = wh @ plus, wh @ minus
+    u_lines = un + pump.omega_p
     spectra = []
     for t, vwp, cut in zip(t_u, vwps, cuts):
         # per v line, half the plane's sums of plus^2 and minus^2: the mass sums p1^2 + p2^2
         P, M = 2.0 * vwp[:cut] * vsum[:, :cut]
         mass = float(np.sum(P + M))
+        fringe_u = (u_lines, wu * (t if on_ray else np.concatenate((t, t[::-1]))) / mass)
         spectra.append({
             TraceKind.HOM: ((vp[:cut], (M - P) / mass),),
-            TraceKind.MZ: ((un + pump.omega_p, wu * np.concatenate((t, t[::-1])) / mass),
-                           (vp[:cut], M / mass)),
+            TraceKind.MZ: (fringe_u,) if on_ray else (fringe_u, (vp[:cut], M / mass)),
         })
     return tuple(spectra)
 
 
 def _cos_sums(freq: np.ndarray, weights: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] cos(freq[i] tau) over one comb, freq equally spaced,
-    for every delay tau of the 1-D array taus: one chirp-z transform
-    (_chirp_z_cos_sums) on a uniform grid of n > 2 delays, each within 2 ulp
-    of max |tau| of tau_0 + j d, else the direct sum, one cosine per node
-    per delay, in node chunks within _BLOCK_BYTES."""
+    """sum_i weights[..., i] cos(freq[i] tau) over one comb, freq equally
+    spaced, for every delay tau of the 1-D array taus and every row of
+    weights: a (rows, lines) array gives (rows, len(taus)) sums, a 1-D one
+    a 1-D array.  One chirp-z transform for all rows (_chirp_z_cos_sums) on
+    a uniform grid of n > 2 delays, each within 2 ulp of max |tau| of
+    tau_0 + j d, else the direct sum, one cosine per node per delay, in
+    node chunks within _BLOCK_BYTES.  Each row's sums are bitwise those of
+    that row alone."""
     n = len(taus)
     if n > 2:
         d = (taus[-1] - taus[0]) / (n - 1)
         gap = np.abs(taus - (taus[0] + d * np.arange(n)))
         if np.max(gap) <= 2.0 * np.spacing(np.max(np.abs(taus))):
             return _chirp_z_cos_sums(freq, weights, d, 0.5 * (taus[0] + taus[-1]), n)
-    out = np.zeros(n)
+    out = np.zeros(weights.shape[:-1] + (n,))
     chunk = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
     for lo in range(0, len(freq), chunk):
         phase = np.multiply.outer(freq[lo:lo + chunk], taus)
-        out += weights[lo:lo + chunk] @ np.cos(phase, out=phase)
+        cos = np.cos(phase, out=phase)
+        # a row at a time: a matrix product may round each row otherwise
+        for row, sums in zip(np.atleast_2d(weights), np.atleast_2d(out)):
+            sums += row[lo:lo + chunk] @ cos
     return out
 
 
@@ -493,11 +512,12 @@ def _chirp_phase(r: float, x: np.ndarray) -> np.ndarray:
 
 
 def _unit(phase: np.ndarray, size: int, scale: np.ndarray | float = 1.0) -> np.ndarray:
-    """scale e^{i phase}, zero-padded to `size` points, from the cosine and
-    sine of the one real phase."""
-    out = np.zeros(size, complex)
-    out.real[:len(phase)] = np.cos(phase) * scale
-    out.imag[:len(phase)] = np.sin(phase) * scale
+    """scale e^{i phase}, zero-padded to `size` points along the last axis,
+    from the cosine and sine of the one real phase; a (rows, len(phase))
+    scale gives one such row per row of scale."""
+    out = np.zeros(np.shape(scale)[:-1] + (size,), complex)
+    out.real[..., :len(phase)] = np.cos(phase) * scale
+    out.imag[..., :len(phase)] = np.sin(phase) * scale
     return out
 
 
@@ -509,10 +529,12 @@ def _fft_length(k: int) -> int:
 
 def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: float,
                       n: int) -> np.ndarray:
-    """sum_i weights[i] cos(freq[i] tau_j) at tau_j = tau_c + j' d,
-    j' = j - (n - 1) / 2, over a comb freq[i] = freq[0] + i h: one FFT
-    convolution over the lags j - i (Bluestein, IEEE Trans. Audio
-    Electroacoust. 18 (1970) 451), docs/DERIVATION.md (4.6).  Every line
+    """sum_i weights[..., i] cos(freq[i] tau_j) at tau_j = tau_c + j' d,
+    j' = j - (n - 1) / 2, over a comb freq[i] = freq[0] + i h, per row of
+    weights: one FFT convolution over the lags j - i (Bluestein, IEEE
+    Trans. Audio Electroacoust. 18 (1970) 451), docs/DERIVATION.md (4.6).
+    The rows share the lag kernel's FFT and the output phase, and numpy
+    transforms each row of an array bitwise as that row alone.  Every line
     shares the phase freq[0] j' d, rounded once, so the combs start at
     their lowest line."""
     m = len(freq)
@@ -524,7 +546,7 @@ def _chirp_z_cos_sums(freq: np.ndarray, weights: np.ndarray, d: float, tau_c: fl
     # conj(c(y - x)) at every lag, the negative ones wrapped to the end
     spectrum *= np.fft.fft(_unit(-turn * _chirp_phase(r, 2.0 * np.r_[:n, n - size:0] - (n - 1)),
                                  size))
-    sums = np.fft.ifft(spectrum)[:n]
+    sums = np.fft.ifft(spectrum)[..., :n]
     y = 2.0 * np.arange(n) - (n - 1)
     phase = 0.5 * freq[0] * d * y + turn * _chirp_phase(r, y)
     # the real part of e^{i phase} sums
@@ -551,6 +573,22 @@ def delay_span(params: PhaseMatchParams, pump: PumpSpectrum) -> float:
     return span
 
 
+def _sum_combs(builds: list[tuple[tuple[np.ndarray, np.ndarray], ...]],
+               taus: np.ndarray) -> list[np.ndarray]:
+    """1 + the cosine sums of each build's combs at the delays taus, added
+    in comb order.  Combs with the same lines, such as the fine build's
+    fringe u combs at both reaches, share one _cos_sums call on their
+    stacked weights, which gives each the bits of a call of its own."""
+    by_lines = {}
+    for i, combs in enumerate(builds):
+        for j, (freq, weights) in enumerate(combs):
+            by_lines.setdefault(freq.tobytes(), (freq, {}))[1][i, j] = weights
+    sums = {}
+    for freq, rows in by_lines.values():
+        sums.update(zip(rows, _cos_sums(freq, np.stack(list(rows.values())), taus)))
+    return [1.0 + sum(sums[i, j] for j in range(len(combs))) for i, combs in enumerate(builds)]
+
+
 def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpectrum,
                       taus: np.ndarray, spec: QuadratureSpec,
                       tau_max: float | None) -> np.ndarray:
@@ -560,13 +598,13 @@ def _trace_quadrature(kind: TraceKind, params: PhaseMatchParams, pump: PumpSpect
         raise ValueError(f"quadrature tau_max = {tau_max} must be finite")
     reach = max(float(np.max(np.abs(taus), initial=0.0)), float(tau_max or 0.0))
     # every cosine sum goes through _cos_sums, which evaluates a uniform
-    # delay grid by a chirp-z transform per comb: a delay's value then
-    # depends on the grid it came with, at about 1e-13 of the summed
-    # |weights|, but never on the order of the calls or on the cache
-    flat = taus.ravel()
-    values, check, coarse = (
-        1.0 + sum(_cos_sums(freq, weights, flat) for freq, weights in spectra[kind])
-        for spectra in _spectra_pair(params, pump, reach, spec.max_subdivisions))
+    # delay grid by a chirp-z transform per comb, or per set of combs with
+    # the same lines: a delay's value then depends on the grid it came
+    # with, at about 1e-13 of the summed |weights|, but never on the order
+    # of the calls, on the cache or on which combs share a transform
+    values, check, coarse = _sum_combs(
+        [spectra[kind] for spectra in _spectra_pair(params, pump, reach, spec.max_subdivisions)],
+        taus.ravel())
     # the step's error is set by the band, not by the reach, so the fine
     # and coarse builds are compared at the check reach alone
     drift = float(np.max(np.abs(check - coarse), initial=0.0))

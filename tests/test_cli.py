@@ -198,20 +198,24 @@ def test_mz_default_grid_samples_fringes(tmp_path):
 def test_validate_sums_every_trace_by_chirp_z_transforms(tmp_path, monkeypatch, capsys):
     # at these inputs (a jittered benchmark setting) delays scaled from a
     # grid on [-1, 1] would miss the uniform-grid test by 2.5 ulp and be
-    # summed directly; one transform per comb and sum, at the fine build's
-    # full and check reaches and the coarse build's check reach, makes
-    # 3 x 3 for the dips and 3 x 6 for the fringes
+    # summed directly.  Each build, the fine one at the full and the check
+    # reach and the coarse one at the check reach, has one comb for a dip
+    # and two for a fringe, but on the matched ray (epm) the fringe keeps
+    # its u comb alone: 3 x 3 + 2 x 3 x 2 + 3 = 24 combs, each a row of one
+    # transform.  The fine build's two fringe u combs share their lines and
+    # one transform, so 21 transforms sum them
     calls, transform = [], spdcsim.interferometry._chirp_z_cos_sums
 
     def counted(freq, weights, d, tau_c, n):
-        calls.append(n)
+        calls.append((n, len(np.atleast_2d(weights))))
         return transform(freq, weights, d, tau_c, n)
 
     monkeypatch.setattr(spdcsim.interferometry, "_chirp_z_cos_sums", counted)
     assert run(["validate", "--omega-p", "2001.0848754462204", "--pump-bw", "40.666227839793684",
                 "--gamma", "8.07138097800132e-05", "--out", str(tmp_path / "v.csv")]) == 0
     capsys.readouterr()
-    assert calls == [201] * 27
+    assert {n for n, _ in calls} == {201}
+    assert len(calls) == 21 and sum(rows for _, rows in calls) == 24
 
 
 # the validate fringe sets on the mz command's own default grid, at least 40

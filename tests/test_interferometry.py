@@ -690,17 +690,22 @@ def _spectra_from_profiles(axes, profiles, omega_p):
                            (vn[half:], fold(0.5 * g2_v - g3_v) / mass))}
 
 
-def _assert_spectra_match(spectra, axes, profiles):
+def _assert_spectra_match(spectra, axes, profiles, on_ray=False):
     """The built lines are those of the reference profiles, and on each
     node axis its weights lie within 1e-12 of the largest weight that the
     profiles' magnitudes give there, with g3_v's negated so that no term
     cancels: the fringe's v weights are a difference of two profiles, which
-    cancels exactly at a = 0."""
+    cancels exactly at a = 0.  On the matched ray the build leaves that
+    comb out, and the reference's lies within the same bound of 0."""
     want = _spectra_from_profiles(axes, profiles, PUMP.omega_p)
     q_u, r_u, g2_v, g3_v = map(np.abs, profiles)
     size = _spectra_from_profiles(axes, (q_u, r_u, g2_v, -g3_v), PUMP.omega_p)
     for kind, combs in want.items():
-        assert len(spectra[kind]) == len(combs)
+        dropped = on_ray and kind is TraceKind.MZ
+        assert len(spectra[kind]) == len(combs) - dropped
+        if dropped:
+            (_, weights), (_, scale) = combs[1], size[kind][1]
+            assert np.max(np.abs(weights)) <= 1e-12 * np.max(np.abs(scale))
         for got, (freq, weights), (_, scale) in zip(spectra[kind], combs, size[kind]):
             # a comb cut at its reach's last line leaves out only lines of weight 0
             k = len(got[0])
@@ -773,7 +778,8 @@ def _assert_cut_at_the_check_reach(spectra, reach_axes, v_check):
     assert len(full[TraceKind.HOM][0][0]) == len(vp)
     k = len(check[TraceKind.HOM][0][0])
     assert vp[k - 1] < 2.0 * v_check <= vp[k] and 4 * k < len(vp)
-    assert len(check[TraceKind.MZ][1][0]) == k
+    # the fringe's v comb, if it has one (none on the matched ray)
+    assert all(len(freq) == k for freq, _ in check[TraceKind.MZ][1:])
     assert np.array_equal(check[TraceKind.MZ][0][0], full[TraceKind.MZ][0][0])
 
 
@@ -871,9 +877,57 @@ def test_engine_profiles_match_np_sinc_build(theta, length):
     params = make_params(theta, length)
     spectra, reach_axes = _spectra_and_axes(params, PUMP, delay_span(params, PUMP), "coarse",
                                             (_V_REACH, _V_CHECK))
+    # on the matched ray (epm) the build's one kernel row stands for every
+    # reference row, and its fringe has the u comb alone
     for at_reach, axes in zip(spectra, reach_axes):
-        _assert_spectra_match(at_reach, axes, _sinc_reference_profiles(axes, params))
+        _assert_spectra_match(at_reach, axes, _sinc_reference_profiles(axes, params),
+                              on_ray=theta == -math.pi / 4)
     _assert_cut_at_the_check_reach(spectra, reach_axes, _check_half(params, PUMP))
+
+
+@pytest.mark.parametrize("grade", ["fine", "coarse"])
+@pytest.mark.parametrize("theta", [-math.pi / 4, 3 * math.pi / 4], ids=["epm", "epm_b_negative"])
+def test_one_row_build_is_the_limit_of_the_two_dimensional_build(theta, grade):
+    # docs/DERIVATION.md (4.11): on the gamma_s = -gamma_i ray, both of its
+    # directions (b < 0 at 3 pi / 4), the build takes one kernel row and the
+    # fringe its u comb alone; within the snap of |cos + sin| < 1e-12 too
+    params = make_params(theta)
+    span = delay_span(params, PUMP)
+    reaches = (_V_REACH, _V_CHECK)
+    on_ray = _line_spectra(params, PUMP, span, grade, 2**15, reaches)
+    for snapped in (theta - 1e-13, theta + 1e-13):
+        assert make_params(snapped).gammas_opposite
+        spectra = _line_spectra(make_params(snapped), PUMP, span, grade, 2**15, reaches)
+        assert all(len(at_reach[TraceKind.MZ]) == 1 for at_reach in spectra)
+    # just outside the snap the build is two-dimensional, its u rows equal
+    # to ~1e-9: its combs are the one-row combs to 3.8e-12 of their largest
+    # weight (lines to 3.8e-12, both measured), and its fringe v comb, whose
+    # weights sum (p1 - p2)^2, is 2.6e-19 of the u comb
+    for near in (theta - 1e-9, theta + 1e-9):
+        assert not make_params(near).gammas_opposite
+        two_d = _line_spectra(make_params(near), PUMP, span, grade, 2**15, reaches)
+        for one, full in zip(on_ray, two_d):
+            (u_freq, u_weights), (_, v_weights) = full[TraceKind.MZ]
+            assert np.max(np.abs(v_weights)) <= 1e-15 * np.max(np.abs(u_weights))
+            for kind in TraceKind:
+                for (freq, weights), (want_freq, want) in zip(one[kind], full[kind][:1],
+                                                              strict=True):
+                    assert np.max(np.abs(freq - want_freq) / want_freq) <= 1e-11
+                    assert np.max(np.abs(weights - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("trace, closed", [
+    (hom_trace_integral, hom_rate_closed), (mz_trace_integral, mz_rate_closed),
+], ids=["hom", "mz"])
+def test_quadrature_agrees_with_the_closed_form_on_the_ray_with_b_negative(trace, closed):
+    # the matched ray's other direction, theta = 3 pi / 4, within the
+    # acceptance gate's 1e-3; the closed forms take their xi -> inf limits
+    params = make_params(3 * math.pi / 4)
+    span = delay_span(params, PUMP)
+    taus = np.linspace(-span, span, 201)
+    cfp = closed_form_params(params, PUMP)
+    assert math.isinf(cfp.xi) and params.gamma_s < params.gamma_i
+    assert np.max(np.abs(trace(params, PUMP, taus) - closed(cfp, taus))) <= 1e-3
 
 
 def _direct_traces(spectra, taus):
@@ -906,12 +960,15 @@ def _transform_grids(monkeypatch):
     return calls
 
 
-def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_spectra, monkeypatch):
+def test_blocked_evaluation_matches_direct_on_a_uniform_grid(coarse_spectra, request,
+                                                            monkeypatch):
     taus = np.linspace(-0.05, 0.05, 2001)
     calls = _transform_grids(monkeypatch)
     for got, want in zip(_traces(coarse_spectra, taus), _direct_traces(coarse_spectra, taus)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert calls == [2001] * 3  # one transform per comb: the dip's one, the fringe's two
+    # one transform per comb: the dip's one, the fringe's two, and on the
+    # matched ray (epm) the fringe's u comb alone
+    assert calls == [2001] * (2 if request.node.callspec.id == "epm" else 3)
 
 
 def test_blocked_evaluation_is_even_on_a_symmetric_grid(coarse_spectra):
@@ -990,6 +1047,26 @@ def test_nufft_cos_sums_match_a_direct_sum_at_a_million_delays(fine_spectra, mon
     calls = _transform_grids(monkeypatch)
     assert _worst_transform_error(fine_spectra[1:], 10**6, ("symmetric",)) <= 1e-12
     assert calls == [10**6] * 3
+
+
+@pytest.mark.parametrize("taus, uniform", [
+    (np.linspace(-0.05, 0.05, 201), True), (np.linspace(-0.2, 0.2, 7975), True),
+    (np.array([-0.04, -0.011, 0.0, 0.003, 0.027, 0.05]), False), (np.empty(0), False),
+], ids=["chirp_z_201", "chirp_z_7975", "direct", "n0"])
+def test_cos_sums_of_stacked_rows_are_bitwise_each_row_alone(fine_spectra, taus, uniform,
+                                                             monkeypatch):
+    # the fine build's two fringe u combs share their lines and one call:
+    # one transform (or one direct sum) that gives each row its own bits
+    calls = _transform_grids(monkeypatch)
+    for spectra, _ in fine_spectra:
+        freq, weights = spectra[TraceKind.MZ][0]
+        rows = np.stack((weights, weights[::-1] * np.linspace(0.5, 2.0, len(weights))))
+        got = _cos_sums(freq, rows, taus)
+        assert got.shape == (2, len(taus))
+        for row, want in zip(rows, got):
+            assert np.array_equal(_cos_sums(freq, row, taus), want)
+    # per setting, the stacked call and one call per row
+    assert calls == ([len(taus)] * 3 * len(fine_spectra) if uniform else [])
 
 
 def test_nufft_cos_sums_fail_with_a_chirp_not_reduced_mod_one(fine_spectra, monkeypatch):
@@ -1084,9 +1161,8 @@ def test_line_spectra_do_not_depend_on_the_block_shape(theta, length, bandwidth,
     # |y| < _RIDGE, fall in at least `ridge_blocks` of the default blocks:
     # every block shape sums the same kernel cells, so each comb agrees
     # with the whole-axis build to the rounding of the sums' order.  At epm
-    # the fringe's v comb is rounding-level (max |w| ~ 5e-34): the direct
-    # sin(y) / y of the ridge cells makes mirrored rows bitwise equal there,
-    # and a block that skips it moves that comb by more than its size
+    # the build is one kernel row, whose blocks are sized by the same two
+    # constants
     params, pump = make_params(theta, length), PumpSpectrum(OMEGA_P, bandwidth)
     span = span or delay_span(params, pump)
     blocks_with_ridge, sinc_blocks = set(), interferometry._sinc_blocks
